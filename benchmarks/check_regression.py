@@ -22,9 +22,8 @@ from pathlib import Path
 #: The sessions/sec and runs/sec figures the PR-1 perf work established,
 #: plus the PR-4 candidate-sweep and cached-rerun figures, the PR-5
 #: fleet-scheduler figure, the PR-6 degraded-fleet (fault plan) figure,
-#: the PR-7 cross-tenant batched-fleet figure, the PR-8 per-policy
-#: session figures, the PR-9 tuning-service drain figure and the PR-10
-#: sharded-fleet and streaming-first-result figures.
+#: the PR-8 per-policy session figures, the PR-9 tuning-service drain
+#: figure and the PR-10 streaming-first-result figure.
 TRACKED = (
     "batched_runs_per_sec",
     "sequential_runs_per_sec",
@@ -32,8 +31,6 @@ TRACKED = (
     "sweep_configs_per_sec",
     "cached_rerun_runs_per_sec",
     "fleet_sessions_per_sec",
-    "fleet_batched_sessions_per_sec",
-    "fleet_sharded_sessions_per_sec",
     "service_sessions_per_sec",
     "service_first_result_sessions",
     "degraded_sessions_per_sec",

@@ -7,10 +7,9 @@ statistics only).  Dangerous builtins are removed; errors are surfaced as
 model.
 
 Output capture binds a buffer-backed ``print`` into the sandbox builtins
-rather than redirecting ``sys.stdout``: redirection swaps a *process-global*
-and the fleet's batched tenant groups execute analysis code from concurrent
-threads — a global redirect would interleave captures across tenants (and
-can strand ``sys.stdout`` on a dead buffer when scopes unwind out of
+rather than redirecting ``sys.stdout``: redirection swaps a *process-global*,
+so analysis code running on concurrent threads would interleave captures
+(and can strand ``sys.stdout`` on a dead buffer when scopes unwind out of
 order).  The sandbox blocks ``sys`` imports, so the injected ``print`` is
 the only way generated code can emit output.
 """

@@ -12,7 +12,6 @@ Examples::
     stellar drift --schedule regime_flip --backend beegfs
     stellar fleet                      # multi-tenant fleet over both backends
     stellar fleet --backend lustre --workers 4
-    stellar fleet --workers 4 --shards 2   # two worker groups, same bytes
     stellar chaos                      # fleet under injected faults
     stellar chaos --backend beegfs --rates 0,0.1
     stellar tune IOR_16M --policy react
@@ -115,12 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="pool size (default: REPRO_MAX_WORKERS, then cpu count)",
     )
-    fleet.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="worker groups to shard the tenant space across (default: 1)",
-    )
 
     chaos = sub.add_parser(
         "chaos",
@@ -167,12 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="pool size (default: REPRO_MAX_WORKERS, then cpu count)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="worker groups to shard the tenant space across (default: 1)",
     )
     serve.add_argument(
         "--in-order",
@@ -321,13 +308,6 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.shards <= 0:
-            print(
-                f"error: --shards {args.shards}: must be a positive "
-                "shard count",
-                file=sys.stderr,
-            )
-            return 2
         backends = (
             fleet.BACKENDS if backend_arg == "all" else (backend_arg,)
         )
@@ -335,7 +315,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             backends=backends,
             max_workers=args.workers,
-            shards=args.shards,
         )
         print(report.render())
         return 0
@@ -392,13 +371,6 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.shards <= 0:
-            print(
-                f"error: --shards {args.shards}: must be a positive "
-                "shard count",
-                file=sys.stderr,
-            )
-            return 2
         backends = (
             fleet_experiment.BACKENDS if backend_arg == "all" else (backend_arg,)
         )
@@ -409,9 +381,7 @@ def main(argv: list[str] | None = None) -> int:
             # fleet whatever order tenants arrive in, so the default
             # exercises an out-of-order submission stream deterministically.
             random.Random(args.seed).shuffle(order)
-        service = TuningService(
-            seed=args.seed, max_workers=args.workers, shards=args.shards
-        )
+        service = TuningService(seed=args.seed, max_workers=args.workers)
         print(
             "Service: long-lived tuning daemon "
             f"({len(order)} submission(s), out-of-order={not args.in_order})"

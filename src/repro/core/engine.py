@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from repro.agents.reflection import merge_rules_via_llm
 from repro.cluster.hardware import ClusterSpec
 from repro.core.pipeline import SESSION_PIPELINE, SessionState
-from repro.core.runner import EvaluationBroker
 from repro.core.session import TuningSession
 from repro.faults.llm import ResilientLLMClient
 from repro.faults.plan import FaultPlan
@@ -50,8 +49,6 @@ class Stellar:
     analysis_model: str | None = None  # defaults to gpt-4o like the paper
     faults: FaultPlan | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Optional batching seam for probe evaluations (the fleet broker).
-    broker: "EvaluationBroker | None" = None
     #: Default turn-taking strategy for every run this engine drives: a
     #: registered policy name or ``None`` for the reflection loop;
     #: ``tune(policy=...)`` overrides it per run.
@@ -141,7 +138,6 @@ class Stellar:
             user_accessible_only=user_accessible_only,
             faults=self.faults,
             retry=self.retry,
-            broker=self.broker,
             policy=policy if policy is not None else self.policy,
         )
         return SESSION_PIPELINE.run(state).session

@@ -35,7 +35,7 @@ from repro.agents.policies import AgentPolicy, PolicyContext, resolve_policy
 from repro.agents.transcript import Transcript
 from repro.agents.tuning import TuningLoopResult
 from repro.cluster.hardware import ClusterSpec
-from repro.core.runner import ConfigurationRunner, EvaluationBroker
+from repro.core.runner import ConfigurationRunner
 from repro.core.session import TuningSession
 from repro.corpus import render_hardware_doc
 from repro.darshan import DarshanLog, parse_log
@@ -74,9 +74,6 @@ class SessionState:
     user_accessible_only: bool = False
     faults: FaultPlan | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Batching seam for probe evaluations (the fleet broker); ``None``
-    #: keeps the runner on the direct ``Simulator.run`` path.
-    broker: EvaluationBroker | None = None
     #: Turn-taking strategy for the agent loop: a registered policy name,
     #: an :class:`AgentPolicy` instance, or ``None`` for the default
     #: reflection loop.
@@ -172,7 +169,6 @@ class InitialExecutionStage:
             seed=state.run_seed,
             faults=state.faults,
             retry=state.retry,
-            broker=state.broker,
         )
         state.initial_run, state.darshan_log = state.runner.initial_execution()
         state.transcript.add(

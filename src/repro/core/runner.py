@@ -11,7 +11,6 @@ history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from repro.cluster.hardware import ClusterSpec
 from repro.core.hygiene import HygieneLog
@@ -21,26 +20,6 @@ from repro.faults.retry import RetryPolicy, TransientFault
 from repro.pfs.config import PfsConfig
 from repro.pfs.simulator import RunResult, Simulator
 from repro.workloads.base import Workload
-
-
-class EvaluationBroker(Protocol):
-    """A batching seam for simulated probe runs.
-
-    ``evaluate`` must return exactly what
-    ``Simulator(cluster).run(workload, config, seed=seed)`` would — the
-    fleet broker satisfies this bit-for-bit by routing through the columnar
-    sweep engine.  The runner only ever submits through this seam when one
-    is provided; everything else (seeding, hygiene, fault arming) is
-    identical between the direct and brokered paths.
-    """
-
-    def evaluate(
-        self,
-        cluster: ClusterSpec,
-        workload: Workload,
-        config: PfsConfig,
-        seed: int,
-    ) -> RunResult: ...
 
 
 @dataclass
@@ -63,7 +42,6 @@ class ConfigurationRunner:
         base_config: PfsConfig | None = None,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
-        broker: EvaluationBroker | None = None,
     ):
         self.cluster = cluster
         self.workload = workload
@@ -79,7 +57,6 @@ class ConfigurationRunner:
         self.initial_run: RunResult | None = None
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
-        self.broker = broker
         #: Absorbed probe faults (feeds the session's recovery record).
         self.fault_counts: dict[str, int] = {}
 
@@ -146,9 +123,7 @@ class ConfigurationRunner:
         )
 
     def _evaluate(self, config: PfsConfig, run_seed: int) -> RunResult:
-        """One simulated run — direct, or through the batching seam."""
-        if self.broker is not None:
-            return self.broker.evaluate(self.cluster, self.workload, config, run_seed)
+        """One simulated run."""
         return Simulator(self.cluster).run(self.workload, config, seed=run_seed)
 
     def _next_seed(self) -> int:

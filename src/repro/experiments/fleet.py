@@ -87,20 +87,15 @@ def run(
     backends: tuple[str, ...] = BACKENDS,
     max_workers: int | None = None,
     tenants: list[TenantSpec] | None = None,
-    shards: int = 1,
 ) -> FleetReport:
     """Run the mixed-tenant matrix.
 
     ``cluster`` is accepted for signature parity with the figure
     experiments (its backend selects a single-backend matrix); the
-    scheduler builds each tenant's testbed itself.  ``shards`` spreads
-    the tenants across that many worker groups — the report is
-    byte-identical at any shard count.
+    scheduler builds each tenant's testbed itself.
     """
     if cluster is not None:
         backends = (cluster.backend_name,)
     specs = tenants if tenants is not None else default_tenants(backends, seed=seed)
-    scheduler = FleetScheduler(
-        specs, seed=seed, max_workers=max_workers, shards=shards
-    )
+    scheduler = FleetScheduler(specs, seed=seed, max_workers=max_workers)
     return FleetReport(result=scheduler.run(), tenants=specs)

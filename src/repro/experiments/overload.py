@@ -143,7 +143,6 @@ def run(
     admission: AdmissionPolicy = DEFAULT_ADMISSION,
     rate: float = 0.0,
     max_workers: int | None = None,
-    shards: int = 1,
 ) -> OverloadReport:
     """Run the overload sweep.
 
@@ -151,9 +150,7 @@ def run(
     experiments (its backend selects a single-backend sweep); ``rate``
     arms a uniform fault plan so overload and fault pressure compose.
     Execution is deferred to drain (no auto-pump), so the queue genuinely
-    builds up and the backpressure bound genuinely binds.  ``shards``
-    spreads drain execution across worker groups; sheds and results are
-    invariant to it (hierarchical ids keep each account on one shard).
+    builds up and the backpressure bound genuinely binds.
     """
     if cluster is not None:
         backends = (cluster.backend_name,)
@@ -167,7 +164,6 @@ def run(
                 faults=plan,
                 admission=admission,
                 pump_interval=None,
-                shards=shards,
             )
             depths = []
             for spec in offered_tenants(backend, load, seed):

@@ -25,13 +25,6 @@ builds a fresh one; :func:`shutdown_pool` retires it explicitly, and an
 pool reuse — jobs are pure functions of their arguments, and per-job state
 like ``RUN_CACHE`` enablement is entered and exited inside the job body,
 so nothing leaks between waves (guarded by ``tests/test_fleet_batch.py``).
-
-Pools live in a *registry* keyed by group name (:data:`DEFAULT_GROUP` for
-every classic caller).  A sharded fleet warms one pool per shard
-(``"shard-0"``, ``"shard-1"``, ...) and the groups are independent: a
-worker-count change or a ``BrokenProcessPool`` in one group retires only
-that group's executor, never its siblings' — which is what confines a
-crashed shard's blast radius to its own tenants.
 """
 
 from __future__ import annotations
@@ -86,14 +79,11 @@ def effective_workers(max_workers: int | None = None, n_items: int | None = None
 
 
 # ---------------------------------------------------------------------------
-# The warm persistent pool registry (one executor per named group).
+# The warm persistent pool.
 # ---------------------------------------------------------------------------
 
-#: The pool group every classic (un-sharded) caller shares.
-DEFAULT_GROUP = ""
-
-_POOLS: dict[str, ProcessPoolExecutor] = {}
-_POOL_WORKERS: dict[str, int] = {}
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
 
 
 def _init_worker(refs: list) -> None:
@@ -114,43 +104,33 @@ def _published_refs() -> list:
     return artifacts.published_refs()
 
 
-def warm_pool(workers: int, group: str = DEFAULT_GROUP) -> ProcessPoolExecutor:
-    """The group's shared executor with ``workers`` workers, created lazily.
+def warm_pool(workers: int) -> ProcessPoolExecutor:
+    """The shared executor with ``workers`` workers, created lazily.
 
-    Reused across calls with the same (group, count); a different count for
-    the *same* group retires that group's old pool first (two live pools in
-    one group would double its resident workers).  Distinct groups coexist —
-    one per fleet shard — and never retire each other.  New workers resolve
-    the artifact refs published so far in their initializer; refs published
-    later still resolve per job.
+    Reused across calls with the same count; a different count retires the
+    old pool first (two live pools would double the resident workers).
+    New workers resolve the artifact refs published so far in their
+    initializer; refs published later still resolve per job.
     """
-    pool = _POOLS.get(group)
-    if pool is not None and _POOL_WORKERS[group] != workers:
-        shutdown_pool(group)
-        pool = None
-    if pool is None:
-        pool = ProcessPoolExecutor(
+    global _pool, _pool_workers
+    if _pool is not None and _pool_workers != workers:
+        shutdown_pool()
+    if _pool is None:
+        _pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
             initargs=(_published_refs(),),
         )
-        _POOLS[group] = pool
-        _POOL_WORKERS[group] = workers
-    return pool
+        _pool_workers = workers
+    return _pool
 
 
-def shutdown_pool(group: str | None = None) -> None:
-    """Retire one warm pool group — or every group when ``group`` is None.
-
-    No-op for groups that are not live, so callers (and the ``atexit``
-    hook) never need to know what was warmed.
-    """
-    names = list(_POOLS) if group is None else [group]
-    for name in names:
-        pool = _POOLS.pop(name, None)
-        if pool is not None:
-            _POOL_WORKERS.pop(name, None)
-            pool.shutdown(wait=True, cancel_futures=True)
+def shutdown_pool() -> None:
+    """Retire the warm pool; a no-op when none is live."""
+    global _pool, _pool_workers
+    pool, _pool, _pool_workers = _pool, None, 0
+    if pool is not None:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 atexit.register(shutdown_pool)
@@ -160,7 +140,6 @@ def pmap(
     fn: Callable[[T], R],
     items: Iterable[T],
     max_workers: int | None = None,
-    group: str = DEFAULT_GROUP,
 ) -> list[R]:
     """Map ``fn`` over ``items`` preserving order, in parallel when it pays.
 
@@ -173,11 +152,11 @@ def pmap(
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     try:
-        return list(warm_pool(workers, group).map(fn, items))
+        return list(warm_pool(workers).map(fn, items))
     except BrokenProcessPool:
         # A worker died (OOM kill, hard crash): retire the poisoned pool so
-        # the group's next call starts clean, then surface the failure.
-        shutdown_pool(group)
+        # the next call starts clean, then surface the failure.
+        shutdown_pool()
         raise
 
 
@@ -185,8 +164,6 @@ def imap(
     fn: Callable[[T], R],
     items: Iterable[T],
     max_workers: int | None = None,
-    group: str = DEFAULT_GROUP,
-    force_pool: bool = False,
 ) -> Iterable[R]:
     """Like :func:`pmap`, but yields each result as it becomes *next*.
 
@@ -194,33 +171,25 @@ def imap(
     deterministic); the difference is that the caller observes them one by
     one instead of after the whole batch — which is what lets the fleet
     scheduler checkpoint after every completed tenant instead of only at
-    the end.
-
-    Pooled work is submitted *eagerly*, at call time rather than at first
-    ``next()``: a sharded fleet builds one ``imap`` stream per shard and
-    interleaves them, and lazy submission would serialize the shards.
-    ``force_pool`` routes even a 1-worker/1-item call through the group's
-    pool — how each shard of a multi-shard fleet gets a real process of
-    its own instead of running inline in the parent.
+    the end, and the service stream its first tenant back while the pool
+    is still working on the rest.
     """
     items = list(items)
     workers = effective_workers(max_workers, len(items))
-    if not force_pool and (workers <= 1 or len(items) <= 1):
+    if workers <= 1 or len(items) <= 1:
         return (fn(item) for item in items)
-    if not items:
-        return iter(())
 
     def stream(results: Iterable[R]) -> Iterable[R]:
         try:
             yield from results
         except BrokenProcessPool:
-            shutdown_pool(group)
+            shutdown_pool()
             raise
 
     try:
-        return stream(warm_pool(workers, group).map(fn, items))
+        return stream(warm_pool(workers).map(fn, items))
     except BrokenProcessPool:
-        shutdown_pool(group)
+        shutdown_pool()
         raise
 
 

@@ -33,7 +33,7 @@ RUN_NOISE_SIGMA = 0.025
 #: ``phase:i``/``run`` under ``spawn:run:<workload>`` and never depend on the
 #: configuration — so one cache serves the scalar, batch and sweep engines
 #: (the sweep bulk-seeds misses and stores them here).  Reads and writes are
-#: single dict ops, safe under the GIL for the fleet broker's threads; the
+#: single dict ops, safe under the GIL for threaded callers; the
 #: size cap stops inserts rather than evicting, keeping behavior
 #: deterministic.
 _NOISE_CACHE: dict[tuple[int, str, int], tuple[tuple[float, ...], float]] = {}

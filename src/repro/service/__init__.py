@@ -13,11 +13,7 @@ Import-graph rules (guarded by ``tests/test_fleet.py``):
   are backend-agnostic, everything resolves through the cluster's backend;
 - the scheduler owns no tuning logic: a tenant's queue runs through the
   ordinary :meth:`Stellar.tune_and_accumulate`, so the service layer can
-  never drift from the single-operator path;
-- sharding owns no execution logic: :mod:`repro.service.shards` only
-  partitions jobs and merges streams — tenants still run through the
-  scheduler's job adapters, and ``execute_jobs`` imports the executor
-  lazily so the layering stays acyclic.
+  never drift from the single-operator path.
 
 Fault domains: each tenant is its own blast radius.  Under an armed
 :class:`~repro.faults.plan.FaultPlan`, a tenant that exhausts its retry
@@ -47,7 +43,6 @@ from repro.service.scheduler import (
     execute_jobs,
     run_tenant,
 )
-from repro.service.shards import ShardedExecutor, shard_of
 from repro.service.tenant import TenantFailure, TenantResult, TenantSpec
 
 __all__ = [
@@ -58,8 +53,6 @@ __all__ = [
     "TenantFailure",
     "run_tenant",
     "execute_jobs",
-    "ShardedExecutor",
-    "shard_of",
     "TuningService",
     "Admission",
     "AdmissionPolicy",

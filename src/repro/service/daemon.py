@@ -37,15 +37,14 @@ re-runs any tenant whose speculative mode disagrees, which is what makes
 the final result independent of how the queue happened to be paced.
 
 The streaming front end rides the same machinery: wave execution is a
-generator over :func:`~repro.service.scheduler.execute_jobs` arrivals
-(shard-by-shard through :mod:`repro.experiments.parallel`'s ``imap``
-streams), so outcomes, checkpoints and :meth:`status`/:meth:`results`
-update per completed tenant, not only at pump boundaries — and
-:meth:`iter_results` yields finished tenants in the canonical drain
-order as soon as their canonical prefix is complete, folding breaker
-decisions incrementally with exactly drain's semantics.  ``shards``
-partitions wave execution across per-shard pools (see
-:mod:`repro.service.shards`) without changing a byte of any result.
+generator over :func:`~repro.service.scheduler.execute_jobs` arrivals,
+so outcomes, checkpoints and :meth:`status`/:meth:`results` update per
+completed tenant, not only at pump boundaries — and :meth:`iter_results`
+yields finished tenants in the canonical drain order as soon as their
+canonical prefix is complete, folding breaker decisions incrementally
+with exactly drain's semantics.  A wave executes in that same canonical
+order (within a priority), so the first tenant streams out after one
+tenant's queue rather than after whichever tenants were submitted first.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from repro.experiments.parallel import effective_workers
 from repro.faults.breaker import BreakerPolicy, BreakerState
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
-from repro.rules.store import JournalCorruptError, RuleJournal
+from repro.rules.store import RuleJournal
 from repro.service.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -68,7 +67,6 @@ from repro.service.scheduler import (
     ArtifactCatalog,
     CheckpointStore,
     FleetResult,
-    _outcome_from_json,
     _outcome_to_json,
     _resolve_payload,
     execute_jobs,
@@ -84,7 +82,6 @@ class _Submission:
     """One accepted submission waiting in the queue."""
 
     spec: TenantSpec
-    seq: int
     priority: int
     retry: RetryPolicy
     restored: tuple[TenantResult | TenantFailure, frozenset] | None = None
@@ -98,9 +95,8 @@ class TuningService:
     (``None`` disables them); ``pump_interval`` auto-runs a wave whenever
     that many submissions are queued (``None`` defers all execution to
     :meth:`pump`/:meth:`drain`).  Higher ``priority`` submissions run
-    earlier within a wave; ties break by submission order.  ``shards``
-    spreads wave execution across that many per-shard worker pools (see
-    :mod:`repro.service.shards`) without changing any result byte.
+    earlier within a wave; ties break in the canonical ``(seed,
+    tenant_id)`` order that :meth:`iter_results` and :meth:`drain` yield.
     """
 
     def __init__(
@@ -111,25 +107,19 @@ class TuningService:
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         checkpoint: str | Path | None = None,
-        batching: bool = True,
         admission: AdmissionPolicy | None = None,
         breaker: BreakerPolicy | None = BreakerPolicy(),
         pump_interval: int | None = 4,
-        shards: int = 1,
     ):
         if pump_interval is not None and pump_interval < 1:
             raise ValueError(f"pump_interval={pump_interval} must be >= 1")
-        if shards < 1:
-            raise ValueError(f"shards={shards} must be a positive shard count")
         self.seed = seed
         self.max_workers = max_workers
         self.use_cache = use_cache
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
-        self.batching = batching
         self.breaker = breaker
         self.pump_interval = pump_interval
-        self.shards = shards
         self.admission = AdmissionController(admission)
         self._catalog = ArtifactCatalog(seed)
         self._queue: list[_Submission] = []
@@ -196,7 +186,6 @@ class TuningService:
         self._queue.append(
             _Submission(
                 spec=spec,
-                seq=decision.seq,
                 priority=priority,
                 retry=retry,
                 restored=self._adopt_restored(spec),
@@ -218,28 +207,16 @@ class TuningService:
         queue exactly like a fresh one — only its *execution* is skipped —
         so every admission/backpressure decision matches the uninterrupted
         run.  A digest mismatch means the checkpoint belongs to a
-        different submission stream and is refused loudly.
+        different submission stream and is refused loudly, like a
+        malformed entry (:meth:`CheckpointStore.adopt`).
         """
-        raw = self._restored_raw.get(spec.tenant_id)
-        if raw is None:
+        if spec.tenant_id not in self._restored_raw:
             return None
-        expected = spec_digest(spec)
-        recorded = raw.get("spec_digest")
-        if recorded != expected:
-            raise JournalCorruptError(
-                f"service checkpoint entry for tenant {spec.tenant_id!r} "
-                f"was written by a different spec (digest {recorded!r}, "
-                f"this submission expects {expected!r}); the checkpoint "
-                "belongs to a different fleet"
-            )
-        outcome = _outcome_from_json(raw, spec)
-        if self._store is not None:
-            self._store.restore_fragment(spec.tenant_id, raw)
-        return outcome, frozenset(raw.get("degraded_sites", ()))
+        return self._store.adopt(spec, self._restored_raw[spec.tenant_id])
 
     # -- execution ------------------------------------------------------
     def pump(self) -> int:
-        """Run every queued submission as one wave over the warm pool(s).
+        """Run every queued submission as one wave over the warm pool.
 
         Returns the number of submissions taken off the queue.  Wave
         execution is speculative with respect to breaker modes (the
@@ -266,7 +243,10 @@ class TuningService:
         if self._live_wave is None:
             if not self._queue:
                 return False
-            wave = sorted(self._queue, key=lambda s: (-s.priority, s.seq))
+            wave = sorted(
+                self._queue,
+                key=lambda s: (-s.priority, s.spec.seed, s.spec.tenant_id),
+            )
             self._queue = []
             self.admission.release(len(wave))
             self._live_wave = self._wave_stream(wave)
@@ -311,12 +291,7 @@ class TuningService:
             modes.append((sub, mode))
         self._inflight = {sub.spec.tenant_id for sub, _ in modes}
         try:
-            for index, outcome in execute_jobs(
-                jobs,
-                max_workers=self.max_workers,
-                batching=self.batching,
-                shards=self.shards,
-            ):
+            for index, outcome in execute_jobs(jobs, max_workers=self.max_workers):
                 sub, mode = modes[index]
                 self._inflight.discard(sub.spec.tenant_id)
                 self._arrive(sub.spec, outcome, mode)
@@ -419,7 +394,7 @@ class TuningService:
         incrementally, per canonical position, instead of all at once.
         A tenant streams out the moment its canonical prefix is complete;
         execution advances one arrival at a time underneath, so early
-        tenants flow back while later shards are still working.
+        tenants flow back while the pool is still working on later ones.
 
         The generator returns (without closing the service) when every
         yieldable outcome needs a submission that has not happened yet;

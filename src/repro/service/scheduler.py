@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import threading
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,11 +51,10 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.cluster.hardware import ClusterSpec, make_cluster
 from repro.core.engine import Stellar
-from repro.core.runner import EvaluationBroker
 from repro.core.session import TuningSession
 from repro.corpus import render_hardware_doc, render_manual
 from repro.experiments.harness import shared_extraction
-from repro.experiments.parallel import effective_workers
+from repro.experiments.parallel import effective_workers, imap
 from repro.faults.breaker import BreakerPolicy, BreakerState
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import FaultBudgetExhausted, RetryPolicy, TransientFault
@@ -69,7 +68,6 @@ from repro.rules.store import (
 )
 from repro.service import artifacts
 from repro.service.artifacts import ArtifactRef, OfflineArtifacts
-from repro.service.broker import FleetEvalBroker, TenantPort
 from repro.service.tenant import TenantFailure, TenantResult, TenantSpec
 from repro.sim.cache import RUN_CACHE
 
@@ -133,7 +131,6 @@ def run_tenant(
     use_cache: bool = True,
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
-    broker: EvaluationBroker | None = None,
 ) -> TenantResult | TenantFailure:
     """One tenant's whole session queue — THE per-tenant body.
 
@@ -155,7 +152,6 @@ def run_tenant(
         seed=spec.seed,
         faults=faults,
         retry=retry if retry is not None else RetryPolicy(),
-        broker=broker,
         policy=spec.policy,
     )
     scope = RUN_CACHE.enabled() if use_cache else nullcontext()
@@ -206,112 +202,51 @@ def _tenant_job(args: tuple) -> TenantResult | TenantFailure:
     return run_tenant(spec, bundle.cluster, bundle.extraction, use_cache, faults, retry)
 
 
-def run_tenant_group(
-    jobs: Sequence[tuple],
-) -> list[TenantResult | TenantFailure]:
-    """Run co-located tenants concurrently over one shared eval broker.
-
-    ``jobs`` are :func:`run_tenant` argument tuples.  Each tenant runs on
-    its own thread; every simulated probe routes through the group's
-    :class:`~repro.service.broker.FleetEvalBroker`, which batches pending
-    evaluations across tenants into columnar sweeps.  Results are
-    bit-identical to running each tenant alone (the broker contract), and
-    tenants *enter* ``run_tenant`` strictly in submission order — each
-    thread holds the entry baton until its first broker contact — so
-    observable call order matches the sequential path.
-
-    Per-tenant state (engines, transcripts, journals, RNG streams) is
-    thread-confined by construction; the shared pieces (run cache, compiled
-    workload/expression memos) are only ever touched inside the broker's
-    flush, while every other tenant thread is parked.
-    """
-    if len(jobs) == 1:
-        return [run_tenant(*jobs[0])]
-    broker = FleetEvalBroker()
-    for _ in jobs:
-        broker.register()
-    turns = [threading.Event() for _ in jobs]
-    turns[0].set()
-    outcomes: list[TenantResult | TenantFailure | None] = [None] * len(jobs)
-
-    def body(index: int, args: tuple, port: TenantPort) -> None:
-        turns[index].wait()
-        try:
-            outcomes[index] = run_tenant(*args, broker=port)
-        finally:
-            port.retire()
-
-    threads = []
-    for index, args in enumerate(jobs):
-        advance = (
-            turns[index + 1].set if index + 1 < len(jobs) else (lambda: None)
-        )
-        port = TenantPort(broker, on_first_contact=advance)
-        threads.append(
-            threading.Thread(
-                target=body,
-                args=(index, args, port),
-                name=f"tenant-{args[0].tenant_id}",
-            )
-        )
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for index, outcome in enumerate(outcomes):
-        if outcome is None:  # pragma: no cover - thread died pre-boundary
-            raise RuntimeError(
-                f"tenant thread {jobs[index][0].tenant_id} exited without "
-                "an outcome"
-            )
-    return outcomes
-
-
-def _tenant_group_job(jobs: tuple) -> list[TenantResult | TenantFailure]:
-    """Picklable adapter: resolve artifact refs, run the co-located group."""
-    resolved = []
-    for spec, payload, use_cache, faults, retry in jobs:
-        bundle = _resolve_payload(payload)
-        resolved.append(
-            (spec, bundle.cluster, bundle.extraction, use_cache, faults, retry)
-        )
-    return run_tenant_group(resolved)
+def _broken_pool_failure(spec: TenantSpec) -> TenantFailure:
+    """The quarantine report for a tenant stranded by a dead pool."""
+    return TenantFailure(
+        spec=spec,
+        site="pool.broken",
+        error=(
+            "worker pool broke (BrokenProcessPool); the pool was retired "
+            "and the wave's unfinished tenants quarantined"
+        ),
+    )
 
 
 def execute_jobs(
     jobs: Sequence[tuple],
     max_workers: int | None = None,
-    batching: bool = True,
-    shards: int = 1,
 ) -> Iterator[tuple[int, TenantResult | TenantFailure]]:
-    """THE tenant-execution core: run job tuples over the warm pool(s).
+    """THE tenant-execution core: run job tuples over the warm pool.
 
     ``jobs`` are :func:`run_tenant` payload tuples
     ``(spec, payload, use_cache, faults, retry)`` — each entry carries its
     *own* retry policy, which is how the service daemon applies per-tenant
     deadlines and degraded modes without forking the execution path.
-    Yields ``(index, outcome)`` as each tenant becomes next; the yield
-    order is deterministic for a fixed (jobs, worker count, batching,
-    shard count) and every outcome is deterministic for its job tuple
-    alone, so consumers may checkpoint incrementally and reorder freely.
+    Yields ``(index, outcome)`` in job order, each as soon as it and every
+    job before it have finished, so a consumer that orders its jobs the
+    way it reports them hands the first one back after one tenant's queue.
+    Every outcome is deterministic for its job tuple alone, so consumers
+    may checkpoint incrementally.
 
-    ``shards`` partitions the tenant space across that many worker groups
-    (see :mod:`repro.service.shards`); ``shards=1`` is the classic
-    single-pool schedule.  With several workers the grouped path
-    co-locates tenants round-robin over shared eval brokers; with one
-    worker (or one tenant per group) the scalar path runs instead — an
-    adaptive, bit-identical routing choice.
+    A ``BrokenProcessPool`` (a worker died) retires the pool and
+    quarantines every job that had not arrived yet as
+    ``site="pool.broken"``; jobs that arrived before it keep their
+    outcomes.
 
     Both :class:`FleetScheduler` and the service daemon route through this
     one generator — the daemon owns no tuning logic of its own.
     """
-    # Imported lazily: shards.py needs this module's job adapters at its
-    # import time, so a top-level import here would cycle.
-    from repro.service.shards import ShardedExecutor
-
-    yield from ShardedExecutor(
-        shards, max_workers=max_workers, batching=batching
-    ).execute(jobs)
+    jobs = list(jobs)
+    arrived = 0
+    try:
+        for outcome in imap(_tenant_job, jobs, max_workers=max_workers):
+            yield arrived, outcome
+            arrived += 1
+    except BrokenProcessPool:
+        for index in range(arrived, len(jobs)):
+            yield index, _broken_pool_failure(jobs[index][0])
 
 
 @dataclass
@@ -515,11 +450,47 @@ class CheckpointStore:
                 "start over"
             )
 
-    # -- write side -----------------------------------------------------
-    def restore_fragment(self, tenant_id: str, raw: dict) -> None:
-        """Adopt a loaded outcome into the fragment table (no write)."""
-        self.fragments[tenant_id] = json.dumps(raw)
+    def adopt(
+        self, spec: TenantSpec, raw: object
+    ) -> tuple[TenantResult | TenantFailure, frozenset]:
+        """Decode the loaded entry for ``spec`` and take it into the table.
 
+        Returns ``(outcome, degraded_sites)`` — the mode the outcome ran
+        under feeds the canonical breaker walk on resume.  The entry must
+        be an outcome record stamped with this spec's digest (a mismatch
+        means the checkpoint belongs to a different fleet) and must
+        decode; anything else raises a descriptive
+        :class:`JournalCorruptError`.  The one decode both the batch
+        scheduler and the service daemon restore through.
+        """
+        tenant_id = spec.tenant_id
+        if not isinstance(raw, dict):
+            raise JournalCorruptError(
+                f"fleet checkpoint entry for tenant {tenant_id!r} at "
+                f"{self.path} is a {type(raw).__name__}, not an outcome "
+                "record; the file is truncated or corrupt"
+            )
+        expected = spec_digest(spec)
+        recorded = raw.get("spec_digest")
+        if recorded != expected:
+            raise JournalCorruptError(
+                f"fleet checkpoint entry for tenant {tenant_id!r} was "
+                f"written by a different spec (digest {recorded!r}, this "
+                f"fleet expects {expected!r}); the checkpoint belongs to a "
+                "different fleet"
+            )
+        try:
+            outcome = _outcome_from_json(raw, spec)
+            mode = frozenset(raw.get("degraded_sites", ()))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise JournalCorruptError(
+                f"fleet checkpoint entry for tenant {tenant_id!r} is "
+                f"malformed ({type(exc).__name__}: {exc})"
+            ) from exc
+        self.fragments[tenant_id] = json.dumps(raw)
+        return outcome, mode
+
+    # -- write side -----------------------------------------------------
     def record(self, tenant_id: str, raw: dict) -> None:
         """Encode one arrival and persist the assembled checkpoint."""
         self.fragments[tenant_id] = json.dumps(raw)
@@ -632,11 +603,6 @@ class FleetScheduler:
     wrong mode are deterministically re-run — so results stay worker-count
     invariant.  ``None`` (the default) keeps behaviour identical to the
     pre-breaker scheduler.
-
-    ``shards`` partitions the tenant space across that many worker groups
-    (stable principal hash, one warm pool + eval broker per shard — see
-    :mod:`repro.service.shards`); the merged result is byte-identical to
-    the single-pool schedule at any shard count.
     """
 
     def __init__(
@@ -648,15 +614,11 @@ class FleetScheduler:
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         checkpoint: str | Path | None = None,
-        batching: bool = True,
         breaker: BreakerPolicy | None = None,
-        shards: int = 1,
     ):
         ids = [spec.tenant_id for spec in tenants]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate tenant ids in {ids}")
-        if shards < 1:
-            raise ValueError(f"shards={shards} must be a positive shard count")
         self.tenants = list(tenants)
         self.seed = seed
         self.max_workers = max_workers
@@ -664,9 +626,7 @@ class FleetScheduler:
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
         self.checkpoint = Path(checkpoint) if checkpoint is not None else None
-        self.batching = batching
         self.breaker = breaker
-        self.shards = shards
         self._breaker_state: BreakerState | None = None
         self._catalog = ArtifactCatalog(seed)
 
@@ -735,12 +695,7 @@ class FleetScheduler:
                     ),
                 )
 
-        for index, outcome in execute_jobs(
-            jobs,
-            max_workers=self.max_workers,
-            batching=self.batching,
-            shards=self.shards,
-        ):
+        for index, outcome in execute_jobs(jobs, max_workers=self.max_workers):
             arrive(pending[index], outcome, frozenset())
 
         if self.breaker is not None:
@@ -801,41 +756,16 @@ class FleetScheduler:
     ) -> dict[str, tuple[TenantResult | TenantFailure, frozenset]]:
         """Outcomes persisted by a previous (killed) run of this fleet.
 
-        Returns ``tenant_id -> (outcome, degraded_sites)`` — the mode each
-        outcome ran under feeds the canonical breaker walk on resume.
-        Every restored entry's spec digest must match this fleet's spec
-        for that id; a mismatch means the checkpoint belongs to a
-        different fleet and raises :class:`JournalCorruptError`.
+        Returns ``tenant_id -> (outcome, degraded_sites)``, each entry
+        decoded through :meth:`CheckpointStore.adopt`.
         """
         if store is None:
             return {}
         specs = {spec.tenant_id: spec for spec in self.tenants}
-        restored = {}
-        for tenant_id, outcome_raw in store.load().items():
-            spec = specs.get(tenant_id)
-            if spec is None:
-                # A dynamic-fleet (service) checkpoint may hold tenants
-                # outside this batch fleet; they are simply not restored.
-                continue
-            expected = spec_digest(spec)
-            recorded = outcome_raw.get("spec_digest")
-            if recorded != expected:
-                raise JournalCorruptError(
-                    f"fleet checkpoint entry for tenant {tenant_id!r} was "
-                    f"written by a different spec (digest {recorded!r}, "
-                    f"this fleet expects {expected!r}); the checkpoint "
-                    "belongs to a different fleet"
-                )
-            try:
-                outcome = _outcome_from_json(outcome_raw, spec)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise JournalCorruptError(
-                    f"fleet checkpoint entry for tenant {tenant_id!r} is "
-                    f"malformed ({type(exc).__name__}: {exc})"
-                ) from exc
-            restored[tenant_id] = (
-                outcome,
-                frozenset(outcome_raw.get("degraded_sites", ())),
-            )
-            store.restore_fragment(tenant_id, outcome_raw)
-        return restored
+        # A dynamic-fleet (service) checkpoint may hold tenants outside
+        # this batch fleet; they are simply not restored.
+        return {
+            tenant_id: store.adopt(specs[tenant_id], raw)
+            for tenant_id, raw in store.load().items()
+            if tenant_id in specs
+        }

@@ -38,7 +38,7 @@ class TenantSpec:
     :mod:`repro.agents.policies` name) — a first-class fleet dimension like
     the backend; policies only change *when* a tenant parks evaluations,
     never probe seeds or operand order, so every scheduler contract
-    (worker-count invariance, batched-broker parity) holds per policy.
+    (worker-count invariance, drain equals batch) holds per policy.
     """
 
     tenant_id: str

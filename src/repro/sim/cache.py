@@ -54,11 +54,9 @@ class RunCache:
         self.maxsize = maxsize
         self._store: OrderedDict[tuple, "RunResult"] = OrderedDict()
         self._depth = 0
-        # Concurrent tenant threads (the fleet's batched groups) each enter
-        # their own ``enabled()`` scope; the depth update is a
-        # read-modify-write, so it needs a lock to stay exact.  Store access
-        # itself stays single-threaded: with batching, every simulation runs
-        # inside the broker's flush while other tenant threads are parked.
+        # Concurrent threads may each enter their own ``enabled()`` scope;
+        # the depth update is a read-modify-write, so it needs a lock to
+        # stay exact.
         self._depth_lock = threading.Lock()
         self.hits = 0
         self.misses = 0

@@ -24,8 +24,8 @@ exposed — so the result is **bit-identical** to
 2**32 entropy-pool differently (one entropy word instead of two) and are
 rare for SHA-derived stream seeds; they fall back to ``default_rng``.
 
-The shared generator is guarded by a lock so broker flush threads and the
-scalar simulator can both seed noise here; sequential callers never contend.
+The shared generator is guarded by a lock so concurrent threads can both
+seed noise here; sequential callers never contend.
 """
 
 from __future__ import annotations
@@ -54,10 +54,9 @@ _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
 _PCG_MULT_LO = np.uint64(_PCG_MULT & ((1 << 64) - 1))
 
-#: The reused bit generator + generator pair.  Guarded by a lock: the fleet
-#: broker's flush runs on whichever tenant thread arrived last, and the
-#: scalar simulator also seeds its noise here, so two threads may reach the
-#: shared generator; the lock is uncontended in every sequential path.
+#: The reused bit generator + generator pair.  Guarded by a lock, since two
+#: threads may reach the shared generator; the lock is uncontended in every
+#: sequential path.
 _GEN_LOCK = threading.Lock()
 _PCG = np.random.PCG64(0)
 _GEN = np.random.Generator(_PCG)

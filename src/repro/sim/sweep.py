@@ -111,35 +111,6 @@ def run_items(sim: "Simulator", items: Iterable["BatchItem"]) -> list["RunResult
     return results
 
 
-def run_fleet_items(
-    items: Sequence[tuple["Simulator", "WorkloadLike", PfsConfig, int]],
-) -> list["RunResult"]:
-    """Grouped *multi-tenant* batch: items may span clusters.
-
-    The fleet broker's flush path.  Each item names the simulator (hence the
-    cluster) it belongs to; items are regrouped per cluster key and every
-    cluster group runs through :func:`run_items` — one columnar pass per
-    (workload, cluster) group across all co-batched tenants.  Because each
-    item's result depends only on its own (cluster, workload, config, seed)
-    and the columnar engine is bit-identical to the scalar path, the output
-    never depends on *which* tenants happened to be batched together.
-    Results come back in item order.
-    """
-    results: list["RunResult | None"] = [None] * len(items)
-    groups: dict[tuple, tuple["Simulator", list[int]]] = {}
-    for index, (sim, _, _, _) in enumerate(items):
-        key = (sim.cluster.backend_name, sim.cluster.cache_key())
-        entry = groups.get(key)
-        if entry is None:
-            entry = groups[key] = (sim, [])
-        entry[1].append(index)
-    for sim, indices in groups.values():
-        batch = [items[i][1:] for i in indices]
-        for index, result in zip(indices, run_items(sim, batch)):
-            results[index] = result
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Group evaluation
 # ---------------------------------------------------------------------------
@@ -171,8 +142,8 @@ def _sweep_group(
     # -- per-item noise: dedup by seed, bulk-seed only the cache misses ----
     # Noise depends on (seed, workload, n_phases) alone — never the config —
     # so a config×seed grid computes each seed's factors once, and the
-    # shared memo in the simulator module carries them across groups, broker
-    # flushes and engines (the scalar path fills and reads the same dict).
+    # shared memo in the simulator module carries them across groups and
+    # engines (the scalar path fills and reads the same dict).
     from repro.pfs.simulator import _NOISE_CACHE, _NOISE_CACHE_MAX
 
     name = workload.name

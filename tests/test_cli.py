@@ -100,30 +100,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--workers 0" in err and "positive" in err
 
-    def test_fleet_sharded_matches_flat_output(self, capsys):
-        assert main(["fleet", "--backend", "lustre", "--workers", "1"]) == 0
-        flat = capsys.readouterr().out
-        assert (
-            main(
-                ["fleet", "--backend", "lustre", "--workers", "1", "--shards", "2"]
-            )
-            == 0
-        )
-        sharded = capsys.readouterr().out
-        # Everything but the wall-clock aggregate line is byte-identical.
-        deterministic = [
-            line for line in flat.splitlines() if "aggregate:" not in line
-        ]
-        assert deterministic == [
-            line for line in sharded.splitlines() if "aggregate:" not in line
-        ]
-
-    @pytest.mark.parametrize("command", ["fleet", "serve"])
-    def test_nonpositive_shards_clean_error(self, command, capsys):
-        assert main([command, "--shards", "0"]) == 2
-        err = capsys.readouterr().err
-        assert "--shards 0" in err and "positive" in err
-
     def test_experiment_fleet_honors_backend(self, capsys):
         assert main(["experiment", "fleet", "--backend", "beegfs"]) == 0
         out = capsys.readouterr().out

@@ -15,7 +15,8 @@ Covers the policy tentpole's contracts:
   worker count, and treats the zero-fault plan as byte-identical to no
   plane at all;
 - the fleet dimension: per-tenant policies validate, render, and preserve
-  the scheduler's worker-count and batching parity contracts.
+  the scheduler's worker-count parity and the batch-vs-streamed-daemon
+  parity contracts.
 """
 
 import json
@@ -49,7 +50,7 @@ from repro.llm.api import Completion, ToolCall
 from repro.llm.promptparse import ParameterInfo
 from repro.llm.reasoning import SPECULATIVE_RATIONALE_PREFIX, review_proposal
 from repro.rules.store import session_to_dict
-from repro.service import FleetScheduler, TenantSpec
+from repro.service import FleetScheduler, TenantSpec, TuningService
 from repro.workloads import get_workload
 from test_fleet import fleet_fingerprint
 from test_pipeline import assert_sessions_byte_identical
@@ -440,13 +441,14 @@ class TestPolicyFleetDimension:
         assert fleet_fingerprint(pooled) == baseline
 
     def test_mixed_policy_batching_parity(self):
-        batched = FleetScheduler(
-            MIXED_POLICY_FLEET, seed=0, batching=True
-        ).run()
-        scalar = FleetScheduler(
-            MIXED_POLICY_FLEET, seed=0, batching=False
-        ).run()
-        assert fleet_fingerprint(batched) == fleet_fingerprint(scalar)
+        """The batch fleet at one worker equals the streamed daemon at two."""
+        batch = FleetScheduler(MIXED_POLICY_FLEET, seed=0, max_workers=1).run()
+        service = TuningService(seed=0, max_workers=2, pump_interval=None)
+        for spec in reversed(MIXED_POLICY_FLEET):
+            assert service.submit(spec).accepted
+        streamed = [o.tenant_id for o in service.iter_results()]
+        assert streamed == [t.tenant_id for t in batch.tenants]
+        assert fleet_fingerprint(service.drain()) == fleet_fingerprint(batch)
 
     def test_faulted_mixed_policy_worker_invariance(self):
         plan = FaultPlan.uniform(0.05, seed=3)

@@ -6,11 +6,15 @@ byte-identical (sessions, transcripts, merged journal) to the batch
 worker count and submission order, under zero and nonzero fault plans —
 and a killed service resumes from its checkpoint to exactly the
 uninterrupted result.  Admission and breaker decisions are pure functions
-of the submission sequence: no wall clock, no worker count.
+of the submission sequence: no wall clock, no worker count.  A wave
+executes in priority-then-canonical order, so the first tenant streams
+out after its own queue alone (the stream-order contracts live in
+``tests/test_shards.py``).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -511,6 +515,99 @@ class TestCrashResume:
             checkpoint=checkpoint,
         ).run()
         assert service_fingerprint(fresh) == service_fingerprint(expected)
+
+    @pytest.mark.parametrize("loader", ["fleet", "service"])
+    @pytest.mark.parametrize(
+        "corruption", ["missing-kind", "sessions-not-a-list", "not-a-record"]
+    )
+    def test_malformed_checkpoint_entry_is_descriptive(
+        self, tmp_path, written_checkpoint, corruption, loader
+    ):
+        spec = SMALL_FLEET[0]
+        raw = copy.deepcopy(written_checkpoint)
+        entry = raw["outcomes"][spec.tenant_id]
+        if corruption == "missing-kind":
+            del entry["kind"]
+        elif corruption == "sessions-not-a-list":
+            entry["sessions"] = 5
+        else:
+            raw["outcomes"][spec.tenant_id] = [entry]
+        checkpoint = tmp_path / "corrupt.ckpt.json"
+        checkpoint.write_text(json.dumps(raw))
+        with pytest.raises(JournalCorruptError, match=spec.tenant_id):
+            if loader == "fleet":
+                FleetScheduler(
+                    [spec], seed=0, max_workers=1, checkpoint=checkpoint
+                ).run()
+            else:
+                TuningService(
+                    seed=0, max_workers=1, checkpoint=checkpoint
+                ).submit(spec)
+
+
+@pytest.fixture(scope="module")
+def written_checkpoint(tmp_path_factory):
+    """A one-tenant fleet checkpoint, as loaded JSON."""
+    checkpoint = tmp_path_factory.mktemp("checkpoint") / "fleet.ckpt.json"
+    FleetScheduler(
+        [SMALL_FLEET[0]], seed=0, max_workers=1, checkpoint=checkpoint
+    ).run()
+    return json.loads(checkpoint.read_text())
+
+
+# ---------------------------------------------------------------------------
+# Wave order: canonical, so the first result leaves as early as possible.
+# ---------------------------------------------------------------------------
+
+
+def _submit_all(service, order=SMALL_FLEET):
+    for spec in order:
+        assert service.submit(spec).accepted
+
+
+class TestStreaming:
+    def test_first_result_waits_on_its_own_queue_only(self):
+        fleet = [
+            TenantSpec(
+                f"acct{i % 3}/t{i}",
+                backend=("lustre", "beegfs")[i % 2],
+                workloads=("IOR_16M", "IOR_64K", "MDWorkbench_8K")[: 1 + i % 3],
+                seed=600 + i,
+            )
+            for i in range(6)
+        ]
+        # Shuffled: the first canonical tenant is submitted third.
+        order = [fleet[i] for i in (3, 5, 0, 4, 1, 2)]
+        service = TuningService(seed=0, max_workers=2, pump_interval=None)
+        _submit_all(service, order)
+        first = next(service.iter_results())
+        assert first.tenant_id == fleet[0].tenant_id
+        assert service.first_result_sessions == len(first.sessions)
+
+    def test_waves_run_by_priority_then_canonical_order(self, monkeypatch):
+        import repro.service.scheduler as scheduler_module
+
+        ran = []
+        original = scheduler_module.run_tenant
+
+        def recording(spec, *args, **kwargs):
+            ran.append(spec.tenant_id)
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "run_tenant", recording)
+        service = TuningService(seed=0, max_workers=1, pump_interval=None)
+        priority = {}
+        for index, spec in enumerate(reversed(SMALL_FLEET)):
+            priority[spec.tenant_id] = index % 2
+            service.submit(spec, priority=index % 2)
+        service.pump()
+        assert ran == [
+            spec.tenant_id
+            for spec in sorted(
+                SMALL_FLEET,
+                key=lambda s: (-priority[s.tenant_id], s.seed, s.tenant_id),
+            )
+        ]
 
 
 # ---------------------------------------------------------------------------

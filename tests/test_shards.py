@@ -1,37 +1,37 @@
-"""Sharded execution: N worker groups, one byte-identical fleet.
+"""Execution-plane parity and the streaming front end.
 
-The load-bearing contract: partitioning the tenant space across shards —
-each with its own warm pool slice and eval broker — changes *where* work
-runs and *when* results arrive, never a byte of what they contain.  The
-merged :class:`FleetResult` (sessions, transcripts, merged journal,
-quarantine reports, breaker routing) matches the single-pool
-``FleetScheduler`` at every (shard count × worker count × submission
-order × fault plan) combination, a broken pool in one shard quarantines
-only that shard's tenants, and the streaming ``iter_results`` front end
-yields exactly the drain order.
+The tenant space once ran partitioned across shards, each owning a pool
+slice; it now runs through one warm pool, and the contracts pinned here
+carry over unchanged (the class and test names keep the old
+vocabulary).  Where work runs — inline, on a pool left warm by an
+earlier wave, on a freshly resized pool, on a pool that dies mid-wave —
+changes *when* results arrive, never a byte of what they contain.  The
+:class:`FleetResult` (sessions, transcripts, merged journal, quarantine
+reports, breaker routing) matches the inline ``FleetScheduler`` at every
+worker count × warm-pool state × fault plan, a broken pool quarantines
+only the tenants that had not arrived, and the streaming
+``iter_results`` front end yields exactly the drain order.
 """
 
 from __future__ import annotations
 
 import json
-
-import pytest
 from concurrent.futures.process import BrokenProcessPool
 
+import pytest
+
 from repro.experiments import parallel
-from repro.experiments.parallel import DEFAULT_GROUP, shutdown_pool, warm_pool
+from repro.experiments.parallel import pmap, shutdown_pool
 from repro.faults import BreakerPolicy, FaultPlan, RetryPolicy
+from repro.rules.store import RuleJournal
 from repro.service import (
     FleetScheduler,
     TenantFailure,
     TenantResult,
     TenantSpec,
     TuningService,
-    shard_of,
 )
-from repro.service import shards as shards_module
 from repro.service.scheduler import _outcome_to_json
-from repro.service.shards import ShardedExecutor, split_workers, use_grouped_path
 from test_fleet import SMALL_FLEET, fleet_fingerprint
 from test_service import CANONICAL, ROUGH_PLAN, service_fingerprint
 
@@ -42,67 +42,7 @@ def outcome_json(outcome: TenantResult | TenantFailure) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Shard assignment: a pure, stable function of the tenant id's principal.
-# ---------------------------------------------------------------------------
-
-
-class TestShardAssignment:
-    def test_one_account_lands_on_one_shard(self):
-        for n_shards in (2, 3, 4):
-            jobs = [shard_of(f"acct/job{i}", n_shards) for i in range(8)]
-            assert len(set(jobs)) == 1
-            assert jobs[0] == shard_of("acct", n_shards)  # flat id == principal
-
-    def test_assignment_is_stable_and_in_range(self):
-        for tenant_id in ("a", "acct/j0", "lustre-data", "x/y/z"):
-            for n_shards in (1, 2, 4, 7):
-                first = shard_of(tenant_id, n_shards)
-                assert 0 <= first < n_shards
-                assert shard_of(tenant_id, n_shards) == first
-
-    def test_single_shard_is_always_zero(self):
-        assert shard_of("anything", 1) == 0
-
-    def test_principals_spread_over_shards(self):
-        hits = {shard_of(f"acct{i}/job", 4) for i in range(64)}
-        assert len(hits) > 1  # 64 principals cannot all collapse onto one
-
-    def test_invalid_shard_count_raises(self):
-        with pytest.raises(ValueError, match="positive shard count"):
-            shard_of("x", 0)
-        with pytest.raises(ValueError, match="positive shard count"):
-            ShardedExecutor(0)
-        with pytest.raises(ValueError, match="positive shard count"):
-            FleetScheduler(SMALL_FLEET, shards=-1)
-        with pytest.raises(ValueError, match="positive shard count"):
-            TuningService(shards=0)
-
-    def test_split_workers_floors_at_one(self):
-        assert split_workers(4, 2) == [2, 2]
-        assert split_workers(5, 2) == [3, 2]
-        assert split_workers(1, 3) == [1, 1, 1]  # every shard makes progress
-        assert split_workers(2, 4) == [1, 1, 1, 1]
-
-    def test_adaptive_batching_routing(self):
-        # Grouped only when several workers AND more tenants than workers.
-        assert use_grouped_path(True, 2, 6)
-        assert not use_grouped_path(True, 1, 16)  # one worker: scalar
-        assert not use_grouped_path(True, 2, 2)  # one tenant per group
-        assert not use_grouped_path(False, 4, 16)  # batching off
-
-    def test_single_worker_never_touches_the_group_machinery(self, monkeypatch):
-        # With one worker the adaptive bypass must route every tenant
-        # scalar; tripping the group adapter proves the path is dead.
-        def trip(jobs):  # pragma: no cover - the assertion is that it never runs
-            raise AssertionError("grouped path used at workers=1")
-
-        monkeypatch.setattr(shards_module, "_tenant_group_job", trip)
-        result = FleetScheduler(SMALL_FLEET, seed=0, max_workers=1).run()
-        assert len(result.tenants) == len(SMALL_FLEET)
-
-
-# ---------------------------------------------------------------------------
-# Byte-identity across the (shards x workers x order x plan) matrix.
+# Byte-identity across the (workers x warm pool x plan) matrix.
 # ---------------------------------------------------------------------------
 
 
@@ -110,33 +50,40 @@ class TestShardedFleetParity:
     @pytest.fixture(scope="class")
     def baseline(self):
         return fleet_fingerprint(
-            FleetScheduler(
-                SMALL_FLEET, seed=0, max_workers=1, batching=False
-            ).run()
+            FleetScheduler(SMALL_FLEET, seed=0, max_workers=1).run()
         )
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def setup_method(self):
+        shutdown_pool()  # every case starts from a cold pool
+
+    def teardown_method(self):
+        shutdown_pool()
+
+    @pytest.mark.parametrize("prior_pool", [1, 2, 4])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_mixed_fleet_matrix(self, baseline, shards, workers):
-        sharded = FleetScheduler(
-            SMALL_FLEET, seed=0, max_workers=workers, shards=shards
+    def test_mixed_fleet_matrix(self, baseline, prior_pool, workers):
+        # An earlier wave leaves a warm pool of its own size behind:
+        # none (inline), two workers or four.  The fleet reuses it,
+        # retires it for one of its own size, or runs inline beside it;
+        # none of it reaches the results.
+        pmap(abs, range(-prior_pool, 0), max_workers=prior_pool)
+        assert parallel._pool_workers == (prior_pool if prior_pool > 1 else 0)
+        result = FleetScheduler(
+            SMALL_FLEET, seed=0, max_workers=workers
         ).run()
-        assert fleet_fingerprint(sharded) == baseline
-        assert [o.tenant_id for o in sharded.outcomes] == [
+        assert fleet_fingerprint(result) == baseline
+        assert [o.tenant_id for o in result.outcomes] == [
             s.tenant_id for s in SMALL_FLEET
         ]
 
     @pytest.mark.parametrize("backend", ["lustre", "beegfs"])
     def test_single_backend_fleets(self, backend):
         specs = [s for s in SMALL_FLEET if s.backend == backend]
-        flat = fleet_fingerprint(
+        inline = fleet_fingerprint(
             FleetScheduler(specs, seed=0, max_workers=1).run()
         )
-        for shards in (2, 4):
-            sharded = FleetScheduler(
-                specs, seed=0, max_workers=2, shards=shards
-            ).run()
-            assert fleet_fingerprint(sharded) == flat, (backend, shards)
+        pooled = FleetScheduler(specs, seed=0, max_workers=2).run()
+        assert fleet_fingerprint(pooled) == inline, backend
 
     @pytest.mark.parametrize(
         "plan",
@@ -144,25 +91,20 @@ class TestShardedFleetParity:
         ids=["zero-plan", "rough-plan"],
     )
     def test_fault_plans_quarantine_identically(self, plan):
-        flat = FleetScheduler(
+        inline = FleetScheduler(
             SMALL_FLEET, seed=0, max_workers=1, faults=plan
         ).run()
-        for shards, workers in ((2, 1), (2, 2), (4, 2)):
-            sharded = FleetScheduler(
-                SMALL_FLEET,
-                seed=0,
-                max_workers=workers,
-                faults=plan,
-                shards=shards,
-            ).run()
-            assert service_fingerprint(sharded) == service_fingerprint(flat)
+        pooled = FleetScheduler(
+            SMALL_FLEET, seed=0, max_workers=2, faults=plan
+        ).run()
+        assert service_fingerprint(pooled) == service_fingerprint(inline)
 
     def test_breaker_recanonicalization_is_shard_invariant(self):
         plan = FaultPlan(seed=0, rates={"llm.transient": 1.0})
         retry = RetryPolicy(max_retries=1)
         breaker = BreakerPolicy(threshold=2, cooldown=2)
 
-        def run_with(shards, workers):
+        def run_with(workers):
             scheduler = FleetScheduler(
                 CANONICAL,
                 seed=0,
@@ -170,128 +112,53 @@ class TestShardedFleetParity:
                 faults=plan,
                 retry=retry,
                 breaker=breaker,
-                shards=shards,
             )
             return scheduler.run(), scheduler.breaker_report()
 
-        flat, flat_report = run_with(1, 1)
+        inline, inline_report = run_with(1)
         # The canonical walk really degrades the tail of the fleet.
-        assert [f.attempts for f in flat.failures] == [2, 2, 1, 1]
-        for shards, workers in ((2, 1), (2, 2), (4, 2)):
-            sharded, report = run_with(shards, workers)
-            assert service_fingerprint(sharded) == service_fingerprint(flat)
-            assert report == flat_report
+        assert [f.attempts for f in inline.failures] == [2, 2, 1, 1]
+        for workers in (2, 4):
+            pooled, report = run_with(workers)
+            assert service_fingerprint(pooled) == service_fingerprint(inline)
+            assert report == inline_report
 
 
 # ---------------------------------------------------------------------------
-# The warm-pool registry: one executor per group, independent lifecycles.
-# ---------------------------------------------------------------------------
-
-
-class TestMultiPoolRegistry:
-    def teardown_method(self):
-        shutdown_pool()
-
-    def test_groups_coexist_without_retiring_each_other(self):
-        first = warm_pool(1, "shard-0")
-        second = warm_pool(1, "shard-1")
-        assert first is not second
-        assert warm_pool(1, "shard-0") is first  # both still warm
-        assert warm_pool(1, "shard-1") is second
-
-    def test_resize_retires_only_its_own_group(self):
-        keep = warm_pool(1, "shard-0")
-        warm_pool(1, "shard-1")
-        resized = warm_pool(2, "shard-1")
-        assert parallel._POOL_WORKERS["shard-1"] == 2
-        assert warm_pool(1, "shard-0") is keep
-        assert warm_pool(2, "shard-1") is resized
-
-    def test_shutdown_one_group_leaves_siblings(self):
-        warm_pool(1, "shard-0")
-        sibling = warm_pool(1, "shard-1")
-        shutdown_pool("shard-0")
-        assert "shard-0" not in parallel._POOLS
-        assert parallel._POOLS["shard-1"] is sibling
-        shutdown_pool("never-warmed")  # unknown groups are a no-op
-
-    def test_shutdown_all_clears_the_registry(self):
-        warm_pool(1, "shard-0")
-        warm_pool(2, DEFAULT_GROUP)
-        shutdown_pool()
-        assert parallel._POOLS == {}
-        assert parallel._POOL_WORKERS == {}
-
-    def test_multi_shard_fleet_warms_one_pool_per_shard(self):
-        populated = {
-            f"shard-{shard_of(spec.tenant_id, 2)}" for spec in SMALL_FLEET
-        }
-        result = FleetScheduler(
-            SMALL_FLEET, seed=0, max_workers=2, shards=2
-        ).run()
-        assert len(result.tenants) == len(SMALL_FLEET)
-        assert populated <= set(parallel._POOLS)
-
-
-# ---------------------------------------------------------------------------
-# Fault domain: a broken pool is one shard's problem.
+# Fault domain: a broken pool strands only the tenants still to arrive.
 # ---------------------------------------------------------------------------
 
 
 class TestBrokenShardQuarantine:
     def test_broken_shard_quarantines_only_its_tenants(self, monkeypatch):
-        broken_shard = shard_of(SMALL_FLEET[0].tenant_id, 2)
-        broken_ids = {
-            s.tenant_id
-            for s in SMALL_FLEET
-            if shard_of(s.tenant_id, 2) == broken_shard
-        }
-        assert broken_ids != {s.tenant_id for s in SMALL_FLEET}
+        import repro.service.scheduler as scheduler_module
+
         baseline = FleetScheduler(SMALL_FLEET, seed=0, max_workers=1).run()
+        arrivals = 2
+        real_imap = scheduler_module.imap
 
-        real_imap = shards_module.imap
+        def breaking(fn, items, max_workers=None):
+            stream = real_imap(fn, items, max_workers=max_workers)
+            for _ in range(arrivals):
+                yield next(stream)
+            raise BrokenProcessPool("injected worker death")
 
-        def breaking(fn, items, max_workers=None, group="", force_pool=False):
-            if group == f"shard-{broken_shard}":
-                def boom():
-                    raise BrokenProcessPool("injected worker death")
-                    yield  # pragma: no cover - makes this a generator
-
-                return boom()
-            return real_imap(
-                fn,
-                items,
-                max_workers=max_workers,
-                group=group,
-                force_pool=force_pool,
-            )
-
-        monkeypatch.setattr(shards_module, "imap", breaking)
-        result = FleetScheduler(
-            SMALL_FLEET, seed=0, max_workers=1, shards=2
-        ).run()
-        # Submission order is preserved; the broken shard's tenants are
-        # quarantined with a structured pool report, everyone else is
-        # byte-identical to the healthy fleet.
+        monkeypatch.setattr(scheduler_module, "imap", breaking)
+        result = FleetScheduler(SMALL_FLEET, seed=0, max_workers=1).run()
+        # Submission order is preserved; tenants that arrived before the
+        # break are byte-identical to the healthy fleet, the rest carry a
+        # structured pool report.
         assert [o.tenant_id for o in result.outcomes] == [
             s.tenant_id for s in SMALL_FLEET
         ]
-        for outcome in result.outcomes:
-            if outcome.tenant_id in broken_ids:
-                assert isinstance(outcome, TenantFailure)
-                assert outcome.site == "pool.broken"
-            else:
-                assert outcome_json(outcome) == outcome_json(
-                    baseline.get(outcome.tenant_id)
-                )
-        # The merged journal is built from survivors only.
-        from repro.rules.store import RuleJournal
-
-        survivors = [
-            o for o in result.outcomes if o.tenant_id not in broken_ids
+        survivors = result.outcomes[:arrivals]
+        assert [outcome_json(o) for o in survivors] == [
+            outcome_json(o) for o in baseline.outcomes[:arrivals]
         ]
-        assert all(isinstance(o, TenantResult) for o in survivors)
-        assert len(result.failures) == len(broken_ids)
+        assert [f.site for f in result.failures] == ["pool.broken"] * (
+            len(SMALL_FLEET) - arrivals
+        )
+        # The merged journal is built from survivors only.
         merged = RuleJournal.merged([o.journal for o in survivors])
         assert result.journal.to_json() == merged.to_json()
 
@@ -302,20 +169,23 @@ class TestBrokenShardQuarantine:
 
 
 class TestStreamingService:
+    def teardown_method(self):
+        shutdown_pool()
+
     def _submit_all(self, service, order=None):
         for spec in order if order is not None else SMALL_FLEET:
             assert service.submit(spec).accepted
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_iter_results_order_equals_drain_order(self, shards):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_iter_results_order_equals_drain_order(self, workers):
         reference = TuningService(
-            seed=0, max_workers=1, pump_interval=None, shards=shards
+            seed=0, max_workers=workers, pump_interval=None
         )
         self._submit_all(reference, list(reversed(SMALL_FLEET)))
         drained = reference.drain()
 
         streaming = TuningService(
-            seed=0, max_workers=1, pump_interval=None, shards=shards
+            seed=0, max_workers=workers, pump_interval=None
         )
         self._submit_all(streaming, list(reversed(SMALL_FLEET)))
         streamed = list(streaming.iter_results())
@@ -328,25 +198,20 @@ class TestStreamingService:
         )
 
     def test_streaming_yields_before_the_fleet_finishes(self):
-        service = TuningService(
-            seed=0, max_workers=1, pump_interval=None, shards=2
-        )
+        service = TuningService(seed=0, max_workers=1, pump_interval=None)
         self._submit_all(service)
         stream = service.iter_results()
         first = next(stream)
         assert first.tenant_id == CANONICAL[0].tenant_id
-        # One canonical yield needs at most one arrival per shard — the
-        # rest of the fleet is still queued or in flight.
+        # One canonical yield needs one arrival; the rest of the fleet is
+        # still in flight.
         unfinished = [
             s.tenant_id
             for s in SMALL_FLEET
             if service.status(s.tenant_id) != "completed"
         ]
-        assert len(unfinished) >= 2
-        assert service.first_result_sessions is not None
-        assert 0 < service.first_result_sessions < sum(
-            len(t.sessions) for t in service.drain().tenants
-        )
+        assert len(unfinished) == len(SMALL_FLEET) - 1
+        assert service.first_result_sessions == len(first.sessions)
         # Post-drain, the stream finishes the canonical tail.
         rest = [o.tenant_id for o in stream]
         assert [first.tenant_id] + rest == [
@@ -366,7 +231,6 @@ class TestStreamingService:
                 retry=retry,
                 breaker=breaker,
                 pump_interval=None,
-                shards=2,
             )
             self._submit_all(service, list(reversed(SMALL_FLEET)))
             return service
@@ -387,9 +251,8 @@ class TestStreamingService:
         # More submissions reopen the stream exactly where it stopped.
         self._submit_all(service, SMALL_FLEET[1:])
         assert [o.tenant_id for o in service.iter_results()] == [
-            s.tenant_id for s in sorted(
-                SMALL_FLEET[1:], key=lambda s: (s.seed, s.tenant_id)
-            )
+            s.tenant_id
+            for s in sorted(SMALL_FLEET[1:], key=lambda s: (s.seed, s.tenant_id))
         ]
 
     def test_late_submission_before_streamed_prefix_raises(self):
@@ -403,14 +266,10 @@ class TestStreamingService:
         with pytest.raises(RuntimeError, match="canonical prefix"):
             next(service.iter_results())
 
-    def test_checkpoint_resume_mid_stream(self, tmp_path):
+    def test_checkpoint_resume_mid_stream(self, tmp_path, monkeypatch):
         checkpoint = tmp_path / "stream.ckpt.json"
         uninterrupted = TuningService(
-            seed=0,
-            max_workers=1,
-            faults=ROUGH_PLAN,
-            pump_interval=None,
-            shards=2,
+            seed=0, max_workers=1, faults=ROUGH_PLAN, pump_interval=None
         )
         self._submit_all(uninterrupted)
         expected = uninterrupted.drain()
@@ -422,7 +281,6 @@ class TestStreamingService:
             faults=ROUGH_PLAN,
             checkpoint=checkpoint,
             pump_interval=None,
-            shards=2,
         )
         self._submit_all(first)
         stream = first.iter_results()
@@ -442,29 +300,23 @@ class TestStreamingService:
             calls.append(args[0].tenant_id)
             return original(*args, **kwargs)
 
-        scheduler_module.run_tenant = counting
-        try:
-            second = TuningService(
-                seed=0,
-                max_workers=1,
-                faults=ROUGH_PLAN,
-                checkpoint=checkpoint,
-                pump_interval=None,
-                shards=2,
-            )
-            self._submit_all(second)
-            resumed = second.drain()
-        finally:
-            scheduler_module.run_tenant = original
+        monkeypatch.setattr(scheduler_module, "run_tenant", counting)
+        second = TuningService(
+            seed=0,
+            max_workers=1,
+            faults=ROUGH_PLAN,
+            checkpoint=checkpoint,
+            pump_interval=None,
+        )
+        self._submit_all(second)
+        resumed = second.drain()
         assert sorted(calls) == sorted(
             s.tenant_id for s in SMALL_FLEET if s.tenant_id not in persisted
         )  # checkpointed tenants provably never re-ran
         assert service_fingerprint(resumed) == service_fingerprint(expected)
 
     def test_pump_finishes_a_wave_left_in_flight(self):
-        service = TuningService(
-            seed=0, max_workers=1, pump_interval=None, shards=2
-        )
+        service = TuningService(seed=0, max_workers=1, pump_interval=None)
         self._submit_all(service)
         next(service.iter_results())  # leaves the wave mid-flight
         service.pump()  # finishes it
@@ -474,9 +326,7 @@ class TestStreamingService:
         )
 
     def test_shutdown_abandons_the_inflight_wave(self):
-        service = TuningService(
-            seed=0, max_workers=1, pump_interval=None, shards=2
-        )
+        service = TuningService(seed=0, max_workers=1, pump_interval=None)
         self._submit_all(service)
         next(service.iter_results())
         summary = service.shutdown()

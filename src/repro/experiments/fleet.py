@@ -3,7 +3,7 @@
 The ROADMAP's north-star scenario in miniature: for every backend the
 matrix schedules a data-heavy tenant, a metadata tenant, a mixed tenant and
 a drifting-schedule tenant, all concurrently through the
-:class:`~repro.service.scheduler.FleetScheduler`.  The report shows each
+:class:`~repro.service.daemon.FleetScheduler`.  The report shows each
 tenant's mean tuning speedup (their sessions still match the
 single-operator path bit for bit — scheduling changes *when* work runs,
 never *what* it produces), the fleet-wide replay-merged rule journal, and

@@ -11,10 +11,11 @@ its outcome closes the breaker again or re-opens it.
 
 Determinism contract: breaker state is a pure fold over a *canonical
 sequence of tenant outcomes* — never wall clock, never worker count.
-Both the batch :class:`~repro.service.scheduler.FleetScheduler` and the
-:class:`~repro.service.daemon.TuningService` feed it the same canonical
-order, so the same tenants under the same plan trip the same breakers no
-matter how they were submitted or parallelised.
+The :class:`~repro.service.daemon.TuningService` feeds it the canonical
+``(seed, tenant_id)`` order through one per-position fold, and the batch
+:class:`~repro.service.daemon.FleetScheduler` is a drain of that daemon,
+so the same tenants under the same plan trip the same breakers no
+matter how they were listed, submitted or parallelised.
 """
 
 from __future__ import annotations

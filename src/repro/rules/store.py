@@ -401,16 +401,33 @@ def save_session(session: TuningSession, path: str | Path) -> None:
 
 
 def load_session_summary(path: str | Path) -> dict:
-    """Load a previously saved session export (as plain data)."""
-    raw = json.loads(Path(path).read_text())
-    raw["attempts"] = [
-        AttemptRecord(
-            index=a["index"],
-            changes={k: int(v) for k, v in a["changes"].items()},
-            seconds=a["seconds"],
-            speedup=a["speedup"],
-            rationale=a.get("rationale", ""),
-        )
-        for a in raw.get("attempts", [])
-    ]
+    """Load a previously saved session export (as plain data).
+
+    A torn or foreign file raises a descriptive :class:`JournalCorruptError`
+    naming the path, like :meth:`RuleJournal.load`.
+    """
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise JournalCorruptError(
+            f"session export at {path} is not valid JSON ({exc}); "
+            "the file is truncated or corrupt"
+        ) from exc
+    try:
+        raw["attempts"] = [
+            AttemptRecord(
+                index=a["index"],
+                changes={k: int(v) for k, v in a["changes"].items()},
+                seconds=a["seconds"],
+                speedup=a["speedup"],
+                rationale=a.get("rationale", ""),
+            )
+            for a in raw.get("attempts", [])
+        ]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise JournalCorruptError(
+            f"session export at {path} does not have session structure "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
     return raw

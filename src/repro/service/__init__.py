@@ -22,11 +22,13 @@ budget is quarantined with a structured
 tenant completes, and fleet state checkpoints through the journal store so
 a killed fleet resumes without re-running completed tenants.
 
-The long-lived face of the layer is :class:`~repro.service.daemon.
-TuningService`: tenants arrive through deterministic admission control
-(rate limits + bounded queue with backpressure), run in waves over the
-same pool, and ``drain()`` returns a fleet byte-identical to the batch
-scheduler — the daemon owns no tuning logic, everything routes through
+The face of the layer is :class:`~repro.service.daemon.TuningService`:
+tenants arrive through deterministic admission control (rate limits +
+bounded queue with backpressure), run in waves over the pool, and
+``drain()`` returns the canonical fleet.  The batch
+:class:`~repro.service.daemon.FleetScheduler` is a closed fleet drained
+through that daemon, so drain == batch by construction.  The daemon owns
+no tuning logic; everything routes through
 :func:`~repro.service.scheduler.run_tenant`.
 """
 
@@ -36,13 +38,8 @@ from repro.service.admission import (
     AdmissionDecision,
     AdmissionPolicy,
 )
-from repro.service.daemon import TuningService
-from repro.service.scheduler import (
-    FleetResult,
-    FleetScheduler,
-    execute_jobs,
-    run_tenant,
-)
+from repro.service.daemon import FleetScheduler, TuningService
+from repro.service.scheduler import FleetResult, execute_jobs, run_tenant
 from repro.service.tenant import TenantFailure, TenantResult, TenantSpec
 
 __all__ = [

@@ -1,14 +1,15 @@
-"""The long-lived tuning service: a persistent front end over the fleet.
+"""The long-lived tuning service, and the batch fleet as a drive of it.
 
-:class:`TuningService` is what the batch :class:`~repro.service.scheduler.
-FleetScheduler` becomes when the process never exits: tenants arrive one
-at a time through :meth:`submit`, pass the deterministic
-:class:`~repro.service.admission.AdmissionController` (per-principal rate
-limits, bounded global queue with explicit backpressure), wait in
-per-principal priority queues, and execute in waves over the same warm
-pool — every tenant still runs through
+:class:`TuningService` is the fleet as a process that never exits:
+tenants arrive one at a time through :meth:`submit`, pass the
+deterministic :class:`~repro.service.admission.AdmissionController`
+(per-principal rate limits, bounded global queue with explicit
+backpressure), wait in per-principal priority queues, and execute in
+waves over the warm pool — every tenant still runs through
 :func:`~repro.service.scheduler.run_tenant`; the daemon owns **no**
-tuning logic of its own.
+tuning logic of its own.  :class:`FleetScheduler`, the batch fleet, is a
+closed fleet driven through that same daemon: every tenant submitted,
+one drain, outcomes handed back in tenant-list order.
 
 Robustness features, all wall-clock-free:
 
@@ -28,13 +29,14 @@ Robustness features, all wall-clock-free:
 Determinism contract: :meth:`drain` stops admission, finishes the queue
 and returns a :class:`~repro.service.scheduler.FleetResult` over the
 admitted tenants in canonical ``(seed, tenant_id)`` order that is
-byte-identical (sessions, transcripts, merged journal) to running the
-same tenants through the batch ``FleetScheduler`` — at any worker count,
-any submission interleaving, under any fault plan.  Pre-drain execution
-may speculate about breaker modes (waves run in parallel); the drain
-walk re-folds every outcome in canonical order and deterministically
-re-runs any tenant whose speculative mode disagrees, which is what makes
-the final result independent of how the queue happened to be paced.
+byte-identical (sessions, transcripts, merged journal) at any worker
+count, any submission interleaving, under any fault plan — and so, the
+batch fleet being such a drain, for any tenant-list order.  Pre-drain
+execution may speculate about breaker modes (waves run in parallel);
+one per-position fold (:meth:`_fold`) walks the canonical order and
+deterministically re-runs any tenant whose speculative mode disagrees,
+which is what makes the final result independent of how the queue
+happened to be paced.
 
 The streaming front end rides the same machinery: wave execution is a
 generator over :func:`~repro.service.scheduler.execute_jobs` arrivals,
@@ -49,9 +51,11 @@ tenant's queue rather than after whichever tenants were submitted first.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
+from typing import Sequence
 
 from repro.experiments.parallel import effective_workers
 from repro.faults.breaker import BreakerPolicy, BreakerState
@@ -77,6 +81,11 @@ from repro.service.scheduler import (
 from repro.service.tenant import TenantFailure, TenantResult, TenantSpec
 
 
+def _canonical(spec: TenantSpec) -> tuple[int, str]:
+    """A tenant's position in the canonical ``(seed, tenant_id)`` order."""
+    return spec.seed, spec.tenant_id
+
+
 @dataclass
 class _Submission:
     """One accepted submission waiting in the queue."""
@@ -91,9 +100,12 @@ class TuningService:
     """A persistent, crash-safe, overload-aware tuning daemon.
 
     ``admission`` guards the front door (``None`` applies the default
-    :class:`AdmissionPolicy`); ``breaker`` arms per-site circuit breakers
-    (``None`` disables them); ``pump_interval`` auto-runs a wave whenever
-    that many submissions are queued (``None`` defers all execution to
+    :class:`AdmissionPolicy`); ``checkpoint`` names the checkpoint file
+    (stamped for a dynamic fleet) or hands over a ready
+    :class:`CheckpointStore` (the batch fleet's, stamped with its tenant
+    ids); ``breaker`` arms per-site circuit breakers (``None`` disables
+    them); ``pump_interval`` auto-runs a wave whenever that many
+    submissions are queued (``None`` defers all execution to
     :meth:`pump`/:meth:`drain`).  Higher ``priority`` submissions run
     earlier within a wave; ties break in the canonical ``(seed,
     tenant_id)`` order that :meth:`iter_results` and :meth:`drain` yield.
@@ -106,7 +118,7 @@ class TuningService:
         use_cache: bool = True,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
-        checkpoint: str | Path | None = None,
+        checkpoint: str | Path | CheckpointStore | None = None,
         admission: AdmissionPolicy | None = None,
         breaker: BreakerPolicy | None = BreakerPolicy(),
         pump_interval: int | None = 4,
@@ -147,16 +159,11 @@ class TuningService:
         #: result streamed out — the wall-clock-free time-to-first-result
         #: proxy the throughput bench records.
         self.first_result_sessions: int | None = None
-        self._store = (
-            CheckpointStore(
-                checkpoint,
-                fleet_stamp(None, seed, faults),
-                self.retry,
-                faults,
+        if checkpoint is not None and not isinstance(checkpoint, CheckpointStore):
+            checkpoint = CheckpointStore(
+                checkpoint, fleet_stamp(None, seed, faults), self.retry, faults
             )
-            if checkpoint is not None
-            else None
-        )
+        self._store = checkpoint
         self._restored_raw = self._store.load() if self._store is not None else {}
 
     # -- the front door -------------------------------------------------
@@ -245,7 +252,7 @@ class TuningService:
                 return False
             wave = sorted(
                 self._queue,
-                key=lambda s: (-s.priority, s.spec.seed, s.spec.tenant_id),
+                key=lambda s: (-s.priority, *_canonical(s.spec)),
             )
             self._queue = []
             self.admission.release(len(wave))
@@ -325,6 +332,12 @@ class TuningService:
     def _rerun_tenant(
         self, spec: TenantSpec, mode: frozenset
     ) -> TenantResult | TenantFailure:
+        """One tenant, inline, under the canonical degraded mode.
+
+        :func:`run_tenant` depends only on its arguments, so the inline
+        re-run is byte-identical to what a pooled run under ``mode`` would
+        have produced.
+        """
         bundle = _resolve_payload(self._catalog.payload_for(spec))
         return run_tenant(
             spec,
@@ -335,40 +348,52 @@ class TuningService:
             self._retries[spec.tenant_id].with_fail_fast(mode),
         )
 
+    def _fold(
+        self, state: BreakerState | None, spec: TenantSpec
+    ) -> TenantResult | TenantFailure:
+        """Fold one canonical position through the breaker ``state``.
+
+        THE breaker walk, one position at a time: if the outcome's
+        recorded mode disagrees with the canonical mode at this position,
+        the tenant re-runs (inline, deterministically) under the canonical
+        mode — so the folded outcome is the same whatever the waves
+        speculated.  :meth:`drain` walks every position with a fresh
+        state, :meth:`iter_results` walks them incrementally with its own;
+        ``None`` (no breaker) folds to the recorded outcome.
+        """
+        outcome, ran_mode = self._outcomes[spec.tenant_id]
+        if state is None:
+            return outcome
+        mode = state.open_sites()
+        if mode != ran_mode:
+            outcome = self._rerun_tenant(spec, mode)
+            self._arrive(spec, outcome, mode)
+        state.observe(outcome)
+        return outcome
+
     # -- lifecycle ------------------------------------------------------
     def drain(self) -> FleetResult:
         """Stop admission, finish the queue, return the canonical fleet.
 
         The result lists admitted tenants in canonical ``(seed,
-        tenant_id)`` order and is byte-identical to the batch
-        ``FleetScheduler`` over the same specs (same seed, plan, retry
-        and breaker), whatever the submission interleaving, pump pacing
-        or worker count was.  Idempotent: later calls return the same
-        result.
+        tenant_id)`` order and is the same whatever the submission
+        interleaving, pump pacing or worker count was — the batch
+        :class:`FleetScheduler` is this drain over a closed fleet.  The
+        fold restarts from a fresh breaker state, so a late submission
+        that sorts before an already-streamed tenant still lands in its
+        canonical place.  Idempotent: later calls return the same result.
         """
         if self._drained is not None:
             return self._drained
         if not self.admission.closed:
             self.admission.close("draining: service no longer accepts work")
         self.pump()
-        specs = sorted(
-            self._specs.values(), key=lambda s: (s.seed, s.tenant_id)
-        )
+        specs = sorted(self._specs.values(), key=_canonical)
         start = perf_counter()
-        if self.breaker is not None:
-            # The canonical breaker fold: same semantics as the batch
-            # scheduler's walk, over the canonical tenant order.
-            state = BreakerState(self.breaker)
-            for spec in specs:
-                outcome, ran_mode = self._outcomes[spec.tenant_id]
-                mode = state.open_sites()
-                if mode != ran_mode:
-                    outcome = self._rerun_tenant(spec, mode)
-                    self._arrive(spec, outcome, mode)
-                state.observe(outcome)
-            self._breaker_state = state
+        state = BreakerState(self.breaker) if self.breaker is not None else None
+        outcomes = [self._fold(state, spec) for spec in specs]
+        self._breaker_state = state
         self._elapsed += perf_counter() - start
-        outcomes = [self._outcomes[spec.tenant_id][0] for spec in specs]
         journal = RuleJournal.merged(
             [o.journal for o in outcomes if isinstance(o, TenantResult)]
         )
@@ -409,7 +434,7 @@ class TuningService:
                 if self._drained is None and self._advance():
                     continue
                 return
-            key = (spec.seed, spec.tenant_id)
+            key = _canonical(spec)
             if self._stream_last is not None and key < self._stream_last:
                 raise RuntimeError(
                     f"tenant {spec.tenant_id!r} (seed {spec.seed}) was "
@@ -422,7 +447,7 @@ class TuningService:
                     continue
                 return
             start = perf_counter()
-            outcome = self._stream_fold(spec)
+            outcome = self._fold(self._stream_state, spec)
             self._streamed.add(spec.tenant_id)
             self._stream_last = key
             self._elapsed += perf_counter() - start
@@ -439,26 +464,7 @@ class TuningService:
         ]
         if not remaining:
             return None
-        return min(remaining, key=lambda s: (s.seed, s.tenant_id))
-
-    def _stream_fold(self, spec: TenantSpec) -> TenantResult | TenantFailure:
-        """Fold one canonical position through the streaming breaker state.
-
-        The same walk :meth:`drain` performs, one tenant at a time: if
-        the outcome's recorded mode disagrees with the canonical mode at
-        this position, the tenant re-runs (inline, deterministically)
-        under the canonical mode — so the streamed outcome is the drained
-        outcome, whatever the waves speculated.
-        """
-        outcome, ran_mode = self._outcomes[spec.tenant_id]
-        if self._stream_state is None:
-            return outcome
-        mode = self._stream_state.open_sites()
-        if mode != ran_mode:
-            outcome = self._rerun_tenant(spec, mode)
-            self._arrive(spec, outcome, mode)
-        self._stream_state.observe(outcome)
-        return outcome
+        return min(remaining, key=_canonical)
 
     def shutdown(self) -> dict[str, int]:
         """Stop admission and abandon the queue (no further execution).
@@ -527,3 +533,90 @@ class TuningService:
         if self._breaker_state is None:
             return {}
         return self._breaker_state.report()
+
+
+class FleetScheduler:
+    """The batch fleet: a closed set of tenants drained through the daemon.
+
+    ``seed`` roots the shared offline artifacts (and any tenant that does
+    not pin its own ``cluster_seed``); ``max_workers`` resolves through
+    :func:`repro.experiments.parallel.effective_workers` (explicit arg >
+    ``REPRO_MAX_WORKERS`` > cpu count).  ``faults`` arms the fault plan
+    for every tenant (``None`` keeps the plane out of the code path
+    entirely); ``checkpoint`` names a JSON file that persists completed
+    outcomes after each arrival and is consulted on the next run, so a
+    killed fleet resumes where it stopped.  The file is stamped with this
+    fleet's tenant ids, so another fleet's checkpoint is refused.
+
+    ``breaker`` arms per-fault-site circuit breakers: after the policy's
+    threshold of consecutive quarantines on one site, later tenants — in
+    canonical ``(seed, tenant_id)`` order, whatever the list order — run
+    with that site fail-fast.  ``None`` (the default) disables them.
+
+    :meth:`run` is a closed-fleet drive of :class:`TuningService`: every
+    tenant submitted through a door sized to admit them all, one
+    :meth:`~TuningService.drain`, outcomes put back in tenant-list order.
+    """
+
+    def __init__(
+        self,
+        tenants: Sequence[TenantSpec],
+        seed: int = 0,
+        max_workers: int | None = None,
+        use_cache: bool = True,
+        faults: FaultPlan | None = None,
+        retry: RetryPolicy | None = None,
+        checkpoint: str | Path | None = None,
+        breaker: BreakerPolicy | None = None,
+    ):
+        ids = [spec.tenant_id for spec in tenants]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate tenant ids in {ids}")
+        self.tenants = list(tenants)
+        self.seed = seed
+        self.max_workers = max_workers
+        self.use_cache = use_cache
+        self.faults = faults
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.checkpoint = Path(checkpoint) if checkpoint is not None else None
+        self.breaker = breaker
+        self._service: TuningService | None = None
+
+    def run(self) -> FleetResult:
+        """Run every tenant's queue; results in tenant list order."""
+        ids = [spec.tenant_id for spec in self.tenants]
+        store = (
+            CheckpointStore(
+                self.checkpoint,
+                fleet_stamp(ids, self.seed, self.faults),
+                self.retry,
+                self.faults,
+            )
+            if self.checkpoint is not None
+            else None
+        )
+        door = max(len(ids), 1)
+        self._service = TuningService(
+            seed=self.seed,
+            max_workers=self.max_workers,
+            use_cache=self.use_cache,
+            faults=self.faults,
+            retry=self.retry,
+            checkpoint=store,
+            admission=AdmissionPolicy(max_pending=door, per_tenant_limit=door),
+            breaker=self.breaker,
+            pump_interval=None,
+        )
+        for spec in self.tenants:
+            self._service.submit(spec)
+        drained = self._service.drain()
+        by_id = {outcome.tenant_id: outcome for outcome in drained.outcomes}
+        return dataclasses.replace(
+            drained, outcomes=[by_id[tenant_id] for tenant_id in ids]
+        )
+
+    def breaker_report(self) -> dict[str, dict[str, int | str]]:
+        """Canonical per-site breaker states after the last :meth:`run`."""
+        if self._service is None:
+            return {}
+        return self._service.breaker_report()

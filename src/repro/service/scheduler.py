@@ -1,11 +1,21 @@
-"""The fleet scheduler: many tenants over one deterministic process pool.
+"""The fleet's execution primitives: tenant body, pool route, checkpoints.
 
-:class:`FleetScheduler` turns the engine's per-workload tuning loop into a
-schedulable service: each :class:`~repro.service.tenant.TenantSpec` is an
-independent unit whose session queue runs in order on a worker, while the
-tenants themselves fan over :func:`repro.experiments.parallel.imap` — the
-same deterministic pool the figure experiments use, so results arrive in
-tenant submission order regardless of worker count or completion order.
+Both faces of the fleet run on what this module holds.  The long-lived
+:class:`~repro.service.daemon.TuningService` admits, queues and folds
+tenants; the batch :class:`~repro.service.daemon.FleetScheduler` is a
+closed fleet drained through that same daemon.  Neither owns tuning
+logic — underneath them:
+
+- :func:`run_tenant` is THE per-tenant body and the tenant's fault
+  boundary (a raising tenant becomes a :class:`TenantFailure`);
+- :func:`execute_jobs` is the one pooled route: an ordered fan-out over
+  :func:`repro.experiments.parallel.imap`, the same deterministic warm
+  pool the figure experiments use;
+- :class:`ArtifactCatalog` turns specs into clusters, extractions and
+  worker payloads;
+- :class:`CheckpointStore` persists fingerprinted outcomes so a killed
+  fleet resumes without re-running completed tenants;
+- :class:`FleetResult` is what a drained fleet reports.
 
 What tenants share, and how:
 
@@ -15,26 +25,23 @@ What tenants share, and how:
   the RAG index live behind the extraction and the backend registry, both
   immutable at serving time.
 - **The opt-in run cache.**  Every tenant job runs inside
-  ``RUN_CACHE.enabled()`` (unless the scheduler is built with
+  ``RUN_CACHE.enabled()`` (unless the fleet is built with
   ``use_cache=False``), so tenants co-located on a worker share
   deterministic simulation results.  The cache can only ever short-circuit
   identical (backend, cluster, workload, config, seed) runs, so sharing
   never changes results — worker-count independence is asserted by
   ``tests/test_fleet.py``.
 - **Rule knowledge, after the fact.**  Each tenant accumulates into its own
-  :class:`~repro.rules.store.RuleJournal`; the scheduler replay-merges them
-  (:meth:`RuleJournal.merged`) so concurrent tenants' contributions land in
-  seed order — the fleet-wide journal is identical for any execution
-  interleaving.
+  :class:`~repro.rules.store.RuleJournal`; a drained fleet replay-merges
+  them (:meth:`RuleJournal.merged`) so concurrent tenants' contributions
+  land in seed order — the fleet-wide journal is identical for any
+  execution interleaving.
 
 Fault domains: each tenant is its own blast radius.  A tenant whose queue
 exhausts a retry budget (or raises outright) becomes a structured
 :class:`~repro.service.tenant.TenantFailure` — quarantined, excluded from
 the merged journal — while every other tenant completes; there is no
-fleet-wide abort path.  With a ``checkpoint`` path the scheduler persists
-fleet state (atomically, through the journal store's writer) after every
-tenant arrival, so a killed fleet resumes without re-running completed
-tenants.
+fleet-wide abort path.
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
 from repro.cluster.hardware import ClusterSpec, make_cluster
@@ -54,8 +60,7 @@ from repro.core.engine import Stellar
 from repro.core.session import TuningSession
 from repro.corpus import render_hardware_doc, render_manual
 from repro.experiments.harness import shared_extraction
-from repro.experiments.parallel import effective_workers, imap
-from repro.faults.breaker import BreakerPolicy, BreakerState
+from repro.experiments.parallel import imap
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import FaultBudgetExhausted, RetryPolicy, TransientFault
 from repro.rag.extraction import ExtractionResult
@@ -235,8 +240,8 @@ def execute_jobs(
     ``site="pool.broken"``; jobs that arrived before it keep their
     outcomes.
 
-    Both :class:`FleetScheduler` and the service daemon route through this
-    one generator — the daemon owns no tuning logic of its own.
+    The service daemon — and through it the batch fleet — routes every
+    wave through this one generator; the daemon owns no tuning logic.
     """
     jobs = list(jobs)
     arrived = 0
@@ -412,6 +417,12 @@ class CheckpointStore:
                 f"fleet checkpoint at {self.path} is not valid JSON "
                 f"({exc}); the file is truncated or corrupt"
             ) from exc
+        if not isinstance(raw, dict):
+            raise JournalCorruptError(
+                f"fleet checkpoint at {self.path} holds a JSON "
+                f"{type(raw).__name__}, not a checkpoint object; the file is "
+                "truncated or corrupt"
+            )
         if raw.get("format") != CHECKPOINT_FORMAT:
             raise JournalCorruptError(
                 f"fleet checkpoint at {self.path} has format "
@@ -460,8 +471,8 @@ class CheckpointStore:
         be an outcome record stamped with this spec's digest (a mismatch
         means the checkpoint belongs to a different fleet) and must
         decode; anything else raises a descriptive
-        :class:`JournalCorruptError`.  The one decode both the batch
-        scheduler and the service daemon restore through.
+        :class:`JournalCorruptError`.  The one decode every restored
+        tenant — batch or daemon — goes through.
         """
         tenant_id = spec.tenant_id
         if not isinstance(raw, dict):
@@ -525,9 +536,9 @@ class ArtifactCatalog:
     """Shared offline artifacts, resolved once per (backend, cluster seed).
 
     The one place tenant specs turn into clusters, extractions and
-    publishable worker payloads — the batch scheduler and the service
-    daemon both lean on it, so neither can drift in how tenants acquire
-    their offline phase.
+    publishable worker payloads — the daemon, and through it the batch
+    fleet, leans on it, so no path can drift in how tenants acquire their
+    offline phase.
     """
 
     def __init__(self, seed: int = 0):
@@ -581,191 +592,3 @@ class ArtifactCatalog:
         if ref.shm_name is not None:
             return ref
         return artifacts.resolve(ref)
-
-
-class FleetScheduler:
-    """Runs many tenants concurrently with deterministic results.
-
-    ``seed`` roots the shared offline artifacts (and any tenant that does
-    not pin its own ``cluster_seed``); ``max_workers`` resolves through
-    :func:`repro.experiments.parallel.effective_workers` (explicit arg >
-    ``REPRO_MAX_WORKERS`` > cpu count).  ``faults`` arms the fault plan
-    for every tenant (``None`` keeps the plane out of the code path
-    entirely); ``checkpoint`` names a JSON file that persists completed
-    outcomes after each arrival and is consulted on the next run, so a
-    killed fleet resumes where it stopped.
-
-    ``breaker`` arms per-fault-site circuit breakers: after the policy's
-    threshold of consecutive quarantines on one site, later tenants (in
-    tenant list order) run with that site fail-fast.  Breaker decisions
-    fold over outcomes in canonical (list) order regardless of how the
-    pool parallelised execution — tenants whose speculative run used the
-    wrong mode are deterministically re-run — so results stay worker-count
-    invariant.  ``None`` (the default) keeps behaviour identical to the
-    pre-breaker scheduler.
-    """
-
-    def __init__(
-        self,
-        tenants: Sequence[TenantSpec],
-        seed: int = 0,
-        max_workers: int | None = None,
-        use_cache: bool = True,
-        faults: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
-        checkpoint: str | Path | None = None,
-        breaker: BreakerPolicy | None = None,
-    ):
-        ids = [spec.tenant_id for spec in tenants]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate tenant ids in {ids}")
-        self.tenants = list(tenants)
-        self.seed = seed
-        self.max_workers = max_workers
-        self.use_cache = use_cache
-        self.faults = faults
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.checkpoint = Path(checkpoint) if checkpoint is not None else None
-        self.breaker = breaker
-        self._breaker_state: BreakerState | None = None
-        self._catalog = ArtifactCatalog(seed)
-
-    # ------------------------------------------------------------------
-    def cluster_for(self, spec: TenantSpec) -> ClusterSpec:
-        """The tenant's testbed (delegates to the shared catalog)."""
-        return self._catalog.cluster_for(spec)
-
-    def extraction_for(self, spec: TenantSpec) -> ExtractionResult:
-        """The tenant's shared offline extraction (catalog delegate)."""
-        return self._catalog.extraction_for(spec)
-
-    def _artifact_payload(self, spec: TenantSpec) -> "ArtifactRef | OfflineArtifacts":
-        return self._catalog.payload_for(spec)
-
-    # ------------------------------------------------------------------
-    def run(self) -> FleetResult:
-        """Run every tenant's queue; results in tenant submission order."""
-        store = (
-            CheckpointStore(
-                self.checkpoint,
-                fleet_stamp(
-                    [spec.tenant_id for spec in self.tenants],
-                    self.seed,
-                    self.faults,
-                ),
-                self.retry,
-                self.faults,
-            )
-            if self.checkpoint is not None
-            else None
-        )
-        restored = self._load_checkpoint(store)
-        pending = [
-            spec for spec in self.tenants if spec.tenant_id not in restored
-        ]
-        jobs = [
-            (
-                spec,
-                self._artifact_payload(spec),
-                self.use_cache,
-                self.faults,
-                self.retry,
-            )
-            for spec in pending
-        ]
-        workers = effective_workers(self.max_workers, max(len(jobs), 1))
-        start = perf_counter()
-        outcomes_by_id = {
-            tenant_id: outcome for tenant_id, (outcome, _) in restored.items()
-        }
-        ran_modes = {
-            tenant_id: mode for tenant_id, (_, mode) in restored.items()
-        }
-
-        def arrive(spec: TenantSpec, outcome, mode: frozenset) -> None:
-            outcomes_by_id[spec.tenant_id] = outcome
-            ran_modes[spec.tenant_id] = mode
-            if store is not None:
-                store.record(
-                    spec.tenant_id,
-                    _outcome_to_json(
-                        outcome,
-                        spec_fingerprint=spec_digest(spec),
-                        degraded_sites=mode,
-                    ),
-                )
-
-        for index, outcome in execute_jobs(jobs, max_workers=self.max_workers):
-            arrive(pending[index], outcome, frozenset())
-
-        if self.breaker is not None:
-            # Canonical breaker walk: fold outcomes in tenant list order,
-            # re-running (deterministically, inline) any tenant whose
-            # speculative mode disagrees with the canonical one.
-            state = BreakerState(self.breaker)
-            for spec in self.tenants:
-                mode = state.open_sites()
-                if mode != ran_modes[spec.tenant_id]:
-                    arrive(spec, self._rerun_tenant(spec, mode), mode)
-                state.observe(outcomes_by_id[spec.tenant_id])
-            self._breaker_state = state
-
-        elapsed = perf_counter() - start
-        outcomes = [outcomes_by_id[spec.tenant_id] for spec in self.tenants]
-        journal = RuleJournal.merged(
-            [o.journal for o in outcomes if isinstance(o, TenantResult)]
-        )
-        return FleetResult(
-            outcomes=outcomes,
-            journal=journal,
-            elapsed=elapsed,
-            workers=workers,
-            checkpoint_write_failures=(
-                store.write_failures if store is not None else 0
-            ),
-        )
-
-    def breaker_report(self) -> dict[str, dict[str, int | str]]:
-        """Canonical per-site breaker states after the last :meth:`run`."""
-        if self._breaker_state is None:
-            return {}
-        return self._breaker_state.report()
-
-    def _rerun_tenant(
-        self, spec: TenantSpec, mode: frozenset
-    ) -> TenantResult | TenantFailure:
-        """One tenant, inline, under the canonical degraded mode.
-
-        :func:`run_tenant` depends only on its arguments, so the inline
-        re-run is byte-identical to what a pooled run under ``mode`` would
-        have produced.
-        """
-        bundle = _resolve_payload(self._artifact_payload(spec))
-        return run_tenant(
-            spec,
-            bundle.cluster,
-            bundle.extraction,
-            self.use_cache,
-            self.faults,
-            self.retry.with_fail_fast(mode),
-        )
-
-    # ------------------------------------------------------------------
-    def _load_checkpoint(
-        self, store: CheckpointStore | None
-    ) -> dict[str, tuple[TenantResult | TenantFailure, frozenset]]:
-        """Outcomes persisted by a previous (killed) run of this fleet.
-
-        Returns ``tenant_id -> (outcome, degraded_sites)``, each entry
-        decoded through :meth:`CheckpointStore.adopt`.
-        """
-        if store is None:
-            return {}
-        specs = {spec.tenant_id: spec for spec in self.tenants}
-        # A dynamic-fleet (service) checkpoint may hold tenants outside
-        # this batch fleet; they are simply not restored.
-        return {
-            tenant_id: store.adopt(specs[tenant_id], raw)
-            for tenant_id, raw in store.load().items()
-            if tenant_id in specs
-        }

@@ -1,5 +1,7 @@
 """Tests for rule set / session persistence."""
 
+import re
+
 import pytest
 
 from repro import Stellar, get_workload, make_cluster
@@ -77,6 +79,17 @@ class TestSessionStore:
     def test_session_dict_round_trip(self, session):
         raw = session_to_dict(session)
         assert session_to_dict(session_from_dict(raw)) == raw
+
+    @pytest.mark.parametrize(
+        "body",
+        ['{"workload": "IOR_16M", "attem', '["IOR_16M"]', '{"attempts": 5}'],
+        ids=["truncated", "not-an-object", "attempts-not-a-list"],
+    )
+    def test_corrupt_session_file_is_descriptive(self, tmp_path, body):
+        path = tmp_path / "session.json"
+        path.write_text(body)
+        with pytest.raises(JournalCorruptError, match=re.escape(str(path))):
+            load_session_summary(path)
 
 
 def _populated_journal() -> RuleJournal:

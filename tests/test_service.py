@@ -245,6 +245,35 @@ class TestDrainMatchesBatch:
             assert service_fingerprint(drained) == service_fingerprint(batch)
             assert service.breaker_report()["llm.transient"]["trips"] == 1
 
+    def test_breaker_armed_batch_folds_canonically_for_any_list_order(self):
+        plan = FaultPlan(seed=0, rates={"llm.transient": 1.0})
+        retry = RetryPolicy(max_retries=1)
+        breaker = BreakerPolicy(threshold=2, cooldown=2)
+        order = list(reversed(SMALL_FLEET))
+        batch = FleetScheduler(
+            order, seed=0, max_workers=2, faults=plan, retry=retry, breaker=breaker
+        ).run()
+        assert [o.tenant_id for o in batch.outcomes] == [
+            s.tenant_id for s in order
+        ]
+        # The two canonically-first tenants burn full budgets, whatever
+        # their list position; the breaker degrades the other two.
+        assert [f.attempts for f in batch.failures] == [1, 1, 2, 2]
+        service = TuningService(
+            seed=0,
+            max_workers=1,
+            faults=plan,
+            retry=retry,
+            breaker=breaker,
+            pump_interval=None,
+        )
+        for spec in order:
+            service.submit(spec)
+        drained = {o.tenant_id: o for o in service.drain().outcomes}
+        assert [f.to_dict() for f in batch.failures] == [
+            drained[f.tenant_id].to_dict() for f in batch.failures
+        ]
+
     def test_scheduler_without_breaker_is_unchanged(self):
         plan = FaultPlan(seed=0, rates={"llm.transient": 1.0})
         retry = RetryPolicy(max_retries=1)
@@ -543,6 +572,19 @@ class TestCrashResume:
                 TuningService(
                     seed=0, max_workers=1, checkpoint=checkpoint
                 ).submit(spec)
+
+    @pytest.mark.parametrize("loader", ["fleet", "service"])
+    @pytest.mark.parametrize("body", ["[]", "5", "null", '"x"'])
+    def test_non_object_checkpoint_is_descriptive(self, tmp_path, body, loader):
+        checkpoint = tmp_path / "odd.ckpt.json"
+        checkpoint.write_text(body)
+        with pytest.raises(JournalCorruptError, match="truncated or corrupt"):
+            if loader == "fleet":
+                FleetScheduler(
+                    [SMALL_FLEET[0]], seed=0, max_workers=1, checkpoint=checkpoint
+                ).run()
+            else:
+                TuningService(seed=0, max_workers=1, checkpoint=checkpoint)
 
 
 @pytest.fixture(scope="module")

@@ -266,6 +266,41 @@ class TestStreamingService:
         with pytest.raises(RuntimeError, match="canonical prefix"):
             next(service.iter_results())
 
+    def test_drain_after_late_submission_refolds_canonically(self):
+        plan = FaultPlan(seed=0, rates={"llm.transient": 1.0})
+        retry = RetryPolicy(max_retries=1)
+        breaker = BreakerPolicy(threshold=2, cooldown=2)
+        late = TenantSpec(
+            "zz-late", backend="lustre", workloads=("IOR_16M",), seed=5
+        )
+        service = TuningService(
+            seed=0,
+            max_workers=1,
+            faults=plan,
+            retry=retry,
+            breaker=breaker,
+            pump_interval=None,
+        )
+        self._submit_all(service, SMALL_FLEET[:2])
+        streamed = list(service.iter_results())
+        # Both streamed tenants burned full budgets and opened the breaker.
+        assert [o.attempts for o in streamed] == [2, 2]
+        assert service.submit(late).accepted  # seed 5 sorts before both
+        drained = service.drain()
+        batch = FleetScheduler(
+            [late, *SMALL_FLEET[:2]],
+            seed=0,
+            max_workers=1,
+            faults=plan,
+            retry=retry,
+            breaker=breaker,
+        ).run()
+        # Drain re-folds from the canonical start: the late tenant takes
+        # the first full-budget slot and the last streamed one re-runs
+        # degraded.
+        assert [o.attempts for o in drained.outcomes] == [2, 2, 1]
+        assert service_fingerprint(drained) == service_fingerprint(batch)
+
     def test_checkpoint_resume_mid_stream(self, tmp_path, monkeypatch):
         checkpoint = tmp_path / "stream.ckpt.json"
         uninterrupted = TuningService(

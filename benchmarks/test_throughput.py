@@ -10,12 +10,13 @@ point it at ``BENCH_throughput.json`` to refresh the tracked trajectory).
 Unset, the bench measures and asserts but writes nothing, so a test run
 leaves the working tree clean.
 
-The candidate-grid section compares the columnar sweep engine against the
-*ungrouped* ``run_batch`` path — every grid config distinct, so batch-level
-dedup never fires (exactly the shape the coordinate-descent baseline
-produces).  A cached re-run of the same grid under the process-wide
-``RUN_CACHE`` is recorded separately.  ``BENCH_throughput.json`` is only
-ever written by running this bench, never edited by hand.
+The candidate-grid section compares the columnar sweep engine against one
+scalar ``Simulator.run`` per config — every grid config distinct (exactly
+the shape the coordinate-descent baseline produces), so the sweep must beat
+the simpler path it replaces.  A cached re-run of the same grid under the
+process-wide ``RUN_CACHE`` is recorded separately.
+``BENCH_throughput.json`` is only ever written by running this bench, never
+edited by hand.
 """
 
 import json
@@ -35,10 +36,9 @@ from repro.pfs.config import PfsConfig
 from repro.pfs.simulator import Simulator
 from repro.service import FleetScheduler, TenantSpec, TuningService, run_tenant
 from repro.service.scheduler import ArtifactCatalog
-from repro.sim.batch import grid_items, repetition_items
 from repro.sim.cache import RUN_CACHE
 from repro.sim.random import RngStreams
-from repro.sim.sweep import run_items
+from repro.sim.sweep import grid_items, run_items
 from repro.workloads import get_workload
 
 #: Environment variable naming the file the figures are written to.
@@ -97,7 +97,7 @@ def test_throughput(benchmark, cluster):
     extraction = shared_extraction(cluster)
 
     start = perf_counter()
-    batched = sim.run_batch(repetition_items(workload, config, N_BATCHED, seed=1))
+    batched = sim.run_repetitions(workload, config, N_BATCHED, seed=1)
     batched_elapsed = perf_counter() - start
 
     start = perf_counter()
@@ -107,11 +107,15 @@ def test_throughput(benchmark, cluster):
     ]
     sequential_elapsed = perf_counter() - start
 
-    # -- candidate grid: ungrouped batch vs columnar sweep vs cached rerun --
+    # -- candidate grid: scalar per config vs columnar sweep vs cached rerun -
     grid_workload = get_workload(GRID_WORKLOAD)
     grid_configs = build_grid(cluster, N_GRID)
     items = grid_items(grid_workload, grid_configs, [RngStreams.rep_seed(2, 0)])
-    sim.run_batch(items)  # warm phase/expression caches
+
+    def run_scalar_grid():
+        return [sim.run(w, c, seed=s) for w, c, s in items]
+
+    run_scalar_grid()  # warm phase/expression caches
     run_items(sim, items)  # warm the sweep's vector path
 
     def best_of(runner, rounds=3):
@@ -126,7 +130,7 @@ def test_throughput(benchmark, cluster):
                 best = (elapsed, result)
         return best
 
-    grid_batch_elapsed, grid_batched = best_of(lambda: sim.run_batch(items))
+    grid_scalar_elapsed, grid_scalar = best_of(run_scalar_grid)
     sweep_elapsed, swept = best_of(lambda: run_items(sim, items))
 
     with RUN_CACHE.enabled():
@@ -246,7 +250,7 @@ def test_throughput(benchmark, cluster):
 
     batched_rps = N_BATCHED / batched_elapsed
     sequential_rps = N_SEQUENTIAL / sequential_elapsed
-    grid_batch_cps = N_GRID / grid_batch_elapsed
+    grid_scalar_cps = N_GRID / grid_scalar_elapsed
     sweep_cps = N_GRID / sweep_elapsed
     cached_rps = N_GRID / cached_elapsed
     sessions_ps = N_SESSIONS / sessions_elapsed
@@ -258,9 +262,9 @@ def test_throughput(benchmark, cluster):
         "sequential_runs_per_sec": round(sequential_rps, 1),
         "batch_speedup_vs_sequential": round(batched_rps / sequential_rps, 2),
         "grid_workload": GRID_WORKLOAD,
-        "grid_batch_configs_per_sec": round(grid_batch_cps, 1),
+        "grid_scalar_configs_per_sec": round(grid_scalar_cps, 1),
         "sweep_configs_per_sec": round(sweep_cps, 1),
-        "sweep_speedup_vs_batch_grid": round(sweep_cps / grid_batch_cps, 2),
+        "sweep_speedup_vs_scalar_grid": round(sweep_cps / grid_scalar_cps, 2),
         "cached_rerun_runs_per_sec": round(cached_rps, 1),
         "sessions_per_sec": round(sessions_ps, 2),
         "fleet_sessions_per_sec": round(fleet_sps, 2),
@@ -294,11 +298,11 @@ def test_throughput(benchmark, cluster):
         r.seconds for r in sequential
     ]
     assert batched_rps > sequential_rps
-    # The sweep is bit-identical to the ungrouped batch on the same grid and
-    # beats it per config; the cached rerun returns the shared results.
-    assert [r.seconds for r in swept] == [r.seconds for r in grid_batched]
+    # The sweep is bit-identical to scalar runs on the same grid and beats
+    # them per config; the cached rerun returns the shared results.
+    assert [r.seconds for r in swept] == [r.seconds for r in grid_scalar]
     assert [r.seconds for r in cached] == [r.seconds for r in swept]
-    assert sweep_cps > grid_batch_cps
+    assert sweep_cps > grid_scalar_cps
     assert cached_rps > sweep_cps
     assert sessions and all(s.best_seconds > 0 for s in sessions)
     # The fleet produces exactly the sequential loop's sessions (scheduling

@@ -53,6 +53,14 @@ EXPERIMENTS = (
     "overload",
 )
 
+#: Count flags, checked once after parsing: attribute -> (smallest valid
+#: value, what a valid value is).
+_COUNT_FLAGS = {
+    "workers": (1, "a positive worker count"),
+    "reps": (1, "a positive repetition count"),
+    "max_attempts": (0, "a non-negative attempt budget"),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -266,6 +274,14 @@ def _run_experiment(name: str, cluster, reps: int, seed: int) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    for name, (smallest, meaning) in _COUNT_FLAGS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < smallest:
+            # A typo is a clean CLI error, not a traceback or an empty
+            # report from deep inside an experiment.
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} {value}: must be {meaning}", file=sys.stderr)
+            return 2
     backend_arg = getattr(args, "backend", "lustre")
 
     if args.command == "drift":
@@ -299,15 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "fleet":
         from repro.experiments import fleet
 
-        if args.workers is not None and args.workers <= 0:
-            # Mirror the drift subcommand's convention: a config typo is a
-            # clean CLI error, not a traceback from deep in the pool sizing.
-            print(
-                f"error: --workers {args.workers}: must be a positive "
-                "worker count",
-                file=sys.stderr,
-            )
-            return 2
         backends = (
             fleet.BACKENDS if backend_arg == "all" else (backend_arg,)
         )
@@ -322,13 +329,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "chaos":
         from repro.experiments import resilience
 
-        if args.workers is not None and args.workers <= 0:
-            print(
-                f"error: --workers {args.workers}: must be a positive "
-                "worker count",
-                file=sys.stderr,
-            )
-            return 2
         try:
             rates = tuple(
                 float(token) for token in args.rates.split(",") if token.strip()
@@ -364,13 +364,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.experiments import fleet as fleet_experiment
         from repro.service import TuningService
 
-        if args.workers is not None and args.workers <= 0:
-            print(
-                f"error: --workers {args.workers}: must be a positive "
-                "worker count",
-                file=sys.stderr,
-            )
-            return 2
         backends = (
             fleet_experiment.BACKENDS if backend_arg == "all" else (backend_arg,)
         )
@@ -396,13 +389,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "overload":
         from repro.experiments import overload
 
-        if args.workers is not None and args.workers <= 0:
-            print(
-                f"error: --workers {args.workers}: must be a positive "
-                "worker count",
-                file=sys.stderr,
-            )
-            return 2
         try:
             loads = tuple(
                 int(token) for token in args.loads.split(",") if token.strip()
@@ -443,13 +429,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "policies":
         from repro.experiments import policies
 
-        if args.workers is not None and args.workers <= 0:
-            print(
-                f"error: --workers {args.workers}: must be a positive "
-                "worker count",
-                file=sys.stderr,
-            )
-            return 2
         backends = (
             policies.BACKENDS if backend_arg == "all" else (backend_arg,)
         )

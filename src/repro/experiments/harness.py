@@ -77,7 +77,7 @@ def measure_configs(
 ) -> list[Measurement]:
     """Measure several configurations of one workload in a single sweep.
 
-    The cartesian (config x rep-seed) grid (:func:`repro.sim.batch.grid_items`)
+    The cartesian (config x rep-seed) grid (:func:`repro.sim.sweep.grid_items`)
     goes through the columnar sweep engine, so the candidate axis is costed
     in one structure-of-arrays pass; results are bit-identical to calling
     :func:`measure_config` per entry.  Cache enablement is left to the
@@ -87,9 +87,8 @@ def measure_configs(
     bare measurement — the figure benchmarks time these — always performs a
     fixed amount of work.
     """
-    from repro.sim.batch import grid_items
     from repro.sim.random import RngStreams
-    from repro.sim.sweep import run_items
+    from repro.sim.sweep import grid_items, run_items
 
     if len(updates_list) != len(labels):
         raise ValueError("updates_list and labels must align")

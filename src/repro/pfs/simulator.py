@@ -31,9 +31,9 @@ RUN_NOISE_SIGMA = 0.025
 #: Memoized noise factors keyed by ``(seed, workload name, n_phases)``.
 #: A run's noise is a pure function of that key — the streams are named
 #: ``phase:i``/``run`` under ``spawn:run:<workload>`` and never depend on the
-#: configuration — so one cache serves the scalar, batch and sweep engines
-#: (the sweep bulk-seeds misses and stores them here).  Reads and writes are
-#: single dict ops, safe under the GIL for threaded callers; the
+#: configuration — so one cache serves the scalar and columnar engines
+#: (the sweep seeds its misses per call and stores them here).  Reads and
+#: writes are single dict ops, safe under the GIL for threaded callers; the
 #: size cap stops inserts rather than evicting, keeping behavior
 #: deterministic.
 _NOISE_CACHE: dict[tuple[int, str, int], tuple[tuple[float, ...], float]] = {}
@@ -112,10 +112,10 @@ def bind_run_config(cluster: ClusterSpec, config: PfsConfig) -> PfsConfig:
     """Per-run copy of ``config`` bound to ``cluster``'s facts, not yet
     validated.
 
-    The sweep engine validates many bound copies columnar in one pass; every
-    other caller goes through :func:`prepare_run_config`, which validates
-    immediately.  Any new injected fact or backend guard belongs here so the
-    sequential, batch and sweep paths stay bit-identical.
+    The sweep engine validates many bound copies columnar in one pass;
+    :func:`evaluate_phases` validates its one copy immediately.  Any new
+    injected fact or backend guard belongs here so the scalar and columnar
+    engines stay bit-identical.
     """
     if config.backend.name != cluster.backend_name:
         raise ValueError(
@@ -128,15 +128,26 @@ def bind_run_config(cluster: ClusterSpec, config: PfsConfig) -> PfsConfig:
     return config
 
 
-def prepare_run_config(cluster: ClusterSpec, config: PfsConfig) -> PfsConfig:
-    """Validated per-run copy of ``config`` bound to ``cluster``'s facts.
+def evaluate_phases(
+    cluster: ClusterSpec, workload: WorkloadLike, config: PfsConfig
+) -> tuple[PfsConfig, list[PhaseResult]]:
+    """Validate a per-run copy of ``config`` and cost every phase, noise-free.
 
-    The single setup path shared by :meth:`Simulator.run` and the batch
-    engine — the two must stay bit-identical (see ``tests/test_batch.py``).
+    The scalar model evaluation: a fresh config copy bound to ``cluster``
+    (:func:`bind_run_config`), validation, and one :class:`AnalyticModel`
+    pass over the compiled phases from a fresh :class:`RunState`.
+    :meth:`Simulator.run` applies noise to the returned phase results in
+    place; the sweep engine shares them between every item of a
+    single-config group and applies noise to copies.
     """
     config = bind_run_config(cluster, config)
     config.validate()
-    return config
+    job = MpiJob.launch(workload.name, workload.n_ranks, cluster)
+    model = AnalyticModel(cluster, config)
+    state = RunState()
+    return config, [
+        model.evaluate(phase, job, state) for phase in workload.compile(cluster)
+    ]
 
 
 class Simulator:
@@ -162,58 +173,43 @@ class Simulator:
             cached = RUN_CACHE.get(cache_key)
             if cached is not None:
                 return cached
-        config = prepare_run_config(self.cluster, config)
-
-        job = MpiJob.launch(workload.name, workload.n_ranks, self.cluster)
-        model = AnalyticModel(self.cluster, config)
-        state = RunState()
-        phases = workload.compile(self.cluster)
+        config, phases = evaluate_phases(self.cluster, workload, config)
         phase_noise, run_factor = run_noise(seed, workload.name, len(phases))
-
-        results: list[PhaseResult] = []
         total = 0.0
-        for phase, noise in zip(phases, phase_noise):
-            result = model.evaluate(phase, job, state)
+        for result, noise in zip(phases, phase_noise):
             result.seconds *= noise
-            results.append(result)
             total += result.seconds
         total *= run_factor
         result = RunResult(
             workload=workload.name,
             config=config,
             seconds=total,
-            phases=results,
+            phases=phases,
             seed=seed,
         )
         if cache_key is not None:
             RUN_CACHE.put(cache_key, result)
         return result
 
-    def run_batch(self, items) -> list[RunResult]:
-        """Evaluate many ``(workload, config, seed)`` tuples in one pass.
+    def run_items(self, items) -> list[RunResult]:
+        """Evaluate many ``(workload, config, seed)`` items through the
+        columnar sweep engine; results in item order.
 
-        Runs sharing a (workload, config) pair are costed once by the model
-        with only per-seed noise re-applied; results are bit-identical to
-        sequential :meth:`run` calls with the same seeds.  See
-        :mod:`repro.sim.batch`.
+        Bit-identical to one :meth:`run` call per item.  See
+        :func:`repro.sim.sweep.run_items`.
         """
-        from repro.sim.batch import run_batch
+        from repro.sim.sweep import run_items
 
-        return run_batch(self, items)
+        return run_items(self, items)
 
     def run_sweep(
         self, workload: WorkloadLike, configs, seeds
     ) -> list[RunResult]:
-        """Evaluate aligned ``(config, seed)`` pairs of one workload through
-        the columnar sweep engine.
+        """Evaluate aligned ``(config, seed)`` pairs of one workload — the
+        candidate-grid fast path."""
+        from repro.sim.sweep import sweep_items
 
-        Bit-identical to :meth:`run_batch` on ``sweep_items(workload,
-        configs, seeds)`` — the candidate-grid fast path.  See
-        :mod:`repro.sim.sweep`.
-        """
-        from repro.sim.sweep import run_sweep
-
-        return run_sweep(self, workload, configs, seeds)
+        return self.run_items(sweep_items(workload, configs, seeds))
 
     def run_schedule(
         self, schedule, configs, seed: int = 0
@@ -230,19 +226,19 @@ class Simulator:
         many distinct per-segment configurations (the drift experiment's
         oracle arm) shares one structure-of-arrays evaluation per workload.
         """
-        from repro.sim.batch import schedule_items
-        from repro.sim.sweep import run_items
+        from repro.sim.sweep import schedule_items
 
-        return run_items(self, schedule_items(schedule, configs, seed=seed))
+        return self.run_items(schedule_items(schedule, configs, seed=seed))
 
     def run_repetitions(
         self, workload: WorkloadLike, config: PfsConfig, n: int, seed: int = 0
     ) -> list[RunResult]:
         """The paper's eight-repetition protocol (fresh hygiene per run).
 
-        Rep seeds come from :meth:`RngStreams.rep_seed`; the batch path keeps
-        results identical to ``n`` sequential :meth:`run` calls.
+        Rep seeds come from :meth:`RngStreams.rep_seed`; results are
+        identical to ``n`` sequential :meth:`run` calls, with the model
+        costed once.
         """
-        from repro.sim.batch import repetition_items
+        from repro.sim.sweep import repetition_items
 
-        return self.run_batch(repetition_items(workload, config, n, seed=seed))
+        return self.run_items(repetition_items(workload, config, n, seed=seed))

@@ -4,9 +4,9 @@ A small, fast event-driven core used by the PFS micro-models and to
 cross-validate the phase-analytic performance model: an event heap
 (:class:`Engine`), FIFO service resources (:class:`FifoServer`,
 :class:`BandwidthLink`), reproducible named RNG streams
-(:class:`RngStreams`), the batch run executor (:func:`run_batch`), the
-columnar candidate-sweep engine (:func:`run_sweep`) and the bounded
-process-wide run cache (:data:`RUN_CACHE`).
+(:class:`RngStreams`), the columnar multi-item engine (:func:`run_sweep`)
+with its item builders, and the bounded process-wide run cache
+(:data:`RUN_CACHE`).
 """
 
 from repro.sim.cache import RUN_CACHE, RunCache
@@ -23,7 +23,6 @@ __all__ = [
     "RngStreams",
     "RunCache",
     "RUN_CACHE",
-    "run_batch",
     "repetition_items",
     "sweep_items",
     "grid_items",
@@ -32,15 +31,10 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The batch/sweep modules sit above the PFS model layers, which
-    # themselves use the RNG streams here — resolve lazily to keep imports
-    # acyclic.
-    if name in ("run_batch", "repetition_items", "sweep_items", "grid_items"):
-        from repro.sim import batch
-
-        return getattr(batch, name)
-    if name == "run_sweep":
+    # The sweep module sits above the PFS model layers, which themselves
+    # use the RNG streams here — resolve lazily to keep imports acyclic.
+    if name in ("repetition_items", "sweep_items", "grid_items", "run_sweep"):
         from repro.sim import sweep
 
-        return sweep.run_sweep
+        return getattr(sweep, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,7 @@ Contract:
   key, the configuration key and the run seed.  Equal keys imply equal
   model inputs, so a hit can never alias two different runs.
 - **Cached results are immutable to consumers.**  A hit returns the stored
-  :class:`RunResult` object itself — the same sharing rule the batch
+  :class:`RunResult` object itself — the same sharing rule the sweep
   engine already applies to grouped configs and phase objects.  Consumers
   read, never write (``Simulator.run`` only ever mutates phase results it
   created itself).
@@ -102,8 +102,8 @@ class RunCache:
         Returns ``(results, pending, keys)``: per-item results (``None``
         where missing), the indices the caller must evaluate, and the
         per-item keys to :meth:`put` finished results under (``None`` when
-        the cache is inactive).  The single cache prologue shared by the
-        batch and sweep engines, so the protocol cannot drift between them.
+        the cache is inactive).  The cache prologue of the sweep engine,
+        whose multi-item entry points all share it.
         """
         results: list["RunResult | None"] = [None] * len(items)
         if not self.active:

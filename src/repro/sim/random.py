@@ -42,8 +42,8 @@ class RngStreams:
         ``root_seed``.
 
         Every call site that performs repeated measurements (the harness's
-        ``measure_config``, ``Simulator.run_repetitions``, the batch API)
-        derives its per-rep seeds here, so two experiments rooted at
+        ``measure_config``, ``Simulator.run_repetitions``, the sweep's item
+        builders) derives its per-rep seeds here, so two experiments rooted at
         different seeds can never collide or correlate as long as
         ``rep < REP_STRIDE`` — which is asserted.
         """
@@ -68,16 +68,3 @@ class RngStreams:
         if sigma <= 0:
             return 1.0
         return float(np.exp(self.stream(name).normal(0.0, sigma)))
-
-    def lognormal_noise_vector(self, names: list[str], sigma: float) -> np.ndarray:
-        """Noise factors for many named streams in one vectorized ``exp``.
-
-        Element ``i`` is bit-identical to ``lognormal_noise(names[i], sigma)``
-        — each name still owns an independent generator (so adding consumers
-        never perturbs existing draws); only the normal→lognormal transform
-        is batched.
-        """
-        if sigma <= 0:
-            return np.ones(len(names))
-        draws = np.array([self.stream(n).normal(0.0, sigma) for n in names])
-        return np.exp(draws)

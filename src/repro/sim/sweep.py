@@ -1,10 +1,13 @@
 """Columnar candidate sweeps: many configurations, one workload, one pass.
 
-``run_batch`` (:mod:`repro.sim.batch`) dedups *identical* (workload, config)
-pairs, but a candidate grid — the coordinate-descent baseline, cross-backend
-transfer scoring, a tuning probe ladder — is the opposite shape: one workload
-and dozens of *distinct* configurations.  There the batch path re-runs the
-whole scalar pipeline per candidate: config copy, validation, ``CostModel``
+This is the simulator's one multi-item engine, beside the scalar reference
+:meth:`~repro.pfs.simulator.Simulator.run`.  Every multi-item entry point —
+``Simulator.run_items``/``run_sweep``/``run_schedule``/``run_repetitions``,
+``measure_configs``, the search baselines, the drift experiment — goes
+through :func:`run_items`.  A candidate grid (the coordinate-descent
+baseline, cross-backend transfer scoring, a tuning probe ladder) is one
+workload and dozens of *distinct* configurations; run one at a time, each
+would pay the whole scalar pipeline: config copy, validation, ``CostModel``
 construction, and a Python-level costing of every phase.
 
 This engine hoists everything config-invariant out of the candidate loop
@@ -14,22 +17,23 @@ values into structure-of-arrays columns, evaluating the analytic bounds
 across the whole candidate axis with numpy.  Scalar float64 arithmetic and
 elementwise numpy float64 arithmetic are both IEEE-754 double with identical
 rounding, so by mapping every scalar operation to one elementwise operation
-with the same operand order the results are **bit-identical** to
-``run_batch`` on the same (workload, config, seed) items — asserted per
+with the same operand order the results are **bit-identical** to one
+``Simulator.run`` per (workload, config, seed) item — asserted per
 registered backend by ``tests/test_sweep.py``.  Transcendentals that numpy
 may route through a different libm path (``log2`` in the lock model, the
 ``rho ** 8`` in the MDS wait) are deliberately evaluated through the scalar
-helpers per candidate instead of vectorized.
+helpers per candidate instead of vectorized.  A group with a single
+distinct configuration (the repetition protocol) skips the columns and is
+costed once by the scalar :func:`~repro.pfs.simulator.evaluate_phases`.
 
-The per-item noise application re-derives exactly the seeds and streams the
-sequential path uses (``RngStreams`` named streams), but constructs each
-generator directly as ``Generator(PCG64(seed))`` — bit-identical to
-``np.random.default_rng(seed)``, which wraps an integer seed in the same
-``SeedSequence`` — skipping the per-stream bookkeeping of the generic API.
+The per-item noise re-derives exactly the seeds and streams the scalar path
+uses (``RngStreams`` named streams) and takes each stream's single draw from
+``np.random.default_rng(seed)`` (:func:`first_normals`); factors are shared
+with the scalar path through the ``run_noise`` memo.
 
-Sharing caveats match the batch engine: items with equal configurations
-share one validated ``PfsConfig`` and phase results share ``phase`` /
-``bounds`` objects; consumers treat both as immutable.  When the
+Sharing caveats: items with equal configurations share one validated
+``PfsConfig`` and phase results share ``phase`` / ``bounds`` objects;
+consumers treat both as immutable.  When the
 :data:`~repro.sim.cache.RUN_CACHE` is enabled, finished ``RunResult``s are
 served from and stored into it per (backend, cluster, workload, config,
 seed) key.
@@ -62,12 +66,12 @@ from repro.pfs.model import RunState
 from repro.pfs.phases import MODIFYING_OPS, DataPhase, MetaPhase, PhaseResult
 from repro.pfs.striping import resolve_stripe_count
 from repro.sim.cache import RUN_CACHE
-from repro.sim.fastrng import first_normals
-from repro.sim.random import _derive_seed
+from repro.sim.random import RngStreams, _derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with the facade module
     from repro.pfs.simulator import RunResult, Simulator, WorkloadLike
-    from repro.sim.batch import BatchItem
+
+BatchItem = tuple["WorkloadLike", PfsConfig, int]
 
 
 def run_sweep(
@@ -78,12 +82,10 @@ def run_sweep(
 ) -> list["RunResult"]:
     """Evaluate aligned ``(config, seed)`` pairs of one workload columnar.
 
-    Bit-identical to ``sim.run_batch(sweep_items(workload, configs, seeds))``
-    — only faster, because the candidate axis is evaluated once through the
+    Bit-identical to one ``sim.run(workload, config, seed)`` per pair —
+    only faster, because the candidate axis is evaluated once through the
     structure-of-arrays model instead of per config.
     """
-    from repro.sim.batch import sweep_items
-
     return run_items(sim, sweep_items(workload, configs, seeds))
 
 
@@ -92,8 +94,9 @@ def run_items(sim: "Simulator", items: Iterable["BatchItem"]) -> list["RunResult
 
     Items are partitioned by workload identity; each partition sweeps its
     distinct configurations in one columnar pass (single-config partitions
-    take the scalar fast path — same result, no vector overhead).  Results
-    come back in item order, bit-identical to :func:`repro.sim.batch.run_batch`.
+    are costed once by the scalar model — same result, no vector overhead).
+    Results come back in item order, bit-identical to one ``Simulator.run``
+    per item.
     """
     items = list(items)
     results, pending, keys = RUN_CACHE.partition(sim.cluster, items)
@@ -112,13 +115,94 @@ def run_items(sim: "Simulator", items: Iterable["BatchItem"]) -> list["RunResult
 
 
 # ---------------------------------------------------------------------------
+# Item builders
+# ---------------------------------------------------------------------------
+def repetition_items(
+    workload: "WorkloadLike", config: PfsConfig, n: int, seed: int = 0
+) -> list[BatchItem]:
+    """The paper's n-repetition protocol as a batch: rep ``i`` runs with
+    ``RngStreams.rep_seed(seed, i)``."""
+    return [(workload, config, RngStreams.rep_seed(seed, i)) for i in range(n)]
+
+
+def sweep_items(
+    workload: "WorkloadLike",
+    configs: Sequence[PfsConfig],
+    seeds: Sequence[int],
+) -> list[BatchItem]:
+    """One run per aligned (config, seed) pair — the candidate-grid shape
+    used by the coordinate-descent baseline.
+
+    ``configs`` and ``seeds`` pair up elementwise; for "every config under
+    every seed" use :func:`grid_items`, whose cartesian contract is harder
+    to misuse.
+    """
+    if len(configs) != len(seeds):
+        raise ValueError("configs and seeds must align")
+    return [(workload, c, s) for c, s in zip(configs, seeds)]
+
+
+def grid_items(
+    workload: "WorkloadLike",
+    configs: Sequence[PfsConfig],
+    seeds: Sequence[int],
+) -> list[BatchItem]:
+    """The cartesian candidate grid: every config under every seed.
+
+    Config-major order — item ``i * len(seeds) + j`` is config ``i`` under
+    seed ``j`` — so measuring config ``i`` with ``reps`` seeds derived via
+    :meth:`RngStreams.rep_seed` is bit-identical to ``repetition_items`` per
+    config, and callers can slice results per config.
+    """
+    return [(workload, c, s) for c in configs for s in seeds]
+
+
+def schedule_items(
+    schedule: Iterable,
+    configs: "PfsConfig | Sequence[PfsConfig]",
+    seed: int = 0,
+) -> list[BatchItem]:
+    """A time-segmented schedule as a batch: segment ``i`` runs with
+    ``RngStreams.rep_seed(seed, i)``.
+
+    ``schedule`` yields segments (anything with a ``workload`` attribute, or
+    bare workloads); ``configs`` is a single configuration applied to every
+    segment, or one configuration per segment (the online controller's
+    evolving sequence).  Seeds index the segment's *position*, so the same
+    ``seed`` replays the same noise regardless of which strategy chose the
+    configs — what makes strategy totals comparable.
+    """
+    workloads = [getattr(item, "workload", item) for item in schedule]
+    if isinstance(configs, PfsConfig):
+        configs = [configs] * len(workloads)
+    else:
+        configs = list(configs)
+    if len(configs) != len(workloads):
+        raise ValueError(
+            f"schedule has {len(workloads)} segment(s) but {len(configs)} "
+            "config(s); pass one config, or one per segment"
+        )
+    return [
+        (workload, config, RngStreams.rep_seed(seed, index))
+        for index, (workload, config) in enumerate(zip(workloads, configs))
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Group evaluation
 # ---------------------------------------------------------------------------
 def _sweep_group(
     sim: "Simulator", workload: "WorkloadLike", group_items: list["BatchItem"]
 ) -> list["RunResult"]:
     """All items of one workload: dedup configs, evaluate, apply noise."""
-    from repro.pfs.simulator import PHASE_NOISE_SIGMA, RUN_NOISE_SIGMA, RunResult
+    from repro.pfs.simulator import (
+        _NOISE_CACHE,
+        _NOISE_CACHE_MAX,
+        PHASE_NOISE_SIGMA,
+        RUN_NOISE_SIGMA,
+        RunResult,
+        evaluate_phases,
+    )
 
     slots: dict[tuple, int] = {}
     unique_configs: list[PfsConfig] = []
@@ -133,19 +217,15 @@ def _sweep_group(
         members.append(slot)
 
     if len(unique_configs) == 1:
-        from repro.sim.batch import _evaluate_phases
-
-        evaluated = [_evaluate_phases(sim, workload, unique_configs[0])]
+        evaluated = [evaluate_phases(sim.cluster, workload, unique_configs[0])]
     else:
         evaluated = _evaluate_columnar(sim, workload, unique_configs)
 
-    # -- per-item noise: dedup by seed, bulk-seed only the cache misses ----
+    # -- per-item noise: dedup by seed, seed only the cache misses --------
     # Noise depends on (seed, workload, n_phases) alone — never the config —
     # so a config×seed grid computes each seed's factors once, and the
     # shared memo in the simulator module carries them across groups and
     # engines (the scalar path fills and reads the same dict).
-    from repro.pfs.simulator import _NOISE_CACHE, _NOISE_CACHE_MAX
-
     name = workload.name
     n_phases = len(evaluated[0][1])
     noise_by_seed: dict[int, tuple[tuple[float, ...], float]] = {}
@@ -214,6 +294,14 @@ def _sweep_group(
             )
         )
     return results
+
+
+def first_normals(seeds, sigma: float) -> np.ndarray:
+    """``np.random.default_rng(seed).normal(0.0, sigma)`` for every seed —
+    the one draw each named noise stream makes."""
+    return np.array(
+        [np.random.default_rng(seed).normal(0.0, sigma) for seed in seeds]
+    )
 
 
 def _phase_result(

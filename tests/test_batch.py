@@ -7,9 +7,9 @@ from repro.cluster import make_cluster
 from repro.experiments import harness, parallel
 from repro.pfs.config import PfsConfig
 from repro.pfs.expressions import compile_expression
-from repro.sim.batch import repetition_items, sweep_items
 from repro.pfs.simulator import Simulator
 from repro.sim.random import REP_STRIDE, RngStreams
+from repro.sim.sweep import repetition_items, sweep_items
 from repro.workloads import get_workload
 
 
@@ -24,14 +24,19 @@ def sim(cluster):
 
 
 class TestRunBatch:
-    def test_bit_identical_to_sequential(self, cluster, sim):
-        """Same seeds -> identical totals, phase times and breakdowns."""
+    def test_bit_identical_to_sequential(self, cluster, sim, monkeypatch):
+        """Same seeds -> identical totals, phase times and breakdowns.
+
+        Each side starts from an empty noise memo, so the columnar engine
+        draws its own noise instead of reading the scalar side's."""
         for name in ("IOR_16M", "MDWorkbench_2K", "IO500"):
             workload = get_workload(name)
             config = PfsConfig(facts=cluster.config_facts())
             seeds = [RngStreams.rep_seed(3, i) for i in range(4)]
+            monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
             sequential = [sim.run(workload, config, seed=s) for s in seeds]
-            batched = sim.run_batch([(workload, config, s) for s in seeds])
+            monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
+            batched = sim.run_items([(workload, config, s) for s in seeds])
             for seq, bat in zip(sequential, batched):
                 assert bat.seconds == seq.seconds
                 assert bat.seed == seq.seed
@@ -46,7 +51,7 @@ class TestRunBatch:
                     p.bounds for p in seq.phases
                 ]
 
-    def test_mixed_configs_and_workloads(self, cluster, sim):
+    def test_mixed_configs_and_workloads(self, cluster, sim, monkeypatch):
         """Dedup across heterogeneous items must not cross-contaminate."""
         base = PfsConfig(facts=cluster.config_facts())
         tuned = base.with_updates({"osc.max_rpcs_in_flight": 32})
@@ -56,9 +61,11 @@ class TestRunBatch:
             (get_workload("IOR_64K"), tuned, 13),
             (get_workload("IOR_64K"), base, 14),  # dedups with item 0's group
         ]
-        batched = sim.run_batch(items)
-        for (workload, config, seed), bat in zip(items, batched):
-            seq = sim.run(workload, config, seed=seed)
+        monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
+        sequential = [sim.run(w, c, seed=s) for w, c, s in items]
+        monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
+        batched = sim.run_items(items)
+        for seq, bat in zip(sequential, batched):
             assert bat.seconds == seq.seconds
             assert bat.workload == seq.workload
 

@@ -132,6 +132,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--workers -2" in err and "positive" in err
 
+    def test_experiment_nonpositive_reps_clean_error(self, capsys):
+        assert main(["experiment", "fig5", "--reps", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --reps 0:" in captured.err and "positive" in captured.err
+        assert captured.out == ""
+
+    def test_drift_nonpositive_reps_clean_error(self, capsys):
+        assert main(["drift", "--reps", "0", "--segments", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --reps 0:" in captured.err and "positive" in captured.err
+        assert captured.out == ""
+
+    def test_tune_negative_max_attempts_clean_error(self, capsys):
+        assert main(["tune", "IOR_64K", "--max-attempts", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --max-attempts -1:" in captured.err
+        assert "non-negative" in captured.err
+        assert captured.out == ""
+
     def test_seed_flag(self, capsys):
         assert main(["--seed", "7", "tune", "IOR_16M"]) == 0
         out_a = capsys.readouterr().out

@@ -12,8 +12,8 @@ from repro.experiments import drift
 from repro.experiments.harness import shared_extraction
 from repro.pfs.config import PfsConfig
 from repro.pfs.simulator import Simulator
-from repro.sim.batch import schedule_items
 from repro.sim.random import RngStreams
+from repro.sim.sweep import schedule_items
 from repro.workloads import SCHEDULE_KINDS, build_schedule
 from repro.workloads.dynamic import CheckpointWorkload, InterleavedWorkload
 

@@ -1,6 +1,6 @@
-"""Columnar sweep engine and run cache: bit-identity with ``run_batch`` on
-every registered backend, cache-hit semantics, bounded LRU, dependency-aware
-bounds invalidation, and the bulk-seeded noise path."""
+"""Columnar sweep engine and run cache: bit-identity with sequential
+``Simulator.run`` on every registered backend, cache-hit semantics, bounded
+LRU, dependency-aware bounds invalidation, and the sweep's noise draws."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,20 @@ import pytest
 from repro.backends import list_backends
 from repro.cluster import make_cluster
 from repro.experiments.harness import measure_config, measure_configs
+from repro.pfs import simulator as simulator_module
 from repro.pfs.config import PfsConfig
 from repro.pfs.simulator import Simulator
-from repro.sim import batch as batch_module
 from repro.sim import sweep as sweep_module
-from repro.sim.batch import grid_items, repetition_items, sweep_items
 from repro.sim.cache import RUN_CACHE, RunCache
-from repro.sim.fastrng import first_normals
 from repro.sim.random import RngStreams
-from repro.sim.sweep import run_items, run_sweep
+from repro.sim.sweep import (
+    first_normals,
+    grid_items,
+    repetition_items,
+    run_items,
+    run_sweep,
+    sweep_items,
+)
 from repro.workloads import get_workload
 
 PARITY_WORKLOADS = ("IOR_64K", "IOR_16M", "MDWorkbench_2K", "IO500", "AMReX")
@@ -63,11 +68,23 @@ def assert_runs_identical(expected, actual):
         ] == [(p.bytes_read, p.bytes_written, p.mds_ops, p.rpcs) for p in exp.phases]
 
 
+def sequential(sim, items):
+    """The scalar reference: one ``Simulator.run`` per item."""
+    return [sim.run(workload, config, seed=seed) for workload, config, seed in items]
+
+
+def empty_noise_memo(monkeypatch):
+    """Point the shared noise memo at a fresh dict, so the next engine draws
+    every noise factor itself instead of reading factors cached earlier."""
+    monkeypatch.setattr(simulator_module, "_NOISE_CACHE", {})
+
+
 class TestSweepParity:
     @pytest.mark.parametrize("backend", list_backends())
-    def test_randomized_configs_bit_identical_to_batch(self, backend):
+    def test_randomized_configs_bit_identical_to_batch(self, backend, monkeypatch):
         """Property-style: random in-bounds candidate grids sweep
-        bit-identically to ``run_batch`` for every registered backend."""
+        bit-identically to sequential ``Simulator.run`` for every registered
+        backend."""
         cluster = make_cluster(seed=2, backend=backend)
         sim = Simulator(cluster)
         base = PfsConfig(facts=cluster.config_facts(), backend=cluster.backend)
@@ -76,11 +93,13 @@ class TestSweepParity:
         for name in PARITY_WORKLOADS:
             workload = get_workload(name)
             seeds = [int(s) for s in rng.integers(0, 10**9, size=len(configs))]
-            batched = sim.run_batch(sweep_items(workload, configs, seeds))
+            empty_noise_memo(monkeypatch)
+            expected = sequential(sim, sweep_items(workload, configs, seeds))
+            empty_noise_memo(monkeypatch)
             swept = run_sweep(sim, workload, configs, seeds)
-            assert_runs_identical(batched, swept)
+            assert_runs_identical(expected, swept)
 
-    def test_duplicate_configs_and_seeds_dedup_like_batch(self, ):
+    def test_duplicate_configs_and_seeds_dedup_like_batch(self, monkeypatch):
         cluster = make_cluster(seed=0)
         sim = Simulator(cluster)
         base = PfsConfig(facts=cluster.config_facts())
@@ -88,11 +107,13 @@ class TestSweepParity:
         workload = get_workload("IOR_64K")
         configs = [base, tuned, base.copy(), tuned, base]
         seeds = [1, 2, 3, 2, 1]
-        batched = sim.run_batch(sweep_items(workload, configs, seeds))
+        empty_noise_memo(monkeypatch)
+        expected = sequential(sim, sweep_items(workload, configs, seeds))
+        empty_noise_memo(monkeypatch)
         swept = run_sweep(sim, workload, configs, seeds)
-        assert_runs_identical(batched, swept)
+        assert_runs_identical(expected, swept)
 
-    def test_mixed_workload_items_group_correctly(self):
+    def test_mixed_workload_items_group_correctly(self, monkeypatch):
         cluster = make_cluster(seed=0)
         sim = Simulator(cluster)
         base = PfsConfig(facts=cluster.config_facts())
@@ -103,9 +124,12 @@ class TestSweepParity:
             (get_workload("IOR_16M"), tuned, 7),
             (get_workload("MDWorkbench_2K"), base, 8),
         ]
-        assert_runs_identical(sim.run_batch(items), run_items(sim, items))
+        empty_noise_memo(monkeypatch)
+        expected = sequential(sim, items)
+        empty_noise_memo(monkeypatch)
+        assert_runs_identical(expected, run_items(sim, items))
 
-    def test_heterogeneous_facts_fall_back_to_scalar_validation(self):
+    def test_heterogeneous_facts_fall_back_to_scalar_validation(self, monkeypatch):
         cluster = make_cluster(seed=0)
         sim = Simulator(cluster)
         base = PfsConfig(facts=cluster.config_facts())
@@ -115,9 +139,11 @@ class TestSweepParity:
         workload = get_workload("IOR_64K")
         configs = [base, other]
         seeds = [1, 2]
-        batched = sim.run_batch(sweep_items(workload, configs, seeds))
+        empty_noise_memo(monkeypatch)
+        expected = sequential(sim, sweep_items(workload, configs, seeds))
+        empty_noise_memo(monkeypatch)
         swept = run_sweep(sim, workload, configs, seeds)
-        assert_runs_identical(batched, swept)
+        assert_runs_identical(expected, swept)
 
     def test_invalid_config_raises_like_batch(self):
         cluster = make_cluster(seed=0)
@@ -126,11 +152,11 @@ class TestSweepParity:
         bad = base.copy()
         bad._set_raw("osc.max_rpcs_in_flight", 100000)
         workload = get_workload("IOR_64K")
-        with pytest.raises(ValueError, match="invalid configuration") as batch_err:
-            sim.run_batch(sweep_items(workload, [base, bad], [0, 1]))
+        with pytest.raises(ValueError, match="invalid configuration") as scalar_err:
+            sim.run(workload, bad, seed=1)
         with pytest.raises(ValueError, match="invalid configuration") as sweep_err:
             run_sweep(sim, workload, [base, bad], [0, 1])
-        assert str(sweep_err.value) == str(batch_err.value)
+        assert str(sweep_err.value) == str(scalar_err.value)
 
     def test_run_sweep_requires_alignment(self):
         cluster = make_cluster(seed=0)
@@ -180,7 +206,7 @@ class TestRunCache:
 
         calls = {"columnar": 0, "scalar": 0}
         real_columnar = sweep_module._evaluate_columnar
-        real_scalar = batch_module._evaluate_phases
+        real_scalar = simulator_module.evaluate_phases
 
         def counting_columnar(*args, **kwargs):
             calls["columnar"] += 1
@@ -191,7 +217,7 @@ class TestRunCache:
             return real_scalar(*args, **kwargs)
 
         monkeypatch.setattr(sweep_module, "_evaluate_columnar", counting_columnar)
-        monkeypatch.setattr(batch_module, "_evaluate_phases", counting_scalar)
+        monkeypatch.setattr(simulator_module, "evaluate_phases", counting_scalar)
 
         cache = RunCache()
         monkeypatch.setattr(sweep_module, "RUN_CACHE", cache)
@@ -280,7 +306,7 @@ class TestFastRng:
     def test_first_normals_matches_default_rng(self):
         rng = np.random.default_rng(5)
         seeds = [int(s) for s in rng.integers(0, 2**63, size=64, dtype=np.uint64)]
-        seeds += [0, 1, 7, 2**32 - 1, 2**32, 2**63 - 1]  # small-seed fallback
+        seeds += [0, 1, 7, 2**32 - 1, 2**32, 2**63 - 1]  # both sides of 2**32
         for sigma in (0.02, 0.025):
             fast = first_normals(seeds, sigma)
             reference = [
@@ -289,7 +315,8 @@ class TestFastRng:
             assert fast.tolist() == reference
 
     def test_generator_pcg64_equals_default_rng(self):
-        """The sweep's direct construction is the documented equivalent."""
+        """``default_rng(seed)`` is ``Generator(PCG64(seed))``, the stream
+        every named noise stream draws from."""
         for seed in (0, 123, 2**62 + 17):
             direct = np.random.Generator(np.random.PCG64(seed)).normal(0.0, 0.02)
             generic = np.random.default_rng(seed).normal(0.0, 0.02)

@@ -23,12 +23,14 @@ from pathlib import Path
 #: plus the PR-4 candidate-sweep and cached-rerun figures, the PR-5
 #: fleet-scheduler figure, the PR-6 degraded-fleet (fault plan) figure,
 #: the PR-8 per-policy session figures, the PR-9 tuning-service drain
-#: figure and the PR-10 streaming-first-result figure.
+#: figure, the PR-10 streaming-first-result figure and the search-shaped
+#: small-sweep figure (groups below the columnar threshold).
 TRACKED = (
     "batched_runs_per_sec",
     "sequential_runs_per_sec",
     "sessions_per_sec",
     "sweep_configs_per_sec",
+    "small_sweep_configs_per_sec",
     "cached_rerun_runs_per_sec",
     "fleet_sessions_per_sec",
     "service_sessions_per_sec",

@@ -128,8 +128,10 @@ def run_cell(
     their configurations coincide (the online arm before its first re-tune
     repeats the static arm, the oracle arm repeats whole tuning sessions)
     the deterministic results are shared instead of re-simulated.  Serving
-    measurements go through :meth:`Simulator.run_schedule`, which sweeps
-    each workload's distinct per-segment configurations columnar.
+    measurements go through :meth:`Simulator.run_schedule`, which costs
+    each workload's distinct per-segment configurations once: columnar from
+    :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS` of them up, with the
+    scalar model below that.
     """
     with RUN_CACHE.enabled():
         return _run_cell(cluster, schedule, reps, seed, band, max_retunes)

@@ -78,8 +78,10 @@ def measure_configs(
     """Measure several configurations of one workload in a single sweep.
 
     The cartesian (config x rep-seed) grid (:func:`repro.sim.sweep.grid_items`)
-    goes through the columnar sweep engine, so the candidate axis is costed
-    in one structure-of-arrays pass; results are bit-identical to calling
+    goes through one :func:`~repro.sim.sweep.run_items` call, which costs
+    each configuration once: in one structure-of-arrays pass from
+    :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS` configurations up, with
+    the scalar model below that.  Results are bit-identical to calling
     :func:`measure_config` per entry.  Cache enablement is left to the
     *enclosing experiment* (drift cells, crossfs, the oracle search wrap
     themselves in ``RUN_CACHE.enabled()``): strategies re-measuring the same

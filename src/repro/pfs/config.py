@@ -181,6 +181,18 @@ class PfsConfig:
         self._bounds_cache.clear()
         self._cache_key = None
 
+    def drop_memos(self) -> "PfsConfig":
+        """Drop the env dict, resolved bounds and ``cache_key()`` memos;
+        returns ``self``.
+
+        The simulator calls this on each validated per-run copy it returns,
+        so results held by the ``RUN_CACHE`` do not keep the validation
+        memos alive.  Values and facts are untouched; a later read rebuilds
+        any memo lazily.
+        """
+        self._invalidate()
+        return self
+
     def __contains__(self, name: str) -> bool:
         return name in self.backend
 

@@ -135,19 +135,24 @@ def evaluate_phases(
 
     The scalar model evaluation: a fresh config copy bound to ``cluster``
     (:func:`bind_run_config`), validation, and one :class:`AnalyticModel`
-    pass over the compiled phases from a fresh :class:`RunState`.
+    pass over the compiled phases from a fresh :class:`RunState`.  The copy
+    comes back cold (:meth:`PfsConfig.drop_memos`): results may sit in the
+    ``RUN_CACHE``, and validation memos would ride along with each one.
     :meth:`Simulator.run` applies noise to the returned phase results in
-    place; the sweep engine shares them between every item of a
-    single-config group and applies noise to copies.
+    place; the sweep engine calls this once per distinct configuration of
+    every group smaller than
+    :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS`, shares the results
+    between that configuration's items and applies noise to copies.
     """
     config = bind_run_config(cluster, config)
     config.validate()
     job = MpiJob.launch(workload.name, workload.n_ranks, cluster)
     model = AnalyticModel(cluster, config)
     state = RunState()
-    return config, [
+    phases = [
         model.evaluate(phase, job, state) for phase in workload.compile(cluster)
     ]
+    return config.drop_memos(), phases
 
 
 class Simulator:
@@ -192,9 +197,12 @@ class Simulator:
         return result
 
     def run_items(self, items) -> list[RunResult]:
-        """Evaluate many ``(workload, config, seed)`` items through the
-        columnar sweep engine; results in item order.
+        """Evaluate many ``(workload, config, seed)`` items, grouped per
+        workload; results in item order.
 
+        A group with at least :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS`
+        distinct configurations is costed by the columnar engine, a smaller
+        one by the scalar model once per distinct configuration.
         Bit-identical to one :meth:`run` call per item.  See
         :func:`repro.sim.sweep.run_items`.
         """
@@ -206,7 +214,7 @@ class Simulator:
         self, workload: WorkloadLike, configs, seeds
     ) -> list[RunResult]:
         """Evaluate aligned ``(config, seed)`` pairs of one workload — the
-        candidate-grid fast path."""
+        candidate-grid path, routed like :meth:`run_items`."""
         from repro.sim.sweep import sweep_items
 
         return self.run_items(sweep_items(workload, configs, seeds))
@@ -222,9 +230,11 @@ class Simulator:
         ``RngStreams.rep_seed(seed, i)`` and results come back in schedule
         order — bit-identical to sequential per-segment :meth:`run` calls
         (guarded per backend by ``tests/test_dynamic.py``).  Segments route
-        through the workload-grouped columnar sweep, so a schedule measuring
-        many distinct per-segment configurations (the drift experiment's
-        oracle arm) shares one structure-of-arrays evaluation per workload.
+        through :meth:`run_items`, grouped per workload: a workload whose
+        segments hold at least :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS`
+        distinct configurations (the drift experiment's oracle arm on a long
+        schedule) shares one structure-of-arrays evaluation, and a smaller
+        group is costed by the scalar model once per distinct configuration.
         """
         from repro.sim.sweep import schedule_items
 

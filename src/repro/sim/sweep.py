@@ -1,35 +1,44 @@
-"""Columnar candidate sweeps: many configurations, one workload, one pass.
+"""Multi-item runs: many (workload, config, seed) items, each distinct
+configuration costed once.
 
-This is the simulator's one multi-item engine, beside the scalar reference
-:meth:`~repro.pfs.simulator.Simulator.run`.  Every multi-item entry point —
-``Simulator.run_items``/``run_sweep``/``run_schedule``/``run_repetitions``,
-``measure_configs``, the search baselines, the drift experiment — goes
-through :func:`run_items`.  A candidate grid (the coordinate-descent
-baseline, cross-backend transfer scoring, a tuning probe ladder) is one
-workload and dozens of *distinct* configurations; run one at a time, each
-would pay the whole scalar pipeline: config copy, validation, ``CostModel``
-construction, and a Python-level costing of every phase.
+This module holds the simulator's one multi-item engine, beside the scalar
+reference :meth:`~repro.pfs.simulator.Simulator.run`.  Every multi-item
+entry point — ``Simulator.run_items``/``run_sweep``/``run_schedule``/
+``run_repetitions``, ``measure_configs``, the search baselines, the drift
+experiment — goes through :func:`run_items`, which groups items per
+workload and dedups each group's configurations.  The routing rule is one
+module constant on the group's distinct-config count:
 
-This engine hoists everything config-invariant out of the candidate loop
-(compiled phases, job geometry, per-phase byte/RPC totals, fileset
-spreading, the client-cache write ledger) and extracts each candidate's role
-values into structure-of-arrays columns, evaluating the analytic bounds
-across the whole candidate axis with numpy.  Scalar float64 arithmetic and
-elementwise numpy float64 arithmetic are both IEEE-754 double with identical
-rounding, so by mapping every scalar operation to one elementwise operation
-with the same operand order the results are **bit-identical** to one
-``Simulator.run`` per (workload, config, seed) item — asserted per
-registered backend by ``tests/test_sweep.py``.  Transcendentals that numpy
-may route through a different libm path (``log2`` in the lock model, the
-``rho ** 8`` in the MDS wait) are deliberately evaluated through the scalar
-helpers per candidate instead of vectorized.  A group with a single
-distinct configuration (the repetition protocol) skips the columns and is
-costed once by the scalar :func:`~repro.pfs.simulator.evaluate_phases`.
+- at least :data:`COLUMNAR_MIN_CONFIGS` (a wide candidate grid, a long
+  drift schedule): one columnar pass over the whole candidate axis;
+- fewer (the repetition protocol, the coordinate-descent baseline's 1–4
+  candidate sweeps): the scalar :func:`~repro.pfs.simulator.evaluate_phases`
+  once per distinct configuration, because below about eight candidates
+  numpy's per-operation overhead costs more than the scalar model.
 
-The per-item noise re-derives exactly the seeds and streams the scalar path
-uses (``RngStreams`` named streams) and takes each stream's single draw from
-``np.random.default_rng(seed)`` (:func:`first_normals`); factors are shared
-with the scalar path through the ``run_noise`` memo.
+Run one at a time, every candidate of a wide grid would pay the whole
+scalar pipeline: config copy, validation, ``CostModel`` construction, and a
+Python-level costing of every phase.  The columnar engine hoists everything
+config-invariant out of the candidate loop (compiled phases, job geometry,
+per-phase byte/RPC totals, fileset spreading, the client-cache write
+ledger) and extracts each candidate's role values into structure-of-arrays
+columns, evaluating the analytic bounds across the whole candidate axis
+with numpy.  Scalar float64 arithmetic and elementwise numpy float64
+arithmetic are both IEEE-754 double with identical rounding, so by mapping
+every scalar operation to one elementwise operation with the same operand
+order the results are **bit-identical** to one ``Simulator.run`` per
+(workload, config, seed) item — asserted per registered backend by
+``tests/test_sweep.py``.  Transcendentals that numpy may route through a
+different libm path (``log2`` in the lock model, the ``rho ** 8`` in the
+MDS wait) are deliberately evaluated through the scalar helpers per
+candidate instead of vectorized.
+
+Dedup, the :data:`~repro.sim.cache.RUN_CACHE` prologue, noise and result
+assembly are shared by both routes.  The per-item noise re-derives exactly
+the seeds and streams the scalar path uses (``RngStreams`` named streams)
+and takes each stream's single draw from ``np.random.default_rng(seed)``
+(:func:`first_normals`); factors are shared with the scalar path through
+the ``run_noise`` memo.
 
 Sharing caveats: items with equal configurations share one validated
 ``PfsConfig`` and phase results share ``phase`` / ``bounds`` objects;
@@ -73,6 +82,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with the facade module
 
 BatchItem = tuple["WorkloadLike", PfsConfig, int]
 
+#: Fewest distinct configurations a workload group needs before it is costed
+#: columnar.  Below it numpy's per-operation overhead outweighs the scalar
+#: model: columnar time over scalar time for bind + validate + model was
+#: 1.4–3.3x at 2–5 configurations, 0.97–1.10x at 8 and 0.83–0.97x at 10
+#: (2 vCPUs; both backends × IOR_64K, IOR_16M, MDWorkbench_8K, IO500).
+COLUMNAR_MIN_CONFIGS = 8
+
 
 def run_sweep(
     sim: "Simulator",
@@ -80,23 +96,24 @@ def run_sweep(
     configs: Sequence[PfsConfig],
     seeds: Sequence[int],
 ) -> list["RunResult"]:
-    """Evaluate aligned ``(config, seed)`` pairs of one workload columnar.
+    """Evaluate aligned ``(config, seed)`` pairs of one workload.
 
     Bit-identical to one ``sim.run(workload, config, seed)`` per pair —
-    only faster, because the candidate axis is evaluated once through the
+    only faster: each distinct configuration is costed once, and a grid of
+    at least :data:`COLUMNAR_MIN_CONFIGS` of them in one pass through the
     structure-of-arrays model instead of per config.
     """
     return run_items(sim, sweep_items(workload, configs, seeds))
 
 
 def run_items(sim: "Simulator", items: Iterable["BatchItem"]) -> list["RunResult"]:
-    """Arbitrary batch items, grouped per workload through the columnar path.
+    """Arbitrary batch items, grouped per workload.
 
-    Items are partitioned by workload identity; each partition sweeps its
-    distinct configurations in one columnar pass (single-config partitions
-    are costed once by the scalar model — same result, no vector overhead).
-    Results come back in item order, bit-identical to one ``Simulator.run``
-    per item.
+    Items are partitioned by workload identity.  A partition with at least
+    :data:`COLUMNAR_MIN_CONFIGS` distinct configurations sweeps them in one
+    columnar pass; a smaller one costs each distinct configuration once
+    with the scalar model — same result, no vector overhead.  Results come
+    back in item order, bit-identical to one ``Simulator.run`` per item.
     """
     items = list(items)
     results, pending, keys = RUN_CACHE.partition(sim.cluster, items)
@@ -194,7 +211,9 @@ def schedule_items(
 def _sweep_group(
     sim: "Simulator", workload: "WorkloadLike", group_items: list["BatchItem"]
 ) -> list["RunResult"]:
-    """All items of one workload: dedup configs, evaluate, apply noise."""
+    """All items of one workload: dedup configs, evaluate each distinct one
+    (scalar below :data:`COLUMNAR_MIN_CONFIGS`, columnar from there), apply
+    noise."""
     from repro.pfs.simulator import (
         _NOISE_CACHE,
         _NOISE_CACHE_MAX,
@@ -216,8 +235,11 @@ def _sweep_group(
             unique_configs.append(config)
         members.append(slot)
 
-    if len(unique_configs) == 1:
-        evaluated = [evaluate_phases(sim.cluster, workload, unique_configs[0])]
+    if len(unique_configs) < COLUMNAR_MIN_CONFIGS:
+        evaluated = [
+            evaluate_phases(sim.cluster, workload, config)
+            for config in unique_configs
+        ]
     else:
         evaluated = _evaluate_columnar(sim, workload, unique_configs)
 
@@ -396,6 +418,7 @@ def _evaluate_columnar(
     if not _validated_columnar(prepared):
         for config in prepared:
             config.validate()
+            config.drop_memos()
 
     job = MpiJob.launch(workload.name, workload.n_ranks, cluster)
     columns = _RoleColumns(prepared)

@@ -61,6 +61,9 @@ class TestRunBatch:
             (get_workload("IOR_64K"), tuned, 13),
             (get_workload("IOR_64K"), base, 14),  # dedups with item 0's group
         ]
+        # Two distinct configs: lower the routing threshold so the IOR_64K
+        # group is costed by the columnar engine.
+        monkeypatch.setattr("repro.sim.sweep.COLUMNAR_MIN_CONFIGS", 2)
         monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
         sequential = [sim.run(w, c, seed=s) for w, c, s in items]
         monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})

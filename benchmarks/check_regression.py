@@ -19,17 +19,14 @@ import json
 import sys
 from pathlib import Path
 
-#: The sessions/sec and runs/sec figures the PR-1 perf work established,
-#: plus the PR-4 candidate-sweep and cached-rerun figures, the PR-5
-#: fleet-scheduler figure, the PR-6 degraded-fleet (fault plan) figure,
-#: the PR-8 per-policy session figures, the PR-9 tuning-service drain
-#: figure, the PR-10 streaming-first-result figure and the search-shaped
-#: small-sweep figure (groups below the columnar threshold).
+#: The figures the gate guards: batched, sequential and cached-rerun
+#: runs/sec; search-shaped small-sweep configs/sec; sessions/sec for one
+#: engine, the fleet, the drained service, the degraded (fault plan) fleet
+#: and each agent policy; and the streaming first-result figure.
 TRACKED = (
     "batched_runs_per_sec",
     "sequential_runs_per_sec",
     "sessions_per_sec",
-    "sweep_configs_per_sec",
     "small_sweep_configs_per_sec",
     "cached_rerun_runs_per_sec",
     "fleet_sessions_per_sec",

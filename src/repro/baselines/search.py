@@ -45,14 +45,11 @@ class OracleSearch:
     :meth:`~repro.pfs.simulator.Simulator.run_sweep` call (classic
     sweep-then-move coordinate descent): all candidates are measured against
     the current best configuration and the coordinate moves to the best
-    improving value, if any.  On the shipped backends' candidate grids a
-    sweep holds 1–4 candidates, fewer than
-    :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS`, so each is costed by the
-    scalar model rather than the columnar engine.  Every candidate
-    run still draws its own seeded noise — evaluation ``i`` runs under
-    ``RngStreams.rep_seed(seed, i)``, the shared repeated-measurement
-    derivation — and the evaluation counter prices each simulated run
-    exactly as the sequential search did.  The whole search runs under the
+    improving value, if any.  Every candidate run still draws its own
+    seeded noise — evaluation ``i`` runs under ``RngStreams.rep_seed(seed,
+    i)``, the shared repeated-measurement derivation — and the evaluation
+    counter prices each simulated run exactly as the sequential search
+    did.  The whole search runs under the
     process-wide :data:`~repro.sim.cache.RUN_CACHE`, so re-running a search
     (or re-measuring cells another strategy already measured) is free.
     """

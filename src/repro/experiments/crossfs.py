@@ -189,9 +189,7 @@ def run(
 
     The whole experiment runs under the process-wide run cache, and each
     (target, workload) row scores its default and transferred
-    configurations in one sweep; with fewer than
-    :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS` distinct configurations
-    per row, the sweep costs each with the scalar model.
+    configurations in one sweep.
     """
     with RUN_CACHE.enabled():
         return _run(cluster, reps, seed, workloads)

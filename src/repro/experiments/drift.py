@@ -129,9 +129,7 @@ def run_cell(
     repeats the static arm, the oracle arm repeats whole tuning sessions)
     the deterministic results are shared instead of re-simulated.  Serving
     measurements go through :meth:`Simulator.run_schedule`, which costs
-    each workload's distinct per-segment configurations once: columnar from
-    :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS` of them up, with the
-    scalar model below that.
+    each workload's distinct per-segment configurations once.
     """
     with RUN_CACHE.enabled():
         return _run_cell(cluster, schedule, reps, seed, band, max_retunes)

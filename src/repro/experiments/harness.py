@@ -79,9 +79,7 @@ def measure_configs(
 
     The cartesian (config x rep-seed) grid (:func:`repro.sim.sweep.grid_items`)
     goes through one :func:`~repro.sim.sweep.run_items` call, which costs
-    each configuration once: in one structure-of-arrays pass from
-    :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS` configurations up, with
-    the scalar model below that.  Results are bit-identical to calling
+    each configuration once.  Results are bit-identical to calling
     :func:`measure_config` per entry.  Cache enablement is left to the
     *enclosing experiment* (drift cells, crossfs, the oracle search wrap
     themselves in ``RUN_CACHE.enabled()``): strategies re-measuring the same

@@ -181,18 +181,6 @@ class PfsConfig:
         self._bounds_cache.clear()
         self._cache_key = None
 
-    def drop_memos(self) -> "PfsConfig":
-        """Drop the env dict, resolved bounds and ``cache_key()`` memos;
-        returns ``self``.
-
-        The simulator calls this on each validated per-run copy it returns,
-        so results held by the ``RUN_CACHE`` do not keep the validation
-        memos alive.  Values and facts are untouched; a later read rebuilds
-        any memo lazily.
-        """
-        self._invalidate()
-        return self
-
     def __contains__(self, name: str) -> bool:
         return name in self.backend
 
@@ -283,7 +271,7 @@ class PfsConfig:
         cached = self._bounds_cache.get(spec.name)
         if cached is not None:
             return cached
-        # Every run copies its config (``bind_run_config``), so the
+        # Every run copies its config (``evaluate_phases``), so the
         # per-instance memo alone re-resolves identical (values, facts)
         # envs hundreds of times per session; the module-level map keyed by
         # the config's content identity carries bounds across copies.

@@ -140,96 +140,6 @@ def _lookup(name: str, env: Mapping[str, float], expression: str) -> float:
     raise ExpressionError(f"unknown identifier {name!r} in {expression!r}")
 
 
-@lru_cache(maxsize=None)
-def compile_expression_vector(expression: str):
-    """Columnar twin of :func:`compile_expression`.
-
-    Returns an evaluator that accepts an env mapping identifiers to *numpy
-    arrays* (one element per candidate configuration) and evaluates the
-    expression elementwise.  Every scalar operation maps to exactly one
-    elementwise numpy operation with the same operand order, so results are
-    bit-identical to evaluating the scalar form per candidate — IEEE-754
-    float64 arithmetic is the same in both.  Used by the sweep engine's
-    columnar validation fast path; any :class:`ExpressionError` there falls
-    back to the scalar evaluator, which re-raises with the exact per-config
-    message.
-    """
-    import numpy as np
-
-    try:
-        tree = ast.parse(expression, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"bad expression {expression!r}: {exc}") from None
-    return _compile_node_vector(tree.body, expression, np)
-
-
-def _compile_node_vector(node: ast.AST, expression: str, np):
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-            value = float(node.value)
-            return lambda env: value
-        raise ExpressionError(f"non-numeric constant in {expression!r}")
-    if isinstance(node, ast.Name):
-        name = node.id
-        return lambda env: _lookup_vector(name, env, expression)
-    if isinstance(node, ast.Attribute):
-        dotted = _dotted_name(node, expression)
-        return lambda env: _lookup_vector(dotted, env, expression)
-    if isinstance(node, ast.BinOp):
-        op_type = type(node.op)
-        if op_type not in _BINOPS:
-            raise ExpressionError(f"operator not allowed in {expression!r}")
-        left = _compile_node_vector(node.left, expression, np)
-        right = _compile_node_vector(node.right, expression, np)
-        if op_type is ast.Div or op_type is ast.FloorDiv:
-            divide_op = (
-                np.true_divide if op_type is ast.Div else np.floor_divide
-            )
-
-            def divide(env):
-                denominator = right(env)
-                if np.any(denominator == 0):
-                    raise ExpressionError(f"division by zero in {expression!r}")
-                return divide_op(left(env), denominator)
-
-            return divide
-        op = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply}[op_type]
-        return lambda env: op(left(env), right(env))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        operand = _compile_node_vector(node.operand, expression, np)
-        return lambda env: np.negative(operand(env))
-    if isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_CALLS:
-            raise ExpressionError(f"only min()/max() calls allowed in {expression!r}")
-        if node.keywords:
-            raise ExpressionError(f"keyword arguments not allowed in {expression!r}")
-        if not node.args:
-            raise ExpressionError(f"empty call in {expression!r}")
-        pairwise = np.minimum if node.func.id == "min" else np.maximum
-        args = [_compile_node_vector(a, expression, np) for a in node.args]
-
-        def call(env):
-            result = args[0](env)
-            for arg in args[1:]:
-                result = pairwise(result, arg(env))
-            return result
-
-        return call
-    raise ExpressionError(
-        f"disallowed syntax {type(node).__name__} in {expression!r}"
-    )
-
-
-def _lookup_vector(name: str, env, expression: str):
-    if name in env:
-        return env[name]
-    # Basename fallback in env insertion order, mirroring ``_lookup``.
-    for key, value in env.items():
-        if key.rsplit(".", 1)[-1] == name:
-            return value
-    raise ExpressionError(f"unknown identifier {name!r} in {expression!r}")
-
-
 def referenced_names(expression: str) -> set[str]:
     """Identifiers an expression depends on (for dependency ordering)."""
     try:

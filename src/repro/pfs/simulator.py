@@ -31,10 +31,10 @@ RUN_NOISE_SIGMA = 0.025
 #: Memoized noise factors keyed by ``(seed, workload name, n_phases)``.
 #: A run's noise is a pure function of that key — the streams are named
 #: ``phase:i``/``run`` under ``spawn:run:<workload>`` and never depend on the
-#: configuration — so one cache serves the scalar and columnar engines
-#: (the sweep seeds its misses per call and stores them here).  Reads and
-#: writes are single dict ops, safe under the GIL for threaded callers; the
-#: size cap stops inserts rather than evicting, keeping behavior
+#: configuration — so one cache serves ``Simulator.run`` and the sweep
+#: engine, which seeds its misses per call and stores them here.  Reads
+#: and writes are single dict ops, safe under the GIL for threaded callers;
+#: the size cap stops inserts rather than evicting, keeping behavior
 #: deterministic.
 _NOISE_CACHE: dict[tuple[int, str, int], tuple[tuple[float, ...], float]] = {}
 _NOISE_CACHE_MAX = 1 << 15
@@ -108,14 +108,20 @@ class RunResult:
         return "\n".join(lines)
 
 
-def bind_run_config(cluster: ClusterSpec, config: PfsConfig) -> PfsConfig:
-    """Per-run copy of ``config`` bound to ``cluster``'s facts, not yet
-    validated.
+def evaluate_phases(
+    cluster: ClusterSpec, workload: WorkloadLike, config: PfsConfig
+) -> tuple[PfsConfig, list[PhaseResult]]:
+    """Validate a per-run copy of ``config`` and cost every phase, noise-free.
 
-    The sweep engine validates many bound copies columnar in one pass;
-    :func:`evaluate_phases` validates its one copy immediately.  Any new
-    injected fact or backend guard belongs here so the scalar and columnar
-    engines stay bit-identical.
+    The scalar model evaluation: a fresh config copy bound to ``cluster``'s
+    facts, validation, and one :class:`AnalyticModel` pass over the compiled
+    phases from a fresh :class:`RunState`.  The copy comes back without its
+    validation memos (env dict, resolved bounds, ``cache_key()`` tuple):
+    results may sit in the ``RUN_CACHE``, and the memos would ride along
+    with each one.  :meth:`Simulator.run` applies noise to the returned
+    phase results in place; the sweep engine calls this once per distinct
+    configuration of a workload group, shares the results between that
+    configuration's items and applies noise to copies.
     """
     if config.backend.name != cluster.backend_name:
         raise ValueError(
@@ -125,26 +131,6 @@ def bind_run_config(cluster: ClusterSpec, config: PfsConfig) -> PfsConfig:
     config = config.copy()
     config.facts.setdefault("n_ost", cluster.n_ost)
     config.facts["system_memory_mb"] = cluster.system_memory_mb
-    return config
-
-
-def evaluate_phases(
-    cluster: ClusterSpec, workload: WorkloadLike, config: PfsConfig
-) -> tuple[PfsConfig, list[PhaseResult]]:
-    """Validate a per-run copy of ``config`` and cost every phase, noise-free.
-
-    The scalar model evaluation: a fresh config copy bound to ``cluster``
-    (:func:`bind_run_config`), validation, and one :class:`AnalyticModel`
-    pass over the compiled phases from a fresh :class:`RunState`.  The copy
-    comes back cold (:meth:`PfsConfig.drop_memos`): results may sit in the
-    ``RUN_CACHE``, and validation memos would ride along with each one.
-    :meth:`Simulator.run` applies noise to the returned phase results in
-    place; the sweep engine calls this once per distinct configuration of
-    every group smaller than
-    :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS`, shares the results
-    between that configuration's items and applies noise to copies.
-    """
-    config = bind_run_config(cluster, config)
     config.validate()
     job = MpiJob.launch(workload.name, workload.n_ranks, cluster)
     model = AnalyticModel(cluster, config)
@@ -152,7 +138,8 @@ def evaluate_phases(
     phases = [
         model.evaluate(phase, job, state) for phase in workload.compile(cluster)
     ]
-    return config.drop_memos(), phases
+    config._invalidate()
+    return config, phases
 
 
 class Simulator:
@@ -200,10 +187,8 @@ class Simulator:
         """Evaluate many ``(workload, config, seed)`` items, grouped per
         workload; results in item order.
 
-        A group with at least :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS`
-        distinct configurations is costed by the columnar engine, a smaller
-        one by the scalar model once per distinct configuration.
-        Bit-identical to one :meth:`run` call per item.  See
+        Each group costs its distinct configurations once.  Bit-identical
+        to one :meth:`run` call per item.  See
         :func:`repro.sim.sweep.run_items`.
         """
         from repro.sim.sweep import run_items
@@ -214,7 +199,7 @@ class Simulator:
         self, workload: WorkloadLike, configs, seeds
     ) -> list[RunResult]:
         """Evaluate aligned ``(config, seed)`` pairs of one workload — the
-        candidate-grid path, routed like :meth:`run_items`."""
+        candidate-grid path, through :meth:`run_items`."""
         from repro.sim.sweep import sweep_items
 
         return self.run_items(sweep_items(workload, configs, seeds))
@@ -229,12 +214,9 @@ class Simulator:
         the whole schedule or a per-segment sequence.  Segment ``i`` runs with
         ``RngStreams.rep_seed(seed, i)`` and results come back in schedule
         order — bit-identical to sequential per-segment :meth:`run` calls
-        (guarded per backend by ``tests/test_dynamic.py``).  Segments route
-        through :meth:`run_items`, grouped per workload: a workload whose
-        segments hold at least :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS`
-        distinct configurations (the drift experiment's oracle arm on a long
-        schedule) shares one structure-of-arrays evaluation, and a smaller
-        group is costed by the scalar model once per distinct configuration.
+        (guarded per backend by ``tests/test_dynamic.py``).  Segments go
+        through :meth:`run_items`, so segments sharing a (workload, config)
+        pair are costed once.
         """
         from repro.sim.sweep import schedule_items
 

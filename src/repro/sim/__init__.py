@@ -4,10 +4,8 @@ A small, fast event-driven core used by the PFS micro-models and to
 cross-validate the phase-analytic performance model: an event heap
 (:class:`Engine`), FIFO service resources (:class:`FifoServer`,
 :class:`BandwidthLink`), reproducible named RNG streams
-(:class:`RngStreams`), the multi-item engine (:func:`run_sweep`: columnar
-for groups of :data:`~repro.sim.sweep.COLUMNAR_MIN_CONFIGS` distinct
-configurations and more, scalar below) with its item builders, and the
-bounded process-wide run cache (:data:`RUN_CACHE`).
+(:class:`RngStreams`), the multi-item engine (:func:`run_sweep`) with its
+item builders, and the bounded process-wide run cache (:data:`RUN_CACHE`).
 """
 
 from repro.sim.cache import RUN_CACHE, RunCache

@@ -1,44 +1,21 @@
 """Multi-item runs: many (workload, config, seed) items, each distinct
 configuration costed once.
 
-This module holds the simulator's one multi-item engine, beside the scalar
-reference :meth:`~repro.pfs.simulator.Simulator.run`.  Every multi-item
-entry point — ``Simulator.run_items``/``run_sweep``/``run_schedule``/
-``run_repetitions``, ``measure_configs``, the search baselines, the drift
-experiment — goes through :func:`run_items`, which groups items per
-workload and dedups each group's configurations.  The routing rule is one
-module constant on the group's distinct-config count:
+Every multi-item entry point — ``Simulator.run_items``/``run_sweep``/
+``run_schedule``/``run_repetitions``, ``measure_configs``, the search
+baselines, the drift experiment — goes through :func:`run_items`, which
+groups items per workload, dedups each group's configurations and costs
+each distinct one with the scalar model
+(:func:`~repro.pfs.simulator.evaluate_phases`).  A config x seed grid thus
+pays one model evaluation per configuration, not one per item.
 
-- at least :data:`COLUMNAR_MIN_CONFIGS` (a wide candidate grid, a long
-  drift schedule): one columnar pass over the whole candidate axis;
-- fewer (the repetition protocol, the coordinate-descent baseline's 1–4
-  candidate sweeps): the scalar :func:`~repro.pfs.simulator.evaluate_phases`
-  once per distinct configuration, because below about eight candidates
-  numpy's per-operation overhead costs more than the scalar model.
-
-Run one at a time, every candidate of a wide grid would pay the whole
-scalar pipeline: config copy, validation, ``CostModel`` construction, and a
-Python-level costing of every phase.  The columnar engine hoists everything
-config-invariant out of the candidate loop (compiled phases, job geometry,
-per-phase byte/RPC totals, fileset spreading, the client-cache write
-ledger) and extracts each candidate's role values into structure-of-arrays
-columns, evaluating the analytic bounds across the whole candidate axis
-with numpy.  Scalar float64 arithmetic and elementwise numpy float64
-arithmetic are both IEEE-754 double with identical rounding, so by mapping
-every scalar operation to one elementwise operation with the same operand
-order the results are **bit-identical** to one ``Simulator.run`` per
-(workload, config, seed) item — asserted per registered backend by
-``tests/test_sweep.py``.  Transcendentals that numpy may route through a
-different libm path (``log2`` in the lock model, the ``rho ** 8`` in the
-MDS wait) are deliberately evaluated through the scalar helpers per
-candidate instead of vectorized.
-
-Dedup, the :data:`~repro.sim.cache.RUN_CACHE` prologue, noise and result
-assembly are shared by both routes.  The per-item noise re-derives exactly
-the seeds and streams the scalar path uses (``RngStreams`` named streams)
-and takes each stream's single draw from ``np.random.default_rng(seed)``
-(:func:`first_normals`); factors are shared with the scalar path through
-the ``run_noise`` memo.
+The :data:`~repro.sim.cache.RUN_CACHE` prologue, noise and result assembly
+happen here.  The per-item noise re-derives exactly the seeds and streams
+the scalar path uses (``RngStreams`` named streams) and takes each stream's
+single draw from ``np.random.default_rng(seed)`` (:func:`first_normals`);
+factors are shared with the scalar path through the ``run_noise`` memo.
+Results are **bit-identical** to one ``Simulator.run`` per item — asserted
+per registered backend by ``tests/test_sweep.py``.
 
 Sharing caveats: items with equal configurations share one validated
 ``PfsConfig`` and phase results share ``phase`` / ``bounds`` objects;
@@ -54,26 +31,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.backends.base import PAGE_SIZE
-from repro.cluster.mpi import MpiJob
-from repro.pfs import locks
 from repro.pfs.config import PfsConfig
-from repro.pfs.costs import (
-    CHECKSUM_BW,
-    CLIENT_MEM_BW,
-    CLIENT_META_CPU,
-    JOURNAL_COST,
-    MDS_SERVICE_TIME,
-    PDIROPS_CONCURRENCY,
-    STATAHEAD_SLOT_DIVISOR,
-    STATAHEAD_WINDOW_CAP,
-    STRIPE_OBJECT_COST,
-    CostModel,
-)
-from repro.pfs.expressions import ExpressionError, compile_expression_vector
-from repro.pfs.model import RunState
-from repro.pfs.phases import MODIFYING_OPS, DataPhase, MetaPhase, PhaseResult
-from repro.pfs.striping import resolve_stripe_count
+from repro.pfs.phases import PhaseResult
 from repro.sim.cache import RUN_CACHE
 from repro.sim.random import RngStreams, _derive_seed
 
@@ -81,13 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with the facade module
     from repro.pfs.simulator import RunResult, Simulator, WorkloadLike
 
 BatchItem = tuple["WorkloadLike", PfsConfig, int]
-
-#: Fewest distinct configurations a workload group needs before it is costed
-#: columnar.  Below it numpy's per-operation overhead outweighs the scalar
-#: model: columnar time over scalar time for bind + validate + model was
-#: 1.4–3.3x at 2–5 configurations, 0.97–1.10x at 8 and 0.83–0.97x at 10
-#: (2 vCPUs; both backends × IOR_64K, IOR_16M, MDWorkbench_8K, IO500).
-COLUMNAR_MIN_CONFIGS = 8
 
 
 def run_sweep(
@@ -98,10 +50,8 @@ def run_sweep(
 ) -> list["RunResult"]:
     """Evaluate aligned ``(config, seed)`` pairs of one workload.
 
-    Bit-identical to one ``sim.run(workload, config, seed)`` per pair —
-    only faster: each distinct configuration is costed once, and a grid of
-    at least :data:`COLUMNAR_MIN_CONFIGS` of them in one pass through the
-    structure-of-arrays model instead of per config.
+    Bit-identical to one ``sim.run(workload, config, seed)`` per pair; each
+    distinct configuration is costed once.
     """
     return run_items(sim, sweep_items(workload, configs, seeds))
 
@@ -109,10 +59,8 @@ def run_sweep(
 def run_items(sim: "Simulator", items: Iterable["BatchItem"]) -> list["RunResult"]:
     """Arbitrary batch items, grouped per workload.
 
-    Items are partitioned by workload identity.  A partition with at least
-    :data:`COLUMNAR_MIN_CONFIGS` distinct configurations sweeps them in one
-    columnar pass; a smaller one costs each distinct configuration once
-    with the scalar model — same result, no vector overhead.  Results come
+    Items are partitioned by workload identity, and each partition costs
+    its distinct configurations once with the scalar model.  Results come
     back in item order, bit-identical to one ``Simulator.run`` per item.
     """
     items = list(items)
@@ -211,9 +159,8 @@ def schedule_items(
 def _sweep_group(
     sim: "Simulator", workload: "WorkloadLike", group_items: list["BatchItem"]
 ) -> list["RunResult"]:
-    """All items of one workload: dedup configs, evaluate each distinct one
-    (scalar below :data:`COLUMNAR_MIN_CONFIGS`, columnar from there), apply
-    noise."""
+    """All items of one workload: dedup configs, cost each distinct one with
+    the scalar model, apply noise."""
     from repro.pfs.simulator import (
         _NOISE_CACHE,
         _NOISE_CACHE_MAX,
@@ -224,30 +171,22 @@ def _sweep_group(
     )
 
     slots: dict[tuple, int] = {}
-    unique_configs: list[PfsConfig] = []
+    evaluated: list[tuple[PfsConfig, list[PhaseResult]]] = []
     members: list[int] = []
     for _workload, config, _seed in group_items:
         key = config.cache_key()
         slot = slots.get(key)
         if slot is None:
-            slot = len(unique_configs)
+            slot = len(evaluated)
             slots[key] = slot
-            unique_configs.append(config)
+            evaluated.append(evaluate_phases(sim.cluster, workload, config))
         members.append(slot)
-
-    if len(unique_configs) < COLUMNAR_MIN_CONFIGS:
-        evaluated = [
-            evaluate_phases(sim.cluster, workload, config)
-            for config in unique_configs
-        ]
-    else:
-        evaluated = _evaluate_columnar(sim, workload, unique_configs)
 
     # -- per-item noise: dedup by seed, seed only the cache misses --------
     # Noise depends on (seed, workload, n_phases) alone — never the config —
     # so a config×seed grid computes each seed's factors once, and the
     # shared memo in the simulator module carries them across groups and
-    # engines (the scalar path fills and reads the same dict).
+    # ``Simulator.run`` calls (both fill and read the same dict).
     name = workload.name
     n_phases = len(evaluated[0][1])
     noise_by_seed: dict[int, tuple[tuple[float, ...], float]] = {}
@@ -331,8 +270,8 @@ def _phase_result(
 ) -> PhaseResult:
     """Construct a :class:`PhaseResult` without dataclass-__init__ overhead.
 
-    The sweep builds two phase results per (candidate, phase) — the
-    noise-free base and the noisy copy — so constructor cost is hot.
+    The sweep builds a noisy copy of every phase result of every item, so
+    constructor cost is hot.
     ``__post_init__``'s negative-seconds guard is upheld by construction
     (model bounds are non-negative and noise factors positive).
     """
@@ -348,524 +287,3 @@ def _phase_result(
         "rpcs": rpcs,
     }
     return result
-
-
-# ---------------------------------------------------------------------------
-# Columnar model evaluation
-# ---------------------------------------------------------------------------
-class _RoleColumns:
-    """Lazy structure-of-arrays view of every candidate's role values."""
-
-    def __init__(self, configs: list[PfsConfig]):
-        self.configs = configs
-        self.n = len(configs)
-        self._cache: dict[str, np.ndarray] = {}
-
-    def get(self, role: str, default=None):
-        """Int64 column of ``config.role(role)`` per candidate.
-
-        For roles the backend omits, ``default`` is returned as-is (scalar or
-        column) — mirroring ``PfsConfig.role``'s fallback, including its
-        ``KeyError`` when no default is given.
-        """
-        column = self._cache.get(role)
-        if column is not None:
-            return column
-        backend = self.configs[0].backend
-        entry = backend.roles.get(role)
-        if entry is None:
-            if default is None:
-                raise KeyError(
-                    f"backend {backend.name!r} maps no parameter to "
-                    f"role {role!r}"
-                )
-            return default
-        # The bulk form of ``config.role(role)`` — resolved through the
-        # backend's role map, never by literal parameter name.
-        name, scale = entry
-        column = np.fromiter(
-            (config._values[name] for config in self.configs),
-            dtype=np.int64,
-            count=self.n,
-        )
-        if scale != 1:
-            column = column * scale
-        self._cache[role] = column
-        return column
-
-    def stripe_counts(self, n_ost: int) -> np.ndarray:
-        """Resolved stripe counts (``-1`` = all OSTs), like ``_layout``."""
-        resolved = self._cache.get("#stripe_count_resolved")
-        if resolved is None:
-            requested = self.get("stripe_count")
-            invalid = (requested != -1) & (requested < 1)
-            if invalid.any():
-                # Raise exactly what the scalar path raises for this value.
-                resolve_stripe_count(int(requested[int(np.argmax(invalid))]), n_ost)
-            resolved = np.where(requested == -1, n_ost, np.minimum(requested, n_ost))
-            self._cache["#stripe_count_resolved"] = resolved
-        return resolved
-
-
-def _evaluate_columnar(
-    sim: "Simulator", workload: "WorkloadLike", configs: list[PfsConfig]
-) -> list[tuple[PfsConfig, list[PhaseResult]]]:
-    """Validate and cost every distinct candidate, noise-free."""
-    from repro.pfs.simulator import bind_run_config
-
-    cluster = sim.cluster
-    prepared = [bind_run_config(cluster, config) for config in configs]
-    if not _validated_columnar(prepared):
-        for config in prepared:
-            config.validate()
-            config.drop_memos()
-
-    job = MpiJob.launch(workload.name, workload.n_ranks, cluster)
-    columns = _RoleColumns(prepared)
-    # Every CostModel field except ``checksums`` is a (cluster, backend)
-    # constant; the checksums flag is handled columnar below.
-    costs = CostModel(cluster, prepared[0])
-    state = RunState()
-    rows: list[list[PhaseResult]] = [[] for _ in prepared]
-    for phase in workload.compile(cluster):
-        if isinstance(phase, DataPhase):
-            phase_rows = _eval_data(phase, job, state, cluster, costs, columns)
-        elif isinstance(phase, MetaPhase):
-            phase_rows = _eval_meta(phase, job, state, cluster, costs, columns)
-        else:
-            raise TypeError(f"unknown phase type {type(phase).__name__}")
-        for row, result in zip(rows, phase_rows):
-            row.append(result)
-    return list(zip(prepared, rows))
-
-
-def _validated_columnar(prepared: list[PfsConfig]) -> bool:
-    """``True`` when every candidate is proven valid columnar.
-
-    Anything the vectorized check cannot prove — heterogeneous fact keys,
-    expression errors, an actual violation — returns ``False`` and the
-    caller falls back to per-config ``validate()``, which raises the exact
-    scalar error messages.
-    """
-    first = prepared[0]
-    backend = first.backend
-    fact_keys = list(first.facts)
-    value_names = list(first._values)
-    for config in prepared[1:]:
-        if (
-            config.backend is not backend
-            or list(config.facts) != fact_keys
-            or list(config._values) != value_names
-        ):
-            return False
-    n = len(prepared)
-    env: dict[str, np.ndarray] = {}
-    try:
-        # Same backend ⇒ same value-dict key order, so one matrix covers all.
-        matrix = np.array(
-            [list(config._values.values()) for config in prepared],
-            dtype=np.float64,
-        )
-        for column, name in enumerate(first._values):
-            env[name] = matrix[:, column]
-        for key in fact_keys:
-            env[key] = np.fromiter(
-                (config.facts[key] for config in prepared),
-                dtype=np.float64,
-                count=n,
-            )
-    except (KeyError, TypeError, ValueError):
-        return False
-    try:
-        for name in first._values:
-            spec = backend.registry[name]
-            values = env[name]
-            if spec.ptype == "bool" and bool(np.any((values != 0) & (values != 1))):
-                return False
-            low = _resolve_vector(spec.min_expr, env, float("-inf"))
-            high = _resolve_vector(spec.max_expr, env, float("inf"))
-            if bool(np.any(values < low)) or bool(np.any(values > high)):
-                return False
-    except ExpressionError:
-        return False
-    return True
-
-
-def _resolve_vector(expr, env: dict, default: float):
-    if expr is None:
-        return default
-    if isinstance(expr, (int, float)):
-        return float(expr)
-    return compile_expression_vector(expr)(env)
-
-
-def _columns_as_rows(n: int, columns: list) -> list[list]:
-    """Transpose columns (arrays or broadcast scalars) into per-candidate
-    rows of builtin Python values."""
-    lists = [
-        column.tolist() if isinstance(column, np.ndarray) else [column] * n
-        for column in columns
-    ]
-    return [[values[i] for values in lists] for i in range(n)]
-
-
-def _assemble(
-    n: int,
-    phase,
-    names: list[str],
-    bound_columns: list,
-    tail,
-    skip=None,
-    bytes_read=0,
-    bytes_written=0,
-    mds_ops=0,
-    rpcs=0,
-):
-    """Per-candidate ``PhaseResult``s from bound columns.
-
-    ``tail`` is the pipeline-fill term added after the max (the RPC round
-    trip for data phases, the loaded cycle for metadata phases); ``skip``
-    marks candidates handled elsewhere (the client-cache fast path).
-    Bounds keep the scalar model's dict insertion order, so ties in the
-    bottleneck argmax break identically.
-    """
-    stacked = np.vstack(
-        [
-            np.broadcast_to(np.asarray(column, dtype=np.float64), (n,))
-            for column in bound_columns
-        ]
-    )
-    seconds = (stacked.max(axis=0) + tail).tolist()
-    bottlenecks = [names[i] for i in np.argmax(stacked, axis=0).tolist()]
-    rows = _columns_as_rows(n, bound_columns)
-    rpcs_list = rpcs.tolist() if isinstance(rpcs, np.ndarray) else [rpcs] * n
-    results: list[PhaseResult | None] = []
-    for i in range(n):
-        if skip is not None and skip[i]:
-            results.append(None)
-            continue
-        results.append(
-            _phase_result(
-                phase,
-                seconds[i],
-                bottlenecks[i],
-                dict(zip(names, rows[i])),
-                bytes_read,
-                bytes_written,
-                mds_ops,
-                rpcs_list[i],
-            )
-        )
-    return results
-
-
-def _eval_data(
-    phase: DataPhase, job: MpiJob, state: RunState, cluster, costs, columns
-) -> list[PhaseResult]:
-    n = columns.n
-    n_ranks = job.n_ranks
-    n_clients = cluster.n_clients
-    ranks_pc = max(1, -(-n_ranks // n_clients))
-    k = columns.stripe_counts(cluster.n_ost)
-    stripe_size = columns.get("stripe_size_bytes")
-    fs = phase.fileset
-
-    total_bytes = phase.bytes_per_rank * n_ranks
-    cap = np.minimum(columns.get("rpc_cap_bytes"), stripe_size)
-    if phase.pattern == "seq":
-        dirty = columns.get("dirty_bytes")
-        eff_rpc = np.maximum(
-            PAGE_SIZE, np.minimum(cap, np.maximum(phase.xfer_size, dirty))
-        )
-    else:
-        eff_rpc = np.maximum(1, np.minimum(phase.xfer_size, cap))
-    rpcs_per_rank = -((-phase.bytes_per_rank) // eff_rpc)
-    total_rpcs = rpcs_per_rank * n_ranks
-
-    # Cache-served re-reads: per-candidate only through the cache limit; the
-    # write ledger itself is configuration-invariant.
-    hit_mask = None
-    hit_seconds = 0.0
-    if phase.io == "read" and phase.reuse:
-        cached = state.cached_bytes(fs.name)
-        per_client = phase.bytes_per_rank * ranks_pc
-        if cached >= per_client:
-            hit_mask = per_client <= columns.get("cached_bytes")
-            if not hit_mask.any():
-                hit_mask = None
-            else:
-                hit_seconds = per_client / CLIENT_MEM_BW + phase.ops_per_rank * 2e-6
-
-    # --- stripe object spreading -----------------------------------
-    if fs.shared:
-        used_osts = np.minimum(k * fs.n_files, cluster.n_ost)
-        imbalance = 1.0
-    else:
-        objects = fs.n_files * k
-        used_osts = np.minimum(objects, cluster.n_ost)
-        per_ost = objects / cluster.n_ost
-        imbalance = np.where(
-            per_ost >= 1, (-((-objects) // cluster.n_ost)) / per_ost, 1.0
-        )
-    worst_bytes = total_bytes / used_osts * imbalance
-    worst_rpcs = total_rpcs / used_osts * imbalance
-
-    active_ranks = (
-        min(n_ranks, phase.concurrent_writers)
-        if phase.concurrent_writers is not None
-        else n_ranks
-    )
-    conflicting = active_ranks if fs.shared else 1
-    if not fs.shared or conflicting <= 1:
-        writers = 1.0
-    elif phase.pattern == "seq":
-        writers = np.maximum(1.0, conflicting / np.maximum(1, k))
-    else:
-        writers = float(conflicting)
-    if phase.io == "write":
-        if isinstance(writers, np.ndarray):
-            # log2 goes through the scalar helper: numpy's log2 may take a
-            # different libm path, and bit-identity matters more than
-            # vectorizing one call per candidate.
-            lock_lat = np.fromiter(
-                (locks.lock_penalty(float(w), phase.pattern) for w in writers),
-                dtype=np.float64,
-                count=n,
-            )
-            lock_srv = np.fromiter(
-                (locks.server_lock_cost(float(w), phase.pattern) for w in writers),
-                dtype=np.float64,
-                count=n,
-            )
-        else:
-            lock_lat = locks.lock_penalty(writers, phase.pattern)
-            lock_srv = locks.server_lock_cost(writers, phase.pattern)
-    else:
-        lock_lat = 0.0
-        lock_srv = 0.0
-
-    short = eff_rpc <= columns.get("short_io_bytes", 0)
-    if phase.pattern == "seq":
-        overhead = costs.disk_overhead_seq
-    else:
-        overhead = np.where(
-            short, costs.disk_overhead_short, costs.disk_overhead_random
-        )
-    checksum_mask = columns.get("checksums", 0) != 0
-    checksum_eff = np.where(checksum_mask, eff_rpc / CHECKSUM_BW, 0.0)
-
-    names = ["ost_disk", "server_nic", "client_nic", "client_cpu", "pipeline"]
-    b_ost = worst_bytes / costs.disk_bw + worst_rpcs * (overhead + lock_srv)
-    b_server = worst_bytes / costs.server_nic
-    b_client_nic = phase.bytes_per_rank * ranks_pc / costs.client_nic
-    per_rank_cpu = rpcs_per_rank * (costs.client_cpu_per_rpc + checksum_eff)
-    b_cpu = per_rank_cpu * ranks_pc / costs.cores
-
-    # --- latency-limited pipeline bound ------------------------------
-    handshake = np.where(short, costs.short_io_handshake, costs.bulk_handshake)
-    wire = eff_rpc / costs.client_nic + eff_rpc / costs.server_nic
-    disk = eff_rpc / costs.disk_bw + overhead
-    rtt = (
-        costs.client_cpu_per_rpc
-        + checksum_eff * 2
-        + handshake
-        + costs.data_rtt
-        + wire
-        + disk
-        + lock_lat
-    )
-    q = columns.get("data_rpcs_in_flight")
-    if phase.io == "write":
-        flow_window = np.minimum(q * eff_rpc, columns.get("dirty_bytes"))
-    else:
-        flow_window = np.minimum(
-            q * eff_rpc, _read_window(phase, ranks_pc, used_osts, columns)
-        )
-    flow_rate = flow_window / rtt
-    agg_rate = (n_clients * used_osts) * flow_rate
-    if phase.concurrent_writers is not None:
-        per_writer_window = np.minimum(q * eff_rpc, flow_window)
-        per_writer = np.minimum(
-            per_writer_window / rtt,
-            used_osts * costs.disk_bw / max(1, phase.concurrent_writers),
-        )
-        agg_rate = np.minimum(agg_rate, phase.concurrent_writers * per_writer)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b_pipeline = np.where(agg_rate > 0, total_bytes / agg_rate, float("inf"))
-
-    if phase.io == "write":
-        state.record_write(fs.name, phase.bytes_per_rank * ranks_pc)
-
-    results = _assemble(
-        n,
-        phase,
-        names,
-        [b_ost, b_server, b_client_nic, b_cpu, b_pipeline],
-        rtt,
-        skip=hit_mask,
-        bytes_read=total_bytes if phase.io == "read" else 0,
-        bytes_written=total_bytes if phase.io == "write" else 0,
-        rpcs=total_rpcs,
-    )
-    if hit_mask is not None:
-        for i in range(n):
-            if hit_mask[i]:
-                results[i] = PhaseResult(
-                    phase=phase,
-                    seconds=hit_seconds,
-                    bottleneck="client_cache",
-                    bounds={"client_cache": hit_seconds},
-                    bytes_read=total_bytes,
-                )
-    return results
-
-
-def _read_window(phase: DataPhase, ranks_pc: int, used_osts, columns):
-    """Columnar twin of ``AnalyticModel._read_window``."""
-    fs = phase.fileset
-    if phase.pattern == "random":
-        client_window = ranks_pc * phase.xfer_size
-        return client_window / used_osts
-    per_file = columns.get("read_ahead_file_bytes")
-    whole = columns.get("read_ahead_whole_bytes")
-    per_file = np.where(
-        fs.file_size <= whole, np.maximum(per_file, fs.file_size), per_file
-    )
-    global_cap = columns.get("read_ahead_total_bytes")
-    if fs.shared:
-        client_window = np.maximum(
-            ranks_pc * phase.xfer_size, np.minimum(per_file, global_cap)
-        )
-    else:
-        active_files = max(1, ranks_pc)
-        per_rank = np.maximum(
-            phase.xfer_size, np.minimum(per_file, global_cap / active_files)
-        )
-        client_window = ranks_pc * per_rank
-    return client_window / used_osts
-
-
-def _eval_meta(
-    phase: MetaPhase, job: MpiJob, state: RunState, cluster, costs, columns
-) -> list[PhaseResult]:
-    n = columns.n
-    n_ranks = job.n_ranks
-    n_clients = cluster.n_clients
-    ranks_pc = max(1, -(-n_ranks // n_clients))
-    k = columns.stripe_counts(cluster.n_ost)
-    fs = phase.fileset
-
-    n_files_total = phase.files_per_rank * n_ranks
-    mds_ops_per_file = phase.mds_rpcs_per_file
-    total_mds_ops = n_files_total * mds_ops_per_file
-
-    extra_stripes = np.maximum(0, k - 1)
-    service_cache: dict[str, np.ndarray] = {}
-
-    def service_time(op: str):
-        column = service_cache.get(op)
-        if column is None:
-            column = (
-                MDS_SERVICE_TIME[op]
-                + STRIPE_OBJECT_COST.get(op, 0.0) * extra_stripes
-            )
-            service_cache[op] = column
-        return column
-
-    service_per_file = 0
-    for op in phase.cycle:
-        if op in MDS_SERVICE_TIME:
-            service_per_file = service_per_file + service_time(op)
-    mod_ops_per_file = sum(1 for op in phase.cycle if op in MODIFYING_OPS)
-
-    names = ["mds_cpu", "mds_journal"]
-    bound_columns = [
-        n_files_total * service_per_file / cluster.mds_service_threads,
-        n_files_total * mod_ops_per_file * JOURNAL_COST,
-    ]
-
-    if mod_ops_per_file:
-        n_dirs = 1 if fs.shared_dir else max(1, fs.n_dirs)
-        ops_busiest_dir = n_files_total * mod_ops_per_file / n_dirs
-        mod_service = 0
-        for op in phase.cycle:
-            if op in MODIFYING_OPS:
-                mod_service = mod_service + service_time(op)
-        avg_mod_service = mod_service / mod_ops_per_file
-        names.append("dir_serialization")
-        bound_columns.append(
-            ops_busiest_dir * avg_mod_service / PDIROPS_CONCURRENCY
-        )
-
-    # --- client concurrency bound ------------------------------------
-    cycle_rt = 0.0
-    for op in phase.cycle:
-        if op in MDS_SERVICE_TIME:
-            cycle_rt = cycle_rt + (
-                service_time(op) + costs.meta_rtt + CLIENT_META_CPU
-            )
-        elif op in ("write_small", "read_small"):
-            cycle_rt = cycle_rt + (5e-6 + phase.data_bytes / CLIENT_MEM_BW)
-    q_mdc = columns.get("meta_rpcs_in_flight")
-    q_mod = columns.get("meta_mod_rpcs_in_flight", q_mdc)
-    q_eff = np.minimum(q_mdc, q_mod) if phase.is_modifying else q_mdc
-    per_rank_conc = 1.0
-    if phase.scan_order and set(phase.cycle) == {"stat"}:
-        statahead = columns.get("statahead_count", 0)
-        if isinstance(statahead, np.ndarray):
-            per_rank_conc = np.where(
-                statahead <= 0,
-                1.0,
-                1.0
-                + np.minimum(statahead, STATAHEAD_WINDOW_CAP)
-                / STATAHEAD_SLOT_DIVISOR,
-            )
-    conc_client = np.minimum(q_eff.astype(np.float64), ranks_pc * per_rank_conc)
-
-    rate_total = (n_clients * conc_client) / cycle_rt
-    utilization = np.minimum(
-        rate_total * service_per_file / cluster.mds_service_threads, 1.0
-    )
-    avg_service = service_per_file / max(1, mds_ops_per_file)
-    # The rho**8 inside mds_wait goes through the scalar helper — libm pow
-    # and numpy's power loop may round the same value differently.
-    wait = np.fromiter(
-        (
-            costs.mds_wait(float(u), float(s))
-            for u, s in zip(
-                np.broadcast_to(np.asarray(utilization, dtype=np.float64), (n,)),
-                np.broadcast_to(np.asarray(avg_service, dtype=np.float64), (n,)),
-            )
-        ),
-        dtype=np.float64,
-        count=n,
-    )
-    cycle_loaded = cycle_rt + mds_ops_per_file * wait
-    rate_total = (n_clients * conc_client) / cycle_loaded
-    names.append("client_concurrency")
-    bound_columns.append(n_files_total / rate_total)
-
-    if phase.data_persists and phase.data_bytes > 0:
-        data_total = n_files_total * phase.data_bytes
-        per_ost_files = n_files_total / cluster.n_ost
-        names.append("ost_small_io")
-        bound_columns.append(
-            per_ost_files * 8e-5 + (data_total / cluster.n_ost / costs.disk_bw)
-        )
-
-    wrote = "write_small" in phase.cycle
-    read = "read_small" in phase.cycle
-    if wrote:
-        state.record_write(
-            fs.name, phase.files_per_rank * phase.data_bytes * ranks_pc
-        )
-    return _assemble(
-        n,
-        phase,
-        names,
-        bound_columns,
-        cycle_loaded,
-        bytes_written=n_files_total * phase.data_bytes if wrote else 0,
-        bytes_read=n_files_total * phase.data_bytes if read else 0,
-        mds_ops=total_mds_ops,
-    )

@@ -249,8 +249,8 @@ class TestSimulatorParity:
             facts=cluster.config_facts(), backend=cluster.backend
         )
         seeds = [RngStreams.rep_seed(3, i) for i in range(6)]
-        # Each side starts from an empty noise memo, so the columnar engine
-        # draws its own noise instead of reading the scalar side's.
+        # Each side starts from an empty noise memo, so the sweep draws its
+        # own noise instead of reading the scalar side's.
         monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
         sequential = [sim.run(workload, config, seed=s) for s in seeds]
         monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})

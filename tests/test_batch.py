@@ -27,8 +27,8 @@ class TestRunBatch:
     def test_bit_identical_to_sequential(self, cluster, sim, monkeypatch):
         """Same seeds -> identical totals, phase times and breakdowns.
 
-        Each side starts from an empty noise memo, so the columnar engine
-        draws its own noise instead of reading the scalar side's."""
+        Each side starts from an empty noise memo, so the sweep draws its
+        own noise instead of reading the scalar side's."""
         for name in ("IOR_16M", "MDWorkbench_2K", "IO500"):
             workload = get_workload(name)
             config = PfsConfig(facts=cluster.config_facts())
@@ -61,9 +61,6 @@ class TestRunBatch:
             (get_workload("IOR_64K"), tuned, 13),
             (get_workload("IOR_64K"), base, 14),  # dedups with item 0's group
         ]
-        # Two distinct configs: lower the routing threshold so the IOR_64K
-        # group is costed by the columnar engine.
-        monkeypatch.setattr("repro.sim.sweep.COLUMNAR_MIN_CONFIGS", 2)
         monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
         sequential = [sim.run(w, c, seed=s) for w, c, s in items]
         monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})

@@ -1,7 +1,8 @@
 """Sweep engine and run cache: bit-identity with sequential
-``Simulator.run`` on every registered backend and every group size around
-the scalar/columnar routing threshold, cache-hit semantics, bounded LRU,
-dependency-aware bounds invalidation, and the sweep's noise draws."""
+``Simulator.run`` on every registered backend and randomized groups, one
+model evaluation per distinct config, cache-hit semantics and cold cached
+configs, bounded LRU, dependency-aware bounds invalidation, and the sweep's
+noise draws."""
 
 from functools import lru_cache
 
@@ -20,7 +21,6 @@ from repro.sim import sweep as sweep_module
 from repro.sim.cache import RUN_CACHE, RunCache
 from repro.sim.random import RngStreams
 from repro.sim.sweep import (
-    COLUMNAR_MIN_CONFIGS,
     first_normals,
     grid_items,
     repetition_items,
@@ -86,15 +86,8 @@ def empty_noise_memo(monkeypatch):
     monkeypatch.setattr(simulator_module, "_NOISE_CACHE", {})
 
 
-def columnar_from_two_configs(monkeypatch):
-    """Lower the routing threshold so a group of two or more distinct
-    configurations is costed by the columnar engine: the hand-built
-    parity grids below are smaller than ``COLUMNAR_MIN_CONFIGS``."""
-    monkeypatch.setattr(sweep_module, "COLUMNAR_MIN_CONFIGS", 2)
-
-
 @lru_cache(maxsize=None)
-def config_pool(backend: str, size: int = 3 * COLUMNAR_MIN_CONFIGS):
+def config_pool(backend: str, size: int = 12):
     """``size`` distinct random in-bounds configurations of ``backend``."""
     cluster = make_cluster(seed=2, backend=backend)
     base = PfsConfig(facts=cluster.config_facts(), backend=cluster.backend)
@@ -108,12 +101,44 @@ def config_pool(backend: str, size: int = 3 * COLUMNAR_MIN_CONFIGS):
     return cluster, tuple(pool)
 
 
+def count_evaluations(monkeypatch) -> list:
+    """Record every scalar model evaluation from here on; returns the list
+    the calls are appended to."""
+    calls = []
+    real = simulator_module.evaluate_phases
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulator_module, "evaluate_phases", counting)
+    return calls
+
+
 def assert_no_memos(config: PfsConfig):
     """The config carries none of the validation memos (env dict, resolved
     bounds, ``cache_key()`` tuple)."""
     assert config._env_cache is None
     assert config._bounds_cache == {}
     assert config._cache_key is None
+
+
+@st.composite
+def sweep_groups(draw):
+    """One workload group of distinct configurations on either backend, with
+    equal-content duplicate configs and duplicate seeds mixed in."""
+    backend = draw(st.sampled_from(list_backends()))
+    _cluster, pool = config_pool(backend)
+    chosen = draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=1, unique=True)
+    )
+    repeats = draw(st.lists(st.sampled_from(chosen), max_size=len(chosen)))
+    order = draw(st.permutations(chosen + repeats))
+    seeds = draw(
+        st.lists(st.integers(0, 3), min_size=len(order), max_size=len(order))
+    )
+    workload = draw(st.sampled_from(PARITY_WORKLOADS))
+    return backend, workload, [pool[i].copy() for i in order], seeds
 
 
 class TestSweepParity:
@@ -144,12 +169,13 @@ class TestSweepParity:
         workload = get_workload("IOR_64K")
         configs = [base, tuned, base.copy(), tuned, base]
         seeds = [1, 2, 3, 2, 1]
-        columnar_from_two_configs(monkeypatch)
         empty_noise_memo(monkeypatch)
         expected = sequential(sim, sweep_items(workload, configs, seeds))
         empty_noise_memo(monkeypatch)
+        evaluations = count_evaluations(monkeypatch)
         swept = run_sweep(sim, workload, configs, seeds)
         assert_runs_identical(expected, swept)
+        assert len(evaluations) == 2  # base and tuned, each costed once
 
     def test_mixed_workload_items_group_correctly(self, monkeypatch):
         cluster = make_cluster(seed=0)
@@ -162,7 +188,6 @@ class TestSweepParity:
             (get_workload("IOR_16M"), tuned, 7),
             (get_workload("MDWorkbench_2K"), base, 8),
         ]
-        columnar_from_two_configs(monkeypatch)
         empty_noise_memo(monkeypatch)
         expected = sequential(sim, items)
         empty_noise_memo(monkeypatch)
@@ -178,15 +203,13 @@ class TestSweepParity:
         workload = get_workload("IOR_64K")
         configs = [base, other]
         seeds = [1, 2]
-        columnar_from_two_configs(monkeypatch)
         empty_noise_memo(monkeypatch)
         expected = sequential(sim, sweep_items(workload, configs, seeds))
         empty_noise_memo(monkeypatch)
         swept = run_sweep(sim, workload, configs, seeds)
         assert_runs_identical(expected, swept)
 
-    def test_invalid_config_raises_like_batch(self, monkeypatch):
-        columnar_from_two_configs(monkeypatch)
+    def test_invalid_config_raises_like_batch(self):
         cluster = make_cluster(seed=0)
         sim = Simulator(cluster)
         base = PfsConfig(facts=cluster.config_facts())
@@ -199,53 +222,9 @@ class TestSweepParity:
             run_sweep(sim, workload, [base, bad], [0, 1])
         assert str(sweep_err.value) == str(scalar_err.value)
 
-    def test_run_sweep_requires_alignment(self):
-        cluster = make_cluster(seed=0)
-        sim = Simulator(cluster)
-        config = PfsConfig(facts=cluster.config_facts())
-        with pytest.raises(ValueError):
-            run_sweep(sim, get_workload("IOR_64K"), [config], [1, 2])
-
-
-@st.composite
-def routed_groups(draw):
-    """One workload group of 1 to ``2 * COLUMNAR_MIN_CONFIGS`` distinct
-    configurations on either backend, with equal-content duplicate configs
-    and duplicate seeds mixed in."""
-    backend = draw(st.sampled_from(list_backends()))
-    _cluster, pool = config_pool(backend)
-    n_distinct = draw(
-        st.one_of(
-            # the two sizes either side of the threshold, drawn often
-            st.sampled_from([COLUMNAR_MIN_CONFIGS - 1, COLUMNAR_MIN_CONFIGS]),
-            st.integers(1, 2 * COLUMNAR_MIN_CONFIGS),
-        )
-    )
-    chosen = draw(
-        st.lists(
-            st.integers(0, len(pool) - 1),
-            min_size=n_distinct,
-            max_size=n_distinct,
-            unique=True,
-        )
-    )
-    repeats = draw(st.lists(st.sampled_from(chosen), max_size=n_distinct))
-    order = draw(st.permutations(chosen + repeats))
-    seeds = draw(
-        st.lists(st.integers(0, 3), min_size=len(order), max_size=len(order))
-    )
-    workload = draw(st.sampled_from(PARITY_WORKLOADS))
-    return backend, workload, [pool[i].copy() for i in order], seeds
-
-
-class TestRouting:
-    """Groups below ``COLUMNAR_MIN_CONFIGS`` distinct configurations are
-    costed by the scalar model, larger ones columnar; both give sequential
-    ``Simulator.run``'s bytes and return cold configs."""
-
     @settings(max_examples=40, deadline=None)
-    @given(group=routed_groups())
-    def test_any_group_size_matches_sequential_run(self, group):
+    @given(group=sweep_groups())
+    def test_any_group_matches_sequential_run(self, group):
         backend, name, configs, seeds = group
         cluster, _pool = config_pool(backend)
         sim = Simulator(cluster)
@@ -256,60 +235,12 @@ class TestRouting:
             empty_noise_memo(patch)
             assert_runs_identical(expected, run_items(sim, items))
 
-    @pytest.mark.parametrize("backend", list_backends())
-    def test_threshold_picks_the_engine(self, backend, monkeypatch):
-        cluster, pool = config_pool(backend)
+    def test_run_sweep_requires_alignment(self):
+        cluster = make_cluster(seed=0)
         sim = Simulator(cluster)
-        workload = get_workload("IO500")
-        columnar_sizes, scalar_calls = [], []
-        real_columnar = sweep_module._evaluate_columnar
-        real_scalar = simulator_module.evaluate_phases
-
-        def counting_columnar(sim_, workload_, configs):
-            columnar_sizes.append(len(configs))
-            return real_columnar(sim_, workload_, configs)
-
-        def counting_scalar(*args):
-            scalar_calls.append(args)
-            return real_scalar(*args)
-
-        monkeypatch.setattr(sweep_module, "_evaluate_columnar", counting_columnar)
-        monkeypatch.setattr(simulator_module, "evaluate_phases", counting_scalar)
-
-        # Every config twice: the threshold counts distinct configs, not items.
-        below = list(pool[: COLUMNAR_MIN_CONFIGS - 1]) * 2
-        run_sweep(sim, workload, below, list(range(len(below))))
-        assert columnar_sizes == []
-        assert len(scalar_calls) == COLUMNAR_MIN_CONFIGS - 1
-
-        at = list(pool[:COLUMNAR_MIN_CONFIGS]) * 2
-        run_sweep(sim, workload, at, list(range(len(at))))
-        assert columnar_sizes == [COLUMNAR_MIN_CONFIGS]
-        assert len(scalar_calls) == COLUMNAR_MIN_CONFIGS - 1
-
-    def test_results_carry_no_validation_memos(self, monkeypatch):
-        """Validated per-run copies come back cold, so the ``RUN_CACHE``
-        never holds validation memos: ``Simulator.run``, the scalar and the
-        columnar route, and the columnar route's per-config fallback."""
-        cluster, pool = config_pool("lustre")
-        sim = Simulator(cluster)
-        workload = get_workload("IOR_64K")
-        cache = RunCache()
-        monkeypatch.setattr(simulator_module, "RUN_CACHE", cache)
-        monkeypatch.setattr(sweep_module, "RUN_CACHE", cache)
-        scalar_group = list(pool[:2])
-        columnar_group = list(pool[2 : 2 + COLUMNAR_MIN_CONFIGS])
-        # A fact only one config carries defeats columnar validation.
-        fallback_group = [config.copy() for config in columnar_group]
-        fallback_group[0].facts["extra_fact"] = 1.0
-        with cache.enabled():
-            runs = [sim.run(workload, pool[0], seed=0)]
-            for configs in (scalar_group, columnar_group, fallback_group):
-                seeds = list(range(len(runs), len(runs) + len(configs)))
-                runs += run_sweep(sim, workload, configs, seeds)
-        assert len(cache) == len(runs)  # every run evaluated, none served
-        for run in runs:
-            assert_no_memos(run.config)
+        config = PfsConfig(facts=cluster.config_facts())
+        with pytest.raises(ValueError):
+            run_sweep(sim, get_workload("IOR_64K"), [config], [1, 2])
 
 
 class TestGridItems:
@@ -350,30 +281,15 @@ class TestRunCache:
         workload = get_workload("IOR_16M")
         seeds = [11, 12, 13]
 
-        calls = {"columnar": 0, "scalar": 0}
-        real_columnar = sweep_module._evaluate_columnar
-        real_scalar = simulator_module.evaluate_phases
-
-        def counting_columnar(*args, **kwargs):
-            calls["columnar"] += 1
-            return real_columnar(*args, **kwargs)
-
-        def counting_scalar(*args, **kwargs):
-            calls["scalar"] += 1
-            return real_scalar(*args, **kwargs)
-
-        monkeypatch.setattr(sweep_module, "_evaluate_columnar", counting_columnar)
-        monkeypatch.setattr(simulator_module, "evaluate_phases", counting_scalar)
-
+        evaluations = count_evaluations(monkeypatch)
         cache = RunCache()
         monkeypatch.setattr(sweep_module, "RUN_CACHE", cache)
         with cache.enabled():
             first = run_sweep(sim, workload, configs, seeds)
-            evaluations = dict(calls)
-            assert evaluations["columnar"] + evaluations["scalar"] > 0
+            assert len(evaluations) == len(configs)
             second = run_sweep(sim, workload, configs, seeds)
         # A full hit: no model evaluation ran, results are the shared objects.
-        assert calls == evaluations
+        assert len(evaluations) == len(configs)
         assert [b is a for a, b in zip(first, second)] == [True] * len(first)
         assert_runs_identical(first, second)
         assert cache.hits == len(first)
@@ -389,6 +305,22 @@ class TestRunCache:
             served = sim.run(workload, config, seed=9)
         assert served is primed
         assert primed.seconds == cold.seconds
+
+    def test_cached_results_carry_no_validation_memos(self, monkeypatch):
+        """Validated per-run copies come back cold, so the ``RUN_CACHE``
+        never holds validation memos: ``Simulator.run`` and the sweep."""
+        cluster, pool = config_pool("lustre")
+        sim = Simulator(cluster)
+        workload = get_workload("IOR_64K")
+        cache = RunCache()
+        monkeypatch.setattr(simulator_module, "RUN_CACHE", cache)
+        monkeypatch.setattr(sweep_module, "RUN_CACHE", cache)
+        with cache.enabled():
+            runs = [sim.run(workload, pool[0], seed=0)]
+            runs += run_sweep(sim, workload, list(pool[1:4]), [1, 2, 3])
+        assert len(cache) == len(runs)  # every run evaluated, none served
+        for run in runs:
+            assert_no_memos(run.config)
 
     def test_key_leads_with_backend_name(self):
         cluster = make_cluster(seed=0, backend="beegfs")
@@ -430,8 +362,7 @@ class TestRunCache:
 
 
 class TestMeasureConfigs:
-    def test_matches_measure_config_per_entry(self, monkeypatch):
-        columnar_from_two_configs(monkeypatch)
+    def test_matches_measure_config_per_entry(self):
         cluster = make_cluster(seed=0)
         updates_list = [{}, {"osc.max_rpcs_in_flight": 32}]
         together = measure_configs(

@@ -1,7 +1,7 @@
 """Bench: regenerate the §4.2 offline extraction output (13 parameters)."""
 
+from repro.backends import get_backend
 from repro.experiments import extraction_report
-from repro.pfs.params import high_impact_parameter_names
 
 
 def test_extraction_pipeline(benchmark, cluster):
@@ -11,7 +11,9 @@ def test_extraction_pipeline(benchmark, cluster):
     print("\n" + report.render())
 
     result = report.result
-    assert sorted(result.selected_names) == sorted(high_impact_parameter_names())
+    assert sorted(result.selected_names) == sorted(
+        get_backend("lustre").selected_parameter_names()
+    )
     assert "osc.checksums" in result.filtered_binary
     assert "nrs.delay_min" in result.filtered_low_impact
     # Dependent ranges survive in expression syntax.

@@ -13,7 +13,7 @@ Run:  python examples/custom_workload.py
 from dataclasses import dataclass
 
 from repro import Stellar, get_workload, make_cluster
-from repro.pfs.params import KiB, MiB
+from repro.backends.base import KiB, MiB
 from repro.pfs.phases import DataPhase, FileSet, MetaPhase
 from repro.workloads import register_workload
 from repro.workloads.base import Workload

@@ -77,13 +77,29 @@ class ReflectionFormatError(ValueError):
     operator can locate the offending run without replaying it."""
 
 
+class InvalidChanges(KeyError):
+    """A proposal names parameters the runner cannot set: unknown or
+    ambiguous names, or read-only parameters.  Raised before anything runs;
+    ``entries`` holds one message per bad name.  A ``KeyError``, as the
+    runner's rejection of unknown names always was."""
+
+    def __init__(self, entries: list[str]):
+        super().__init__("; ".join(entries))
+        self.entries = entries
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 class ConfigurationRunnerLike(Protocol):
     """What the Tuning Agent needs from the environment."""
 
     initial_seconds: float
 
     def measure(self, changes: dict[str, int]) -> tuple[float, dict[str, int]]:
-        """Run with changes applied; returns (seconds, applied_changes)."""
+        """Run with changes applied; returns (seconds, applied_changes).
+
+        Raises :class:`InvalidChanges` for names it cannot set."""
         ...
 
 
@@ -218,13 +234,24 @@ class TuningAgent:
         result.followups[question] = answer
 
     def _handle_run(self, arguments: dict, result: TuningLoopResult) -> None:
-        requested = {
-            str(name): int(value)
-            for name, value in dict(arguments.get("changes", {})).items()
-        }
+        requested, invalid = _coerce_changes(arguments.get("changes", {}))
         rationale = str(arguments.get("rationale", ""))
         try:
+            if invalid:
+                raise InvalidChanges(invalid)
             seconds, applied = self.runner.measure(requested)
+        except InvalidChanges as exc:
+            # Model output the runner cannot apply: skip the turn without
+            # a probe, like an unknown tool.
+            self.transcript.add(
+                "invalid_changes",
+                f"run_configuration rejected: {exc}; turn skipped",
+                entries=exc.entries,
+            )
+            result.degradations.append(
+                f"llm.tool: run_configuration with invalid changes skipped ({exc})"
+            )
+            return
         except FaultBudgetExhausted as exc:
             # Graceful degradation: abandon this attempt, keep the
             # last-good configuration, and let the loop continue.
@@ -315,3 +342,19 @@ class TuningAgent:
             "reflection", f"distilled {len(rules)} rule(s)", rules=rules
         )
         return rules
+
+
+def _coerce_changes(changes) -> tuple[dict[str, int], list[str]]:
+    """``({name: int(value)}, [bad entry, ...])`` for a proposal's
+    ``changes``; entries ``int()`` rejects are named, not coerced."""
+    try:
+        items = dict(changes).items()
+    except (TypeError, ValueError):
+        return {}, [f"changes {changes!r} is not a mapping"]
+    requested, invalid = {}, []
+    for name, value in items:
+        try:
+            requested[str(name)] = int(value)
+        except (TypeError, ValueError):
+            invalid.append(f"value {value!r} for {str(name)!r} is not an integer")
+    return requested, invalid

@@ -31,13 +31,6 @@ KiB = 1024
 MiB = 1024 * KiB
 PAGE_SIZE = 4096
 
-#: Hardware facts dependent parameter ranges may reference (the keys of
-#: :meth:`repro.cluster.hardware.ClusterSpec.config_facts`).  Facts are never
-#: changed by parameter writes, so expressions referencing only facts and
-#: known parameters participate in dependency-aware bounds invalidation; an
-#: identifier outside both sets falls back to wholesale invalidation.
-KNOWN_FACTS = frozenset({"system_memory_mb", "n_ost"})
-
 #: Roles the analytic model understands.  ``required`` roles must be mapped
 #: by every backend; optional ones default as documented in the model.
 MODEL_ROLES = {
@@ -214,44 +207,24 @@ class PfsBackend:
         return {entry[0]: role for role, entry in self.roles.items()}
 
     @cached_property
-    def bounds_dependents(self) -> dict:
-        """``{written param -> params whose resolved bounds may change}``.
+    def constant_bounds(self) -> dict:
+        """``{name: (min, max)}`` for every parameter whose range names no
+        other parameter or fact.
 
-        Drives dependency-aware cache invalidation in
-        :meth:`repro.pfs.config.PfsConfig.__setitem__`: writing one parameter
-        only drops the cached bounds of parameters whose range expressions
-        reference it (by full dotted name or basename — ambiguous basenames
-        conservatively edge every match).  Facts (``KNOWN_FACTS``) are never
-        written through ``__setitem__``, so fact-only references need no
-        edge; an expression that fails to parse or references an identifier
-        that is neither a registered parameter nor a known fact makes its
-        parameter invalidate on *every* write (the conservative wholesale
-        fallback).
+        A number is its own bound and a missing one is unbounded, so these
+        ranges are the same under every configuration; only the parameters
+        with an expression bound are resolved per call by
+        :meth:`repro.pfs.config.PfsConfig.bounds`.
         """
-        from repro.pfs.expressions import ExpressionError, referenced_names
-
-        edges: dict[str, set] = {spec.name: set() for spec in self.specs}
-        always: set = set()
-        for spec in self.specs:
-            for expr in (spec.min_expr, spec.max_expr):
-                if not isinstance(expr, str):
-                    continue
-                try:
-                    idents = referenced_names(expr)
-                except ExpressionError:
-                    always.add(spec.name)
-                    continue
-                for ident in idents:
-                    if ident in self.registry:
-                        edges[ident].add(spec.name)
-                        continue
-                    matches = self._by_basename.get(ident, [])
-                    if matches:
-                        for match in matches:
-                            edges[match.name].add(spec.name)
-                    elif ident not in KNOWN_FACTS:
-                        always.add(spec.name)
-        return {name: frozenset(deps | always) for name, deps in edges.items()}
+        return {
+            spec.name: (
+                float("-inf") if spec.min_expr is None else float(spec.min_expr),
+                float("inf") if spec.max_expr is None else float(spec.max_expr),
+            )
+            for spec in self.specs
+            if not isinstance(spec.min_expr, str)
+            and not isinstance(spec.max_expr, str)
+        }
 
     def validate(self) -> None:
         """Sanity-check internal consistency (used by the parity suite)."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.agents.tuning import InvalidChanges
 from repro.cluster.hardware import ClusterSpec
 from repro.core.hygiene import HygieneLog
 from repro.darshan import DarshanLog, trace_run, truncate_log
@@ -82,16 +83,27 @@ class ConfigurationRunner:
         return run, log
 
     def measure(self, changes: dict[str, int]) -> tuple[float, dict[str, int]]:
-        """Run with ``changes`` applied on top of defaults (clipped valid)."""
+        """Run with ``changes`` applied on top of defaults (clipped valid).
+
+        Raises :class:`~repro.agents.tuning.InvalidChanges`, naming every
+        unknown, ambiguous or read-only parameter, before anything runs.
+        """
         if self.initial_run is None:
             raise RuntimeError("call initial_execution() before measure()")
+        invalid = []
+        for name in changes:
+            try:
+                spec = self.base_config.backend.param(name)
+            except KeyError as exc:
+                invalid.append(exc.args[0])
+                continue
+            if not spec.writable:
+                invalid.append(f"parameter {spec.name} is read-only")
+        if invalid:
+            raise InvalidChanges(invalid)
         self.hygiene.run(f"before attempt {len(self.executions)}")
         config = self.base_config.with_updates(changes).clipped()
-        applied = {
-            name: config[name]
-            for name in changes
-            if name in config
-        }
+        applied = {name: config[name] for name in changes}
         run = self._run_once(config)
         self.executions.append(Execution(changes=applied, seconds=run.seconds, run=run))
         return run.seconds, applied

@@ -21,23 +21,4 @@ The PFS model has two faces:
 from repro.pfs.config import PfsConfig
 from repro.pfs.simulator import RunResult, Simulator
 
-__all__ = [
-    "PfsConfig",
-    "REGISTRY",
-    "ParamSpec",
-    "high_impact_parameter_names",
-    "Simulator",
-    "RunResult",
-]
-
-_LEGACY_LUSTRE_NAMES = ("REGISTRY", "ParamSpec", "high_impact_parameter_names")
-
-
-def __getattr__(name: str):
-    # Legacy Lustre-bound re-exports, resolved lazily (PEP 562) so library
-    # code paths never touch the repro.pfs.params shim.
-    if name in _LEGACY_LUSTRE_NAMES:
-        from repro.pfs import params
-
-        return getattr(params, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["PfsConfig", "Simulator", "RunResult"]

@@ -10,23 +10,22 @@ applies when an LLM proposes an invalid value.
 Caching invariants
 ------------------
 Bounds resolution is the simulator's hot path (every ``run`` validates every
-parameter), so the config memoizes two things:
+parameter).  A parameter's bounds are a pure function of its spec and the
+values its range expression references, so nothing caches them:
 
-- the evaluation *env* (``{name: float(value)} ∪ facts``) is built once and
-  updated in place on ``__setitem__``;
-- resolved ``bounds`` are cached per parameter.  Parameter writes invalidate
-  **dependency-aware**: the backend precomputes which parameters' range
-  expressions reference each written name
-  (:attr:`~repro.backends.base.PfsBackend.bounds_dependents`), so touching
-  one knob — what coordinate descent and the tuning engine do — keeps every
-  unrelated resolved range cached.  The map stays conservative: ambiguous
-  basenames edge every match and unknown expression references fall back to
-  wholesale invalidation.  *Facts* mutations still invalidate wholesale
-  (env keys may appear or vanish).
+- constant ranges are resolved once per backend
+  (:attr:`~repro.backends.base.PfsBackend.constant_bounds`);
+- expression ranges are evaluated on every call against the evaluation
+  *env* (``{name: float(value)} ∪ facts``).  Each expression references a
+  single name, so evaluating it costs about what a memo key would.  An
+  expression error therefore raises on every call.
 
-All mutation funnels through ``__setitem__`` / ``_set_raw`` and the
-observing ``facts`` dict (:class:`_Facts`), which bump ``_version`` — code
-must never write ``_values`` directly from outside this module.
+The config memoizes only the env, updated in place on ``__setitem__``, and
+the ``cache_key()`` tuple.  All mutation funnels through ``__setitem__`` /
+``_set_raw`` and the observing ``facts`` dict (:class:`_Facts`), which keep
+both coherent (a facts mutation drops them, since env keys may appear or
+vanish) — code must never write ``_values`` directly from outside this
+module.
 """
 
 from __future__ import annotations
@@ -46,13 +45,6 @@ class Violation:
     name: str
     value: int
     reason: str
-
-
-#: Resolved bounds shared across config *copies*, keyed by
-#: ``(cache_key(), parameter)`` — content identity, so a mutated copy can
-#: never be served a stale range.  Insert-capped instead of evicting.
-_SHARED_BOUNDS: dict[tuple, tuple[float, float]] = {}
-_SHARED_BOUNDS_MAX = 1 << 15
 
 
 class _Facts(dict):
@@ -87,8 +79,7 @@ class _Facts(dict):
         self._touch()
 
     def pop(self, key, *default):
-        # A miss with a default is a no-op read; invalidating the owner's
-        # bounds cache for it would throw away every resolved range.
+        # A miss with a default is a no-op read; it keeps the owner's memos.
         present = key in self
         out = super().pop(key, *default)
         if present:
@@ -125,7 +116,6 @@ class PfsConfig:
             self, facts or {"system_memory_mb": 196 * 1024, "n_ost": 5}
         )
         self._env_cache: dict[str, float] | None = None
-        self._bounds_cache: dict[str, tuple[float, float]] = {}
         self._cache_key: tuple | None = None
         if values:
             for name, value in values.items():
@@ -165,20 +155,12 @@ class PfsConfig:
         """Write a resolved parameter name, keeping caches coherent."""
         self._values[name] = value
         self._cache_key = None
-        if self._bounds_cache:
-            dependents = self.backend.bounds_dependents.get(name)
-            if dependents is None:
-                self._bounds_cache.clear()
-            else:
-                for dependent in dependents:
-                    self._bounds_cache.pop(dependent, None)
         if self._env_cache is not None:
             self._env_cache[name] = float(value)
 
     def _invalidate(self) -> None:
         """Drop caches after a facts mutation (env keys may appear/vanish)."""
         self._env_cache = None
-        self._bounds_cache.clear()
         self._cache_key = None
 
     def __contains__(self, name: str) -> bool:
@@ -209,7 +191,6 @@ class PfsConfig:
         self._values = state["values"]
         self.facts = _Facts(self, state["facts"])
         self._env_cache = None
-        self._bounds_cache = {}
         self._cache_key = None
 
     def as_dict(self) -> dict[str, int]:
@@ -221,7 +202,6 @@ class PfsConfig:
         new._values = dict(self._values)
         new.facts = _Facts(new, self.facts)
         new._env_cache = None
-        new._bounds_cache = {}
         new._cache_key = self._cache_key
         return new
 
@@ -268,25 +248,14 @@ class PfsConfig:
     def bounds(self, name: str) -> tuple[float, float]:
         """Resolved (min, max) for a parameter under current values/facts."""
         spec = self.backend.param(name)
-        cached = self._bounds_cache.get(spec.name)
-        if cached is not None:
-            return cached
-        # Every run copies its config (``evaluate_phases``), so the
-        # per-instance memo alone re-resolves identical (values, facts)
-        # envs hundreds of times per session; the module-level map keyed by
-        # the config's content identity carries bounds across copies.
-        # Errors are never cached — a broken expression raises every time.
-        key = (self.cache_key(), spec.name)
-        cached = _SHARED_BOUNDS.get(key)
-        if cached is None:
-            env = self._env()
-            low = _resolve(spec.min_expr, env, default=float("-inf"))
-            high = _resolve(spec.max_expr, env, default=float("inf"))
-            cached = (low, high)
-            if len(_SHARED_BOUNDS) < _SHARED_BOUNDS_MAX:
-                _SHARED_BOUNDS[key] = cached
-        self._bounds_cache[spec.name] = cached
-        return cached
+        constant = self.backend.constant_bounds.get(spec.name)
+        if constant is not None:
+            return constant
+        env = self._env()
+        return (
+            _resolve(spec.min_expr, env, default=float("-inf")),
+            _resolve(spec.max_expr, env, default=float("inf")),
+        )
 
     def violations(self) -> list[Violation]:
         """All out-of-range settings in dependency-stable order."""

@@ -138,32 +138,3 @@ def _lookup(name: str, env: Mapping[str, float], expression: str) -> float:
         if key.rsplit(".", 1)[-1] == name:
             return float(value)
     raise ExpressionError(f"unknown identifier {name!r} in {expression!r}")
-
-
-def referenced_names(expression: str) -> set[str]:
-    """Identifiers an expression depends on (for dependency ordering)."""
-    try:
-        tree = ast.parse(expression, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"bad expression {expression!r}: {exc}") from None
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id not in _ALLOWED_CALLS:
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            parts: list[str] = []
-            current: ast.AST = node
-            while isinstance(current, ast.Attribute):
-                parts.append(current.attr)
-                current = current.value
-            if isinstance(current, ast.Name):
-                parts.append(current.id)
-                names.add(".".join(reversed(parts)))
-    # Attribute traversal above also records bare bases via ast.walk; keep
-    # only the longest dotted forms plus standalone names.
-    cleaned = {
-        n
-        for n in names
-        if not any(other != n and other.startswith(n + ".") for other in names)
-    }
-    return cleaned

@@ -116,9 +116,8 @@ def evaluate_phases(
     The scalar model evaluation: a fresh config copy bound to ``cluster``'s
     facts, validation, and one :class:`AnalyticModel` pass over the compiled
     phases from a fresh :class:`RunState`.  The copy comes back without its
-    validation memos (env dict, resolved bounds, ``cache_key()`` tuple):
-    results may sit in the ``RUN_CACHE``, and the memos would ride along
-    with each one.  :meth:`Simulator.run` applies noise to the returned
+    validation memos (env dict, ``cache_key()`` tuple): results may sit in
+    the ``RUN_CACHE``, and the memos would ride along with each one.  :meth:`Simulator.run` applies noise to the returned
     phase results in place; the sweep engine calls this once per distinct
     configuration of a workload group, shares the results between that
     configuration's items and applies noise to copies.

@@ -107,8 +107,8 @@ class TestRegistryInvariants:
 
 class TestImportGraph:
     def test_no_library_module_imports_pfs_params(self):
-        """`repro.pfs.params` is a Lustre-bound legacy shim: only tests and
-        examples may import it (ROADMAP import-graph rule)."""
+        """The Lustre-bound legacy shim `repro.pfs.params` is gone; library
+        code resolves parameters through the active backend."""
         import re
         from pathlib import Path
 
@@ -116,9 +116,7 @@ class TestImportGraph:
 
         root = Path(repro.__file__).parent
         pattern = re.compile(r"repro\.pfs(?:\.params|\s+import\s+params)")
-        # The shim itself and the pfs package's lazy legacy re-exports are
-        # the two sanctioned touch points.
-        exempt = {"pfs/params.py", "pfs/__init__.py"}
+        exempt: set[str] = set()
         offenders = [
             str(path.relative_to(root))
             for path in root.rglob("*.py")

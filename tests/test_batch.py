@@ -120,37 +120,25 @@ class TestBoundsCache:
         config.facts.setdefault("n_ost", 3)
         assert config.bounds("lov.stripe_count")[1] == 3.0
 
-    def test_facts_pop_miss_keeps_bounds_cache(self, monkeypatch):
-        """A no-op ``pop(key, default)`` miss must not invalidate bounds."""
-        from repro.pfs import config as config_module
-
+    def test_facts_pop_miss_keeps_bounds_cache(self):
+        """A no-op ``pop(key, default)`` miss keeps the env and
+        ``cache_key()`` memos; a real removal drops both."""
         config = PfsConfig()
-        resolve_calls = []
-        original = config_module._resolve
-
-        def counting_resolve(*args, **kwargs):
-            resolve_calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(config_module, "_resolve", counting_resolve)
-        # Observe the per-instance cache directly: the content-keyed shared
-        # map would (correctly) serve repeated contents without resolving.
-        monkeypatch.setattr(config_module, "_SHARED_BOUNDS", {})
-        monkeypatch.setattr(config_module, "_SHARED_BOUNDS_MAX", 0)
-        config.bounds("lov.stripe_count")
-        warm = len(resolve_calls)
-        assert warm > 0
-        # Miss with a default: a pure read, the cache must stay hot.
+        env, key = config._env(), config.cache_key()
+        # Miss with a default: a pure read, both memos stay hot.
         assert config.facts.pop("no_such_fact", None) is None
-        config.bounds("lov.stripe_count")
-        assert len(resolve_calls) == warm
-        # A real removal still invalidates.
+        assert config._env() is env
+        assert config.cache_key() is key
+        assert config.bounds("lov.stripe_count") == (-1.0, 5.0)
+        # A real removal drops them, and the next reads see it.
         config.facts["extra"] = 1.0
-        config.bounds("lov.stripe_count")
-        hot = len(resolve_calls)
+        env, key = config._env(), config.cache_key()
+        assert env["extra"] == 1.0 and ("extra", 1.0) in key[2]
         config.facts.pop("extra")
-        config.bounds("lov.stripe_count")
-        assert len(resolve_calls) > hot
+        assert config._env() is not env and "extra" not in config._env()
+        assert config.cache_key() is not key
+        assert ("extra", 1.0) not in config.cache_key()[2]
+        assert config.bounds("lov.stripe_count") == (-1.0, 5.0)
 
     def test_facts_pop_missing_without_default_raises(self):
         config = PfsConfig()

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pfs import params as P
+from repro.backends import get_backend
 from repro.pfs.config import PfsConfig
-from repro.pfs.expressions import ExpressionError, evaluate, referenced_names
+from repro.pfs.expressions import ExpressionError, evaluate
+
+LUSTRE = get_backend("lustre")
 
 
 class TestRegistry:
     def test_thirteen_selected_parameters(self):
-        selected = P.high_impact_parameter_names()
+        selected = LUSTRE.selected_parameter_names()
         assert len(selected) == 13
         assert "lov.stripe_size" in selected
         assert "lov.stripe_count" in selected
@@ -19,16 +21,16 @@ class TestRegistry:
         assert "mdc.max_mod_rpcs_in_flight" in selected
 
     def test_binary_parameters_not_selected(self):
-        for spec in P.REGISTRY.values():
+        for spec in LUSTRE.registry.values():
             if spec.binary:
                 assert not spec.selected, f"{spec.name} is binary but selected"
 
     def test_readonly_parameters_not_writable(self):
-        assert not P.REGISTRY["lov.version"].writable
-        assert not P.REGISTRY["llite.stats"].writable
+        assert not LUSTRE.registry["lov.version"].writable
+        assert not LUSTRE.registry["llite.stats"].writable
 
     def test_defaults_match_lustre(self):
-        d = P.defaults()
+        d = LUSTRE.defaults()
         assert d["lov.stripe_count"] == 1
         assert d["lov.stripe_size"] == 1024 * 1024
         assert d["osc.max_rpcs_in_flight"] == 8
@@ -37,27 +39,27 @@ class TestRegistry:
         assert d["llite.statahead_max"] == 32
 
     def test_get_by_basename(self):
-        assert P.get("statahead_max").name == "llite.statahead_max"
-        assert P.get("llite.statahead_max").name == "llite.statahead_max"
+        assert LUSTRE.param("statahead_max").name == "llite.statahead_max"
+        assert LUSTRE.param("llite.statahead_max").name == "llite.statahead_max"
 
     def test_get_ambiguous_basename(self):
         # max_rpcs_in_flight exists for both osc and mdc.
         with pytest.raises(KeyError, match="ambiguous"):
-            P.get("max_rpcs_in_flight")
+            LUSTRE.param("max_rpcs_in_flight")
 
     def test_get_unknown(self):
         with pytest.raises(KeyError):
-            P.get("warp_factor")
+            LUSTRE.param("warp_factor")
 
     def test_selected_params_have_full_docs(self):
-        for spec in P.REGISTRY.values():
+        for spec in LUSTRE.registry.values():
             if spec.selected:
                 assert spec.doc == "full", f"{spec.name} must be documented"
                 assert spec.description
                 assert spec.perf_note
 
     def test_every_writable_param_has_bounds(self):
-        for spec in P.writable_specs():
+        for spec in LUSTRE.writable_specs():
             assert spec.min_expr is not None, spec.name
             assert spec.max_expr is not None, spec.name
 
@@ -108,13 +110,6 @@ class TestExpressions:
     def test_syntax_error(self):
         with pytest.raises(ExpressionError, match="bad expression"):
             evaluate("2 +", self.ENV)
-
-    def test_referenced_names(self):
-        assert referenced_names("mdc.max_rpcs_in_flight - 1") == {
-            "mdc.max_rpcs_in_flight"
-        }
-        assert referenced_names("min(a, b / 2)") == {"a", "b"}
-        assert referenced_names("17") == set()
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -122,9 +122,9 @@ class TestProcTree:
         assert "llite.stats" not in names
         assert "osc.max_rpcs_in_flight" in names
         # Every selected parameter must survive the rough filter.
-        from repro.pfs.params import high_impact_parameter_names
+        from repro.backends import get_backend
 
-        for name in high_impact_parameter_names():
+        for name in get_backend("lustre").selected_parameter_names():
             assert name in names
 
     def test_tree_is_realistically_large(self):

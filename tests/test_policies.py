@@ -42,6 +42,7 @@ from repro.backends import list_backends
 from repro.cli import main
 from repro.cluster.hardware import make_cluster
 from repro.core.engine import Stellar
+from repro.core.runner import ConfigurationRunner
 from repro.core.pipeline import SESSION_PIPELINE, SessionState
 from repro.corpus import render_hardware_doc
 from repro.faults.plan import FaultPlan
@@ -278,13 +279,13 @@ class StaticRunner:
         return 5.0, dict(changes)
 
 
-def scripted_agent(turns, reflection="[]", **kwargs):
+def scripted_agent(turns, reflection="[]", runner=None, **kwargs):
     return TuningAgent(
         client=ScriptedClient(turns, reflection=reflection),
         parameters=[],
         hardware_description="one test node",
         facts={"n_clients": 1.0},
-        runner=StaticRunner(),
+        runner=runner if runner is not None else StaticRunner(),
         report=None,
         **kwargs,
     )
@@ -303,6 +304,45 @@ class TestUnknownToolDegradation:
         events = agent.transcript.of_kind("unknown_tool")
         assert events and "'fetch_weather'" in events[0].detail
         assert any("unknown tool 'fetch_weather'" in d for d in result.degradations)
+
+    VALID = {"osc.max_rpcs_in_flight": 16}
+
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({**VALID, "bogus.param": 4}, "unknown parameter 'bogus.param'"),
+            ({**VALID, "max_rpcs_in_flight": 16}, "ambiguous parameter basename"),
+            ({**VALID, "lov.version": 3}, "parameter lov.version is read-only"),
+            ({**VALID, "osc.max_dirty_mb": "lots"}, "value 'lots' for 'osc.max_dirty_mb'"),
+            ({**VALID, "osc.max_dirty_mb": None}, "value None for 'osc.max_dirty_mb'"),
+            (16, "changes 16 is not a mapping"),
+        ],
+        ids=["unknown", "ambiguous", "read-only", "not-int", "none", "not-mapping"],
+    )
+    def test_invalid_changes_skip_turn_and_continue(self, changes, named):
+        """Changes the runner cannot apply are model output, not a crash:
+        one ``invalid_changes`` event, one ``llm.tool:`` degradation, no
+        probe, and the loop goes on to the next proposal."""
+        runner = ConfigurationRunner(make_cluster(), get_workload("IOR_16M"), seed=1)
+        runner.initial_execution()
+        agent = scripted_agent(
+            [
+                ToolCall("run_configuration", {"changes": changes}),
+                ToolCall("run_configuration", {"changes": self.VALID}),
+                ToolCall("end_tuning", {"reason": "done"}),
+            ],
+            runner=runner,
+        )
+        result = agent.run_loop()
+        assert result.end_reason == "done"
+        events = agent.transcript.of_kind("invalid_changes")
+        assert len(events) == 1 and named in events[0].detail
+        assert len(result.degradations) == 1
+        assert result.degradations[0].startswith("llm.tool:")
+        assert named in result.degradations[0]
+        # Only the valid proposal ran, as the first attempt.
+        assert runner.execution_count == 2
+        assert [a.changes for a in result.attempts] == [self.VALID]
 
 
 class TestReflectionFormatError:

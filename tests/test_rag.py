@@ -5,26 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import get_backend
 from repro.cluster import make_cluster
 from repro.corpus import render_hardware_doc, render_manual, render_parameter_section
 from repro.llm.client import LLMClient
-from repro.pfs import params as P
 from repro.rag import VectorIndex, chunk_text, embed_text
 from repro.rag.chunking import Chunk
 from repro.rag.embeddings import EMBEDDING_DIM, cosine_similarity, tokenize_words
 from repro.rag.extraction import ParameterExtractor
 
+LUSTRE = get_backend("lustre")
+
 
 class TestManual:
     def test_full_doc_params_have_range_lines(self):
-        for spec in P.REGISTRY.values():
+        for spec in LUSTRE.registry.values():
             if spec.writable and spec.doc == "full":
                 section = render_parameter_section(spec)
                 assert "Valid range:" in section, spec.name
                 assert "Definition:" in section
 
     def test_partial_doc_params_lack_range(self):
-        spec = P.REGISTRY["ldlm.lru_max_age"]
+        spec = LUSTRE.registry["ldlm.lru_max_age"]
         section = render_parameter_section(spec)
         assert section
         assert "Valid range:" not in section
@@ -37,7 +39,7 @@ class TestManual:
         assert "kbytestotal" not in render_manual()
 
     def test_dependent_ranges_use_expression_syntax(self):
-        section = render_parameter_section(P.REGISTRY["llite.max_read_ahead_per_file_mb"])
+        section = render_parameter_section(LUSTRE.registry["llite.max_read_ahead_per_file_mb"])
         assert "(expression: llite.max_read_ahead_mb / 2)" in section
 
     def test_manual_has_filler_chapters(self):
@@ -174,7 +176,7 @@ class TestExtractionPipeline:
         return ParameterExtractor(make_cluster(), client).run()
 
     def test_selects_exactly_the_13(self, result):
-        assert sorted(result.selected_names) == sorted(P.high_impact_parameter_names())
+        assert sorted(result.selected_names) == sorted(LUSTRE.selected_parameter_names())
 
     def test_binary_parameters_excluded(self, result):
         assert "osc.checksums" in result.filtered_binary
@@ -190,7 +192,7 @@ class TestExtractionPipeline:
 
     def test_descriptions_are_grounded_and_accurate(self, result):
         for extracted in result.selected:
-            spec = P.REGISTRY[extracted.name]
+            spec = LUSTRE.registry[extracted.name]
             assert extracted.grounded
             # The grounded description must carry the true definition text.
             head = " ".join(spec.description.split()[:6])
@@ -239,5 +241,5 @@ class TestConfigFileSurface:
         candidates = tunable_parameter_names(render_config_file())
         result = extractor.run(candidates=candidates)
         assert sorted(result.selected_names) == sorted(
-            P.high_impact_parameter_names()
+            LUSTRE.selected_parameter_names()
         )

@@ -1,21 +1,24 @@
 """Sweep engine and run cache: bit-identity with sequential
 ``Simulator.run`` on every registered backend and randomized groups, one
 model evaluation per distinct config, cache-hit semantics and cold cached
-configs, bounded LRU, dependency-aware bounds invalidation, and the sweep's
-noise draws."""
+configs, bounded LRU, config bounds against an unmemoized oracle, and the
+sweep's noise draws."""
 
+import pickle
 from functools import lru_cache
+from typing import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import list_backends
+from repro.backends import get_backend, list_backends
 from repro.cluster import make_cluster
 from repro.experiments.harness import measure_config, measure_configs
 from repro.pfs import simulator as simulator_module
 from repro.pfs.config import PfsConfig
+from repro.pfs.expressions import ExpressionError, compile_expression
 from repro.pfs.simulator import Simulator
 from repro.sim import sweep as sweep_module
 from repro.sim.cache import RUN_CACHE, RunCache
@@ -116,10 +119,9 @@ def count_evaluations(monkeypatch) -> list:
 
 
 def assert_no_memos(config: PfsConfig):
-    """The config carries none of the validation memos (env dict, resolved
-    bounds, ``cache_key()`` tuple)."""
+    """The config carries none of the validation memos (env dict,
+    ``cache_key()`` tuple)."""
     assert config._env_cache is None
-    assert config._bounds_cache == {}
     assert config._cache_key is None
 
 
@@ -401,6 +403,114 @@ class TestFastRng:
             assert direct == generic
 
 
+def _oracle_resolve(
+    expr: float | str | None, env: Mapping[str, float], default: float
+) -> float:
+    """The resolver ``PfsConfig.bounds`` used while it memoized, verbatim."""
+    if expr is None:
+        return default
+    if isinstance(expr, (int, float)):
+        return float(expr)
+    return compile_expression(expr)(env)
+
+
+class BoundsOracle:
+    """A config's values and facts as plain dicts, with bounds resolved from
+    scratch on every call (env = values ∪ facts) and the ``violations`` /
+    ``clipped`` loops of the memoized resolver on top."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.values = backend.defaults()
+        self.facts = {"system_memory_mb": 196 * 1024, "n_ost": 5}
+
+    def bounds(self, name, values=None):
+        spec = self.backend.param(name)
+        env = {n: float(v) for n, v in (values or self.values).items()}
+        env.update(self.facts)
+        low = _oracle_resolve(spec.min_expr, env, default=float("-inf"))
+        high = _oracle_resolve(spec.max_expr, env, default=float("inf"))
+        return (low, high)
+
+    def violations(self):
+        out = []
+        for name, value in self.values.items():
+            spec = self.backend.registry[name]
+            try:
+                low, high = self.bounds(name)
+            except ExpressionError as exc:
+                out.append((name, value, f"range expression error: {exc}"))
+                continue
+            if spec.ptype == "bool" and value not in (0, 1):
+                out.append((name, value, "boolean parameter accepts 0 or 1"))
+            elif value < low:
+                out.append((name, value, f"below minimum {low:g}"))
+            elif value > high:
+                out.append((name, value, f"above maximum {high:g}"))
+        return out
+
+    def clipped(self):
+        values = dict(self.values)
+        for _ in range(4):
+            changed = False
+            for name in list(values):
+                low, high = self.bounds(name, values)
+                value = values[name]
+                clipped_value = int(min(max(value, low), high))
+                if clipped_value != value:
+                    values[name] = clipped_value
+                    changed = True
+            if not changed:
+                break
+        return values
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the message of the ``ExpressionError`` it raised."""
+    try:
+        return fn(*args)
+    except ExpressionError as exc:
+        return ("ExpressionError", str(exc))
+
+
+FACT_KEYS = ("n_ost", "system_memory_mb", "extra")
+
+
+@st.composite
+def bounds_programs(draw):
+    """A backend and a sequence of config mutations: parameter writes (in
+    and out of range, the parameters range expressions reference and their
+    dependents weighted up), facts set, popped, updated or added, and copy,
+    ``with_updates`` and pickle round trips."""
+    backend = get_backend(draw(st.sampled_from(list_backends())))
+    writable = [spec.name for spec in backend.writable_specs()]
+    expressions = [
+        (spec.name, expr)
+        for spec in backend.specs
+        for expr in (spec.min_expr, spec.max_expr)
+        if isinstance(expr, str)
+    ]
+    linked = sorted(
+        {name for name, _ in expressions}
+        | {other for other in writable for _, expr in expressions if other in expr}
+    )
+    name = st.one_of(st.sampled_from(linked), st.sampled_from(writable))
+    value = st.one_of(
+        st.integers(-2, 70), st.integers(0, 1 << 20), st.sampled_from([1 << 31])
+    )
+    fact = st.integers(0, 1 << 18)
+    op = st.one_of(
+        st.tuples(st.just("write"), name, value, st.booleans()),
+        st.tuples(st.just("with_updates"), name, value),
+        st.tuples(st.just("fact_set"), st.sampled_from(FACT_KEYS), fact),
+        st.tuples(st.just("fact_update"), st.sampled_from(FACT_KEYS), fact),
+        st.tuples(st.just("fact_setdefault"), st.sampled_from(FACT_KEYS), fact),
+        st.tuples(st.just("fact_pop"), st.sampled_from(FACT_KEYS + ("absent",))),
+        st.tuples(st.sampled_from(["copy", "pickle"])),
+    )
+    return backend.name, draw(st.lists(op, min_size=1, max_size=12))
+
+
 class TestDependencyAwareInvalidation:
     def _counting_resolve(self, monkeypatch):
         from repro.pfs import config as config_module
@@ -413,65 +523,104 @@ class TestDependencyAwareInvalidation:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(config_module, "_resolve", counting)
-        # Observe the per-instance cache directly: the content-keyed shared
-        # map would (correctly) serve repeated contents without resolving.
-        monkeypatch.setattr(config_module, "_SHARED_BOUNDS", {})
-        monkeypatch.setattr(config_module, "_SHARED_BOUNDS_MAX", 0)
         return calls
 
     def test_unrelated_write_keeps_cached_bounds(self, monkeypatch):
+        """Constant ranges are resolved once per backend: no write, facts
+        mutation, copy or basename lookup makes a constant-bounded parameter
+        call ``_resolve``; an expression-bounded one resolves every call."""
         calls = self._counting_resolve(monkeypatch)
+        for backend in list_backends():
+            config = PfsConfig(backend=backend)
+            constant = config.backend.constant_bounds
+            assert constant
+            for name in list(config):
+                config[name] = config[name] + 1
+                config.facts["n_ost"] = config.facts["n_ost"] + 1
+                config = config.copy()
+                for other in constant:
+                    spec = config.backend.registry[other]
+                    assert config.bounds(other) == constant[other]
+                    if spec.basename in config.backend and (
+                        config.backend.param(spec.basename) is spec
+                    ):
+                        assert config.bounds(spec.basename) == constant[other]
+        assert calls == []
         config = PfsConfig()
-        config.bounds("llite.max_read_ahead_per_file_mb")
-        warm = len(calls)
-        # osc.max_dirty_mb appears in no range expression of the readahead
-        # params — its write must not drop their cached bounds.
-        config["osc.max_dirty_mb"] = 256
-        config.bounds("llite.max_read_ahead_per_file_mb")
-        assert len(calls) == warm
+        config.bounds("lov.stripe_count")
+        config.bounds("lov.stripe_count")
+        assert len(calls) == 4  # min and max, on both calls
 
-    def test_dependency_write_invalidates_dependents(self, monkeypatch):
-        calls = self._counting_resolve(monkeypatch)
+    def test_dependency_write_invalidates_dependents(self):
         config = PfsConfig()
         config.bounds("llite.max_read_ahead_per_file_mb")
-        config.bounds("mdc.max_mod_rpcs_in_flight")
-        warm = len(calls)
+        assert config.bounds("mdc.max_mod_rpcs_in_flight") == (1.0, 7.0)
         config["llite.max_read_ahead_mb"] = 1024
         assert config.bounds("llite.max_read_ahead_per_file_mb")[1] == 512.0
-        assert len(calls) > warm
-        # ...while the unrelated mdc bounds stayed cached.
-        settled = len(calls)
-        config.bounds("mdc.max_mod_rpcs_in_flight")
-        assert len(calls) == settled
+        # ...while the unrelated mdc bounds are unchanged.
+        assert config.bounds("mdc.max_mod_rpcs_in_flight") == (1.0, 7.0)
 
-    def test_facts_mutation_still_invalidates_wholesale(self, monkeypatch):
-        calls = self._counting_resolve(monkeypatch)
+    def test_facts_mutation_still_invalidates_wholesale(self):
         config = PfsConfig()
         config.bounds("lov.stripe_count")
         config.bounds("llite.max_read_ahead_mb")
-        warm = len(calls)
         config.facts["n_ost"] = 12
+        config.facts["system_memory_mb"] = 1024
         assert config.bounds("lov.stripe_count")[1] == 12.0
-        config.bounds("llite.max_read_ahead_mb")
-        assert len(calls) > warm + 1  # both re-resolved
+        assert config.bounds("llite.max_read_ahead_mb")[1] == 512.0
 
-    @pytest.mark.parametrize("backend", list_backends())
-    def test_dependents_map_is_conservative(self, backend):
-        """Every parameter referenced by another's range expression edges its
-        dependents; the map never misses an edge the expressions declare."""
-        from repro.backends import get_backend
-        from repro.pfs.expressions import referenced_names
-
-        resolved = get_backend(backend)
-        dependents = resolved.bounds_dependents
-        for spec in resolved.specs:
-            for expr in (spec.min_expr, spec.max_expr):
-                if not isinstance(expr, str):
-                    continue
-                for ident in referenced_names(expr):
-                    for other in resolved.specs:
-                        if other.name == ident or other.basename == ident:
-                            assert spec.name in dependents[other.name]
+    @settings(max_examples=60, deadline=None)
+    @given(program=bounds_programs())
+    def test_bounds_match_memoized_oracle(self, program):
+        """``bounds`` values, ``violations`` messages, ``clipped`` results
+        and expression errors equal the oracle's after every mutation."""
+        backend_name, ops = program
+        backend = get_backend(backend_name)
+        config = PfsConfig(backend=backend)
+        oracle = BoundsOracle(backend)
+        for op in ops:
+            kind = op[0]
+            if kind == "write":
+                _, name, value, by_basename = op
+                spec = backend.registry[name]
+                unique = spec.basename in backend and (
+                    backend.param(spec.basename) is spec
+                )
+                if by_basename and unique:
+                    name = spec.basename
+                config[name] = value
+                oracle.values[spec.name] = value
+            elif kind == "with_updates":
+                _, name, value = op
+                config = config.with_updates({name: value})
+                oracle.values[name] = value
+            elif kind == "fact_set":
+                config.facts[op[1]] = op[2]
+                oracle.facts[op[1]] = op[2]
+            elif kind == "fact_update":
+                config.facts.update({op[1]: op[2]})
+                oracle.facts.update({op[1]: op[2]})
+            elif kind == "fact_setdefault":
+                config.facts.setdefault(op[1], op[2])
+                oracle.facts.setdefault(op[1], op[2])
+            elif kind == "fact_pop":
+                config.facts.pop(op[1], None)
+                oracle.facts.pop(op[1], None)
+            elif kind == "copy":
+                config = config.copy()
+            else:
+                config = pickle.loads(pickle.dumps(config))
+            for spec in backend.specs:
+                assert outcome(config.bounds, spec.name) == outcome(
+                    oracle.bounds, spec.name
+                ), (op, spec.name)
+            assert [
+                (v.name, v.value, v.reason) for v in config.violations()
+            ] == oracle.violations(), op
+            clipped = outcome(config.clipped)
+            if isinstance(clipped, PfsConfig):
+                clipped = clipped.as_dict()
+            assert clipped == outcome(oracle.clipped), op
 
     def test_clipped_still_converges_with_targeted_invalidation(self):
         config = PfsConfig()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from repro.agents.tuning import parse_rule_list
 from repro.llm import promptparse as pp
 from repro.llm.client import LLMClient
 
@@ -26,7 +27,10 @@ def merge_rules_via_llm(
 
     Usage is recorded on the client's ledger under ``agent`` — the engine
     passes ``rules_merge`` so the merge step shows up as its own line in
-    session accounting instead of vanishing into a throwaway client.
+    session accounting instead of vanishing into a throwaway client.  A
+    reply that is not a JSON list of rule objects raises
+    :class:`~repro.agents.tuning.ReflectionFormatError` naming ``agent``
+    and ``session``.
     """
     if not existing:
         return list(new)
@@ -43,4 +47,4 @@ def merge_rules_via_llm(
         "NEW RULES:\n" + json.dumps(new)
     )
     content = client.ask(prompt, agent=agent, session=session)
-    return json.loads(content)
+    return parse_rule_list(content, agent, session, "rules-merge")

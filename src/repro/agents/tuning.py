@@ -72,9 +72,28 @@ def system_prompt(fs_family: str = "Lustre") -> str:
 
 
 class ReflectionFormatError(ValueError):
-    """The model's Reflect & Summarize payload was not the strict JSON the
-    protocol demands; the message names the agent and session so a fleet
-    operator can locate the offending run without replaying it."""
+    """A Reflect & Summarize or rules-merge payload was not the strict JSON
+    rule list the protocol demands; the message names the agent and session
+    so a fleet operator can locate the offending run without replaying it."""
+
+
+def parse_rule_list(content: str, agent: str, session: str, task: str) -> list[dict]:
+    """``content`` as a JSON list of rule objects.  Anything else raises
+    :class:`ReflectionFormatError` naming ``agent``, ``session`` and the
+    ``task`` whose payload it was."""
+    origin = f"agent {agent!r} (session {session!r}) returned a {task} payload"
+    try:
+        rules = json.loads(content)
+    except json.JSONDecodeError as exc:
+        raise ReflectionFormatError(
+            f"{origin} that is not valid JSON at line {exc.lineno} column "
+            f"{exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(rules, list) or not all(isinstance(r, dict) for r in rules):
+        raise ReflectionFormatError(
+            f"{origin} that is not a JSON list of objects: {content.strip()[:60]}"
+        )
+    return rules
 
 
 class InvalidChanges(KeyError):
@@ -330,14 +349,7 @@ class TuningAgent:
             agent="tuning",
             session=self.session,
         ).content
-        try:
-            rules = json.loads(content)
-        except json.JSONDecodeError as exc:
-            raise ReflectionFormatError(
-                f"agent 'tuning' (session {self.session!r}) returned a "
-                f"Reflect & Summarize payload that is not valid JSON at "
-                f"line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+        rules = parse_rule_list(content, "tuning", self.session, "Reflect & Summarize")
         self.transcript.add(
             "reflection", f"distilled {len(rules)} rule(s)", rules=rules
         )

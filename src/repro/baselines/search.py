@@ -49,9 +49,12 @@ class OracleSearch:
     seeded noise — evaluation ``i`` runs under ``RngStreams.rep_seed(seed,
     i)``, the shared repeated-measurement derivation — and the evaluation
     counter prices each simulated run exactly as the sequential search
-    did.  The whole search runs under the
-    process-wide :data:`~repro.sim.cache.RUN_CACHE`, so re-running a search
-    (or re-measuring cells another strategy already measured) is free.
+    did.  The whole search runs under the process-wide
+    :data:`~repro.sim.cache.RUN_CACHE`, which keeps each configuration's
+    noise-free model evaluation: re-measuring a configuration (a candidate
+    revisited under a later seed, a repeated search, a cell another
+    strategy already measured) skips the model and pays only its seed's
+    noise and result assembly.
     """
 
     def __init__(self, cluster: ClusterSpec, seed: int = 0, max_rounds: int = 2):

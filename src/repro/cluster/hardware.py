@@ -81,23 +81,25 @@ class ClusterSpec:
         """Hashable identity of this testbed's modeled hardware.
 
         Leads with the backend name, like :meth:`PfsConfig.cache_key` — the
-        run cache composes the two.  Memoized on the instance: like the
-        compiled-phase cache, it assumes a ``ClusterSpec`` is not mutated
-        after its first simulated run.
+        run cache composes the two.  The hardware enters as one repr
+        string, as in :meth:`Workload.cache_key`: a string caches its hash,
+        and the run cache hashes this key on every lookup.  Memoized on the
+        instance: like the compiled-phase cache, it assumes a
+        ``ClusterSpec`` is not mutated after its first simulated run.
         """
         key = self.__dict__.get("_cache_key")
         if key is None:
-            key = (
-                self.backend_name,
-                tuple(self.oss_nodes),
-                tuple(self.mds_nodes),
-                tuple(self.client_nodes),
+            hardware = (
+                self.oss_nodes,
+                self.mds_nodes,
+                self.client_nodes,
                 self.switch_bandwidth,
                 self.switch_latency,
                 self.mds_service_threads,
                 self.ost_service_threads,
                 self.seed,
             )
+            key = (self.backend_name, repr(hardware))
             self.__dict__["_cache_key"] = key
         return key
 

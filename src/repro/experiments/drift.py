@@ -127,7 +127,7 @@ def run_cell(
     strategies measure the same segments under shared seeds, so wherever
     their configurations coincide (the online arm before its first re-tune
     repeats the static arm, the oracle arm repeats whole tuning sessions)
-    the deterministic results are shared instead of re-simulated.  Serving
+    the noise-free model evaluations are shared instead of re-costed.  Serving
     measurements go through :meth:`Simulator.run_schedule`, which costs
     each workload's distinct per-segment configurations once.
     """

@@ -59,8 +59,8 @@ def measure_config(
     All reps share a single model evaluation (the config is identical), with
     per-rep noise seeded via :meth:`RngStreams.rep_seed` — the same
     derivation every repeated-run call site uses.  Implemented over
-    :func:`measure_configs`, so results are served from the process-wide run
-    cache when an enclosing experiment enabled it.
+    :func:`measure_configs`, so model evaluations are served from the
+    process-wide run cache when an enclosing experiment enabled it.
     """
     return measure_configs(
         cluster, workload_name, [updates], [label], reps=reps, seed=seed
@@ -83,9 +83,9 @@ def measure_configs(
     :func:`measure_config` per entry.  Cache enablement is left to the
     *enclosing experiment* (drift cells, crossfs, the oracle search wrap
     themselves in ``RUN_CACHE.enabled()``): strategies re-measuring the same
-    (workload, config, seed) cells then share one set of results, while a
-    bare measurement — the figure benchmarks time these — always performs a
-    fixed amount of work.
+    (workload, config) pair, under any seeds, then share one noise-free
+    model evaluation, while a bare measurement — the figure benchmarks time
+    these — always performs a fixed amount of work.
     """
     from repro.sim.random import RngStreams
     from repro.sim.sweep import grid_items, run_items

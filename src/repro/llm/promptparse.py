@@ -219,8 +219,10 @@ def _freeze(obj: Any):
 
 #: ``indent=1`` renders keyed by the frozen payload — rule sets repeat
 #: verbatim across turns and co-tenant sessions, and pretty-printed JSON is
-#: one of the costlier string builds in the loop.
+#: one of the costlier string builds in the loop.  Bounded like the parser
+#: memos beside it; a full memo evicts its oldest entry.
 _DUMPS_CACHE: dict[tuple, str] = {}
+_DUMPS_CACHE_MAX = 256
 
 
 def dumps_indented(payload: Any) -> str:
@@ -228,6 +230,8 @@ def dumps_indented(payload: Any) -> str:
     key = _freeze(payload)
     text = _DUMPS_CACHE.get(key)
     if text is None:
+        if len(_DUMPS_CACHE) >= _DUMPS_CACHE_MAX:
+            del _DUMPS_CACHE[next(iter(_DUMPS_CACHE))]
         text = _DUMPS_CACHE[key] = json.dumps(payload, indent=1)
     return text
 

@@ -108,19 +108,24 @@ class RunResult:
         return "\n".join(lines)
 
 
+#: The validated config copy and noise-free phase results of one model
+#: evaluation: what :func:`evaluate_phases` returns and the run cache stores.
+Evaluation = tuple[PfsConfig, list[PhaseResult]]
+
+
 def evaluate_phases(
     cluster: ClusterSpec, workload: WorkloadLike, config: PfsConfig
-) -> tuple[PfsConfig, list[PhaseResult]]:
+) -> Evaluation:
     """Validate a per-run copy of ``config`` and cost every phase, noise-free.
 
     The scalar model evaluation: a fresh config copy bound to ``cluster``'s
     facts, validation, and one :class:`AnalyticModel` pass over the compiled
     phases from a fresh :class:`RunState`.  The copy comes back without its
-    validation memos (env dict, ``cache_key()`` tuple): results may sit in
-    the ``RUN_CACHE``, and the memos would ride along with each one.  :meth:`Simulator.run` applies noise to the returned
-    phase results in place; the sweep engine calls this once per distinct
-    configuration of a workload group, shares the results between that
-    configuration's items and applies noise to copies.
+    validation memos (env dict, ``cache_key()`` tuple): evaluations may sit
+    in the ``RUN_CACHE``, and the memos would ride along with each one.
+    :meth:`Simulator.run`'s cache-off path applies noise to the returned
+    phase results in place; cached evaluations and the sweep engine's
+    per-group ones are shared, and :func:`noisy_run` applies noise to copies.
     """
     if config.backend.name != cluster.backend_name:
         raise ValueError(
@@ -141,6 +146,36 @@ def evaluate_phases(
     return config, phases
 
 
+def noisy_run(
+    workload_name: str, evaluation: Evaluation, seed: int, noise: tuple
+) -> RunResult:
+    """One run's result from a shared evaluation and the seed's
+    :func:`run_noise`: :meth:`Simulator.run`'s noise arithmetic on fresh
+    :class:`PhaseResult` copies.  The copies skip dataclass-``__init__``
+    (positive factors keep ``seconds`` non-negative) and set every field in
+    declaration order, so no per-copy ``__dict__`` is allocated."""
+    config, base = evaluation
+    phase_noise, run_factor = noise
+    phases = []
+    total = 0.0
+    for result, factor in zip(base, phase_noise):
+        copy = PhaseResult.__new__(PhaseResult)
+        copy.phase = result.phase
+        copy.seconds = seconds = result.seconds * factor
+        copy.bottleneck = result.bottleneck
+        copy.bounds = result.bounds
+        copy.bytes_read = result.bytes_read
+        copy.bytes_written = result.bytes_written
+        copy.mds_ops = result.mds_ops
+        copy.rpcs = result.rpcs
+        phases.append(copy)
+        total += seconds
+    total *= run_factor
+    return RunResult(
+        workload=workload_name, config=config, seconds=total, phases=phases, seed=seed
+    )
+
+
 class Simulator:
     """Runs workloads against the modeled cluster."""
 
@@ -155,15 +190,17 @@ class Simulator:
         clipping semantics should pass ``config.clipped()``.
 
         When the :data:`~repro.sim.cache.RUN_CACHE` is enabled, the
-        (deterministic) result is served from and stored into it; cached
-        results are shared objects and immutable to consumers.
+        seedless evaluation is served from and stored into it and
+        :func:`noisy_run` builds the run.  The cache-off path below is the
+        reference every parity test compares against.
         """
-        cache_key = None
         if RUN_CACHE.active:
-            cache_key = RUN_CACHE.key(self.cluster, workload, config, seed)
-            cached = RUN_CACHE.get(cache_key)
-            if cached is not None:
-                return cached
+            key = RUN_CACHE.key(self.cluster, workload, config)
+            evaluation = RUN_CACHE.fetch(
+                key, evaluate_phases, self.cluster, workload, config
+            )
+            noise = run_noise(seed, workload.name, len(evaluation[1]))
+            return noisy_run(workload.name, evaluation, seed, noise)
         config, phases = evaluate_phases(self.cluster, workload, config)
         phase_noise, run_factor = run_noise(seed, workload.name, len(phases))
         total = 0.0
@@ -171,16 +208,13 @@ class Simulator:
             result.seconds *= noise
             total += result.seconds
         total *= run_factor
-        result = RunResult(
+        return RunResult(
             workload=workload.name,
             config=config,
             seconds=total,
             phases=phases,
             seed=seed,
         )
-        if cache_key is not None:
-            RUN_CACHE.put(cache_key, result)
-        return result
 
     def run_items(self, items) -> list[RunResult]:
         """Evaluate many ``(workload, config, seed)`` items, grouped per

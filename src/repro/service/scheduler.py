@@ -26,11 +26,11 @@ What tenants share, and how:
   immutable at serving time.
 - **The opt-in run cache.**  Every tenant job runs inside
   ``RUN_CACHE.enabled()`` (unless the fleet is built with
-  ``use_cache=False``), so tenants co-located on a worker share
-  deterministic simulation results.  The cache can only ever short-circuit
-  identical (backend, cluster, workload, config, seed) runs, so sharing
-  never changes results — worker-count independence is asserted by
-  ``tests/test_fleet.py``.
+  ``use_cache=False``), so tenants co-located on a worker share noise-free
+  model evaluations.  The cache only ever skips re-costing an identical
+  (backend, cluster, workload, config), and every run still applies its
+  own seed's noise, so sharing never changes results — worker-count
+  independence is asserted by ``tests/test_fleet.py``.
 - **Rule knowledge, after the fact.**  Each tenant accumulates into its own
   :class:`~repro.rules.store.RuleJournal`; a drained fleet replay-merges
   them (:meth:`RuleJournal.merged`) so concurrent tenants' contributions

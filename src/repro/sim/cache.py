@@ -1,26 +1,28 @@
-"""Process-wide memoization of deterministic simulated runs.
+"""Process-wide memoization of noise-free model evaluations.
 
-The analytic model is a pure function of (cluster, workload, configuration,
-seed) — two strategies measuring the same cell draw byte-identical
-:class:`~repro.pfs.simulator.RunResult`s.  The experiment layer leans on
-that heavily: the drift experiment's static/online/oracle arms share
-segment measurements, the oracle search re-measures incumbent
-configurations, cross-backend transfer scores the same default
-configuration per target, and every ``measure_config`` caller replays the
-paper's repetition protocol.  :class:`RunCache` lets all of them share one
-bounded result store instead of re-running the model.
+The analytic model is a pure function of (cluster, workload,
+configuration); only the run-to-run noise depends on the seed.  The
+experiment layer leans on that heavily: the drift experiment's
+static/online/oracle arms share segment measurements, the oracle search
+re-measures incumbent configurations under fresh seeds, cross-backend
+transfer scores the same default configuration per target, and every
+``measure_config`` caller replays the paper's repetition protocol.
+:class:`RunCache` lets all of them share one bounded store of model
+evaluations instead of re-running the model.
 
 Contract:
 
-- **Keys lead with the backend name** (consistent with
-  ``PfsConfig.cache_key()``), then the cluster hardware key, the workload
-  key, the configuration key and the run seed.  Equal keys imply equal
-  model inputs, so a hit can never alias two different runs.
-- **Cached results are immutable to consumers.**  A hit returns the stored
-  :class:`RunResult` object itself — the same sharing rule the sweep
-  engine already applies to grouped configs and phase objects.  Consumers
-  read, never write (``Simulator.run`` only ever mutates phase results it
-  created itself).
+- **Keys carry no seed.**  A key leads with the backend name (consistent
+  with ``PfsConfig.cache_key()``), then the cluster hardware, workload and
+  configuration keys.  Equal keys imply equal model inputs.
+- **Entries are noise-free evaluations:** what
+  :func:`~repro.pfs.simulator.evaluate_phases` returns, the validated
+  config (without its memos) and its phase results.  An invalid config
+  raises before anything is stored.
+- **A hit assembles a fresh per-run result** from the entry and the seed's
+  noise (:func:`~repro.pfs.simulator.noisy_run`), so an exact replay is
+  equal to, not the same object as, the first run.  The config and the
+  ``phase`` / ``bounds`` objects are shared and immutable to consumers.
 - **Bounded.**  The store is an LRU of ``maxsize`` entries; experiments
   cannot grow memory without bound.
 - **Opt-in.**  The cache only serves and stores while at least one
@@ -39,20 +41,20 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.cluster.hardware import ClusterSpec
     from repro.pfs.config import PfsConfig
-    from repro.pfs.simulator import RunResult, WorkloadLike
+    from repro.pfs.simulator import Evaluation, WorkloadLike
 
 #: Default entry bound for the process-wide cache.
 DEFAULT_MAXSIZE = 4096
 
 
 class RunCache:
-    """A bounded LRU of deterministic :class:`RunResult`s."""
+    """A bounded LRU of noise-free model evaluations."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         if maxsize < 1:
             raise ValueError(f"maxsize must be positive, got {maxsize}")
         self.maxsize = maxsize
-        self._store: OrderedDict[tuple, "RunResult"] = OrderedDict()
+        self._store: OrderedDict[tuple, "Evaluation"] = OrderedDict()
         self._depth = 0
         # Concurrent threads may each enter their own ``enabled()`` scope;
         # the depth update is a read-modify-write, so it needs a lock to
@@ -81,62 +83,41 @@ class RunCache:
 
     # -- keying ------------------------------------------------------------
     @staticmethod
-    def key(
-        cluster: "ClusterSpec",
-        workload: "WorkloadLike",
-        config: "PfsConfig",
-        seed: int,
-    ) -> tuple:
-        """The cache key for one run; leads with the backend name."""
-        return (
-            cluster.backend_name,
-            cluster.cache_key(),
-            workload.cache_key(),
-            config.cache_key(),
-            seed,
-        )
+    def key(cluster: "ClusterSpec", workload: "WorkloadLike", config: "PfsConfig"):
+        """The cache key for one evaluation; leads with the backend name."""
+        return RunCache.group_key(cluster, workload.cache_key()) + (config.cache_key(),)
 
-    def partition(self, cluster: "ClusterSpec", items: list):
-        """Split batch items into served hits and still-to-run indices.
-
-        Returns ``(results, pending, keys)``: per-item results (``None``
-        where missing), the indices the caller must evaluate, and the
-        per-item keys to :meth:`put` finished results under (``None`` when
-        the cache is inactive).  The cache prologue of the sweep engine,
-        whose multi-item entry points all share it.
-        """
-        results: list["RunResult | None"] = [None] * len(items)
-        if not self.active:
-            return results, list(range(len(items))), None
-        keys = [
-            self.key(cluster, workload, config, seed)
-            for workload, config, seed in items
-        ]
-        pending = []
-        for index, key in enumerate(keys):
-            hit = self.get(key)
-            if hit is not None:
-                results[index] = hit
-            else:
-                pending.append(index)
-        return results, pending, keys
+    @staticmethod
+    def group_key(cluster: "ClusterSpec", workload_key: tuple) -> tuple:
+        """The key head every configuration of one workload group shares;
+        :meth:`key` appends the configuration key."""
+        return (cluster.backend_name, cluster.cache_key(), workload_key)
 
     # -- storage -----------------------------------------------------------
-    def get(self, key: tuple) -> "RunResult | None":
-        result = self._store.get(key)
-        if result is None:
+    def get(self, key: tuple) -> "Evaluation | None":
+        entry = self._store.get(key)
+        if entry is None:
             self.misses += 1
             return None
         self._store.move_to_end(key)
         self.hits += 1
-        return result
+        return entry
 
-    def put(self, key: tuple, result: "RunResult") -> None:
-        self._store[key] = result
+    def put(self, key: tuple, entry: "Evaluation") -> None:
+        self._store[key] = entry
         self._store.move_to_end(key)
         while len(self._store) > self.maxsize:
             self._store.popitem(last=False)
             self.evictions += 1
+
+    def fetch(self, key: tuple, evaluate, *args) -> "Evaluation":
+        """The entry under ``key``; on a miss, ``evaluate(*args)`` is stored
+        and returned.  Nothing is stored when it raises."""
+        entry = self.get(key)
+        if entry is None:
+            entry = evaluate(*args)
+            self.put(key, entry)
+        return entry
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""

@@ -7,22 +7,22 @@ baselines, the drift experiment — goes through :func:`run_items`, which
 groups items per workload, dedups each group's configurations and costs
 each distinct one with the scalar model
 (:func:`~repro.pfs.simulator.evaluate_phases`).  A config x seed grid thus
-pays one model evaluation per configuration, not one per item.
+pays one model evaluation per configuration, not one per item; with the
+:data:`~repro.sim.cache.RUN_CACHE` enabled, each distinct configuration is
+looked up once per group under its seedless key.
 
-The :data:`~repro.sim.cache.RUN_CACHE` prologue, noise and result assembly
-happen here.  The per-item noise re-derives exactly the seeds and streams
-the scalar path uses (``RngStreams`` named streams) and takes each stream's
-single draw from ``np.random.default_rng(seed)`` (:func:`first_normals`);
-factors are shared with the scalar path through the ``run_noise`` memo.
-Results are **bit-identical** to one ``Simulator.run`` per item — asserted
-per registered backend by ``tests/test_sweep.py``.
+Noise happens here.  The per-item noise re-derives exactly the seeds and
+streams the scalar path uses (``RngStreams`` named streams) and takes each
+stream's single draw from ``np.random.default_rng(seed)``
+(:func:`first_normals`); factors are shared with the scalar path through
+the ``run_noise`` memo.  :func:`~repro.pfs.simulator.noisy_run` builds each
+item's ``RunResult``, as for cached ``Simulator.run`` calls.  Results are
+**bit-identical** to one ``Simulator.run`` per item — asserted per
+registered backend by ``tests/test_sweep.py``.
 
 Sharing caveats: items with equal configurations share one validated
-``PfsConfig`` and phase results share ``phase`` / ``bounds`` objects;
-consumers treat both as immutable.  When the
-:data:`~repro.sim.cache.RUN_CACHE` is enabled, finished ``RunResult``s are
-served from and stored into it per (backend, cluster, workload, config,
-seed) key.
+``PfsConfig`` and phase results share ``phase`` / ``bounds`` objects, with
+the cache entry too; consumers treat both as immutable.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.pfs.config import PfsConfig
-from repro.pfs.phases import PhaseResult
 from repro.sim.cache import RUN_CACHE
 from repro.sim.random import RngStreams, _derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with the facade module
-    from repro.pfs.simulator import RunResult, Simulator, WorkloadLike
+    from repro.pfs.simulator import Evaluation, RunResult, Simulator, WorkloadLike
 
 BatchItem = tuple["WorkloadLike", PfsConfig, int]
 
@@ -59,23 +58,25 @@ def run_sweep(
 def run_items(sim: "Simulator", items: Iterable["BatchItem"]) -> list["RunResult"]:
     """Arbitrary batch items, grouped per workload.
 
-    Items are partitioned by workload identity, and each partition costs
-    its distinct configurations once with the scalar model.  Results come
-    back in item order, bit-identical to one ``Simulator.run`` per item.
+    Items are grouped by workload key, computed once per distinct workload
+    object, and each group costs its distinct configurations once with the
+    scalar model.  Results come back in item order, bit-identical to one
+    ``Simulator.run`` per item.
     """
     items = list(items)
-    results, pending, keys = RUN_CACHE.partition(sim.cluster, items)
-
+    workload_keys: dict[int, tuple] = {}
     groups: dict[tuple, list[int]] = {}
-    for index in pending:
-        groups.setdefault(items[index][0].cache_key(), []).append(index)
-    for indices in groups.values():
+    for index, (workload, _config, _seed) in enumerate(items):
+        key = workload_keys.get(id(workload))
+        if key is None:
+            key = workload_keys[id(workload)] = workload.cache_key()
+        groups.setdefault(key, []).append(index)
+    results: list = [None] * len(items)
+    for workload_key, indices in groups.items():
         workload = items[indices[0]][0]
-        swept = _sweep_group(sim, workload, [items[i] for i in indices])
+        swept = _sweep_group(sim, workload, workload_key, [items[i] for i in indices])
         for index, result in zip(indices, swept):
             results[index] = result
-            if keys is not None:
-                RUN_CACHE.put(keys[index], result)
     return results
 
 
@@ -157,30 +158,37 @@ def schedule_items(
 # Group evaluation
 # ---------------------------------------------------------------------------
 def _sweep_group(
-    sim: "Simulator", workload: "WorkloadLike", group_items: list["BatchItem"]
+    sim: "Simulator",
+    workload: "WorkloadLike",
+    workload_key: tuple,
+    group_items: list["BatchItem"],
 ) -> list["RunResult"]:
-    """All items of one workload: dedup configs, cost each distinct one with
-    the scalar model, apply noise."""
+    """All items of one workload: dedup configs, evaluate each distinct one
+    (through the run cache when it is enabled), apply noise."""
     from repro.pfs.simulator import (
         _NOISE_CACHE,
         _NOISE_CACHE_MAX,
         PHASE_NOISE_SIGMA,
         RUN_NOISE_SIGMA,
-        RunResult,
         evaluate_phases,
+        noisy_run,
     )
 
-    slots: dict[tuple, int] = {}
-    evaluated: list[tuple[PfsConfig, list[PhaseResult]]] = []
-    members: list[int] = []
+    head = RUN_CACHE.group_key(sim.cluster, workload_key) if RUN_CACHE.active else None
+    by_config: dict[tuple, "Evaluation"] = {}
+    evaluations: list["Evaluation"] = []
     for _workload, config, _seed in group_items:
-        key = config.cache_key()
-        slot = slots.get(key)
-        if slot is None:
-            slot = len(evaluated)
-            slots[key] = slot
-            evaluated.append(evaluate_phases(sim.cluster, workload, config))
-        members.append(slot)
+        config_key = config.cache_key()
+        evaluation = by_config.get(config_key)
+        if evaluation is None:
+            if head is None:
+                evaluation = evaluate_phases(sim.cluster, workload, config)
+            else:
+                evaluation = RUN_CACHE.fetch(
+                    head + (config_key,), evaluate_phases, sim.cluster, workload, config
+                )
+            by_config[config_key] = evaluation
+        evaluations.append(evaluation)
 
     # -- per-item noise: dedup by seed, seed only the cache misses --------
     # Noise depends on (seed, workload, n_phases) alone — never the config —
@@ -188,7 +196,7 @@ def _sweep_group(
     # shared memo in the simulator module carries them across groups and
     # ``Simulator.run`` calls (both fill and read the same dict).
     name = workload.name
-    n_phases = len(evaluated[0][1])
+    n_phases = len(evaluations[0][1])
     noise_by_seed: dict[int, tuple[tuple[float, ...], float]] = {}
     for _workload, _config, seed in group_items:
         if seed not in noise_by_seed:
@@ -223,38 +231,10 @@ def _sweep_group(
             if len(_NOISE_CACHE) < _NOISE_CACHE_MAX:
                 _NOISE_CACHE[(seed, name, n_phases)] = noise
 
-    results: list["RunResult"] = []
-    for (_workload, _config, seed), slot in zip(group_items, members):
-        shared_config, base = evaluated[slot]
-        noise_row, run_factor = noise_by_seed[seed]
-        phases: list[PhaseResult] = []
-        total = 0.0
-        for result, noise in zip(base, noise_row):
-            seconds = result.seconds * noise
-            phases.append(
-                _phase_result(
-                    result.phase,
-                    seconds,
-                    result.bottleneck,
-                    result.bounds,
-                    result.bytes_read,
-                    result.bytes_written,
-                    result.mds_ops,
-                    result.rpcs,
-                )
-            )
-            total += seconds
-        total *= run_factor
-        results.append(
-            RunResult(
-                workload=name,
-                config=shared_config,
-                seconds=total,
-                phases=phases,
-                seed=seed,
-            )
-        )
-    return results
+    return [
+        noisy_run(name, evaluation, seed, noise_by_seed[seed])
+        for (_workload, _config, seed), evaluation in zip(group_items, evaluations)
+    ]
 
 
 def first_normals(seeds, sigma: float) -> np.ndarray:
@@ -263,27 +243,3 @@ def first_normals(seeds, sigma: float) -> np.ndarray:
     return np.array(
         [np.random.default_rng(seed).normal(0.0, sigma) for seed in seeds]
     )
-
-
-def _phase_result(
-    phase, seconds, bottleneck, bounds, bytes_read, bytes_written, mds_ops, rpcs
-) -> PhaseResult:
-    """Construct a :class:`PhaseResult` without dataclass-__init__ overhead.
-
-    The sweep builds a noisy copy of every phase result of every item, so
-    constructor cost is hot.
-    ``__post_init__``'s negative-seconds guard is upheld by construction
-    (model bounds are non-negative and noise factors positive).
-    """
-    result = PhaseResult.__new__(PhaseResult)
-    result.__dict__ = {
-        "phase": phase,
-        "seconds": seconds,
-        "bottleneck": bottleneck,
-        "bounds": bounds,
-        "bytes_read": bytes_read,
-        "bytes_written": bytes_written,
-        "mds_ops": mds_ops,
-        "rpcs": rpcs,
-    }
-    return result

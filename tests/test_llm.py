@@ -135,6 +135,22 @@ class TestKnowledge:
 
 
 class TestPromptParse:
+    def test_rules_json_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(pp, "_DUMPS_CACHE", {})
+        cap = pp._DUMPS_CACHE_MAX
+        for index in range(2 * cap):
+            payload = [
+                {
+                    "parameter": f"osc.param_{index}",
+                    "rule_description": "raise it for large sequential writes",
+                    "tuning_context": ["write", f"ctx-{index % 7}"],
+                }
+            ]
+            assert pp.dumps_indented(payload) == json.dumps(payload, indent=1)
+            assert len(pp._DUMPS_CACHE) <= cap
+        # A memo hit renders the same text.
+        assert pp.dumps_indented(payload) == json.dumps(payload, indent=1)
+
     def test_sections_round_trip(self):
         params = [
             pp.ParameterInfo(

@@ -33,6 +33,7 @@ from repro.agents.policies import (
     register_policy,
     resolve_policy,
 )
+from repro.agents.reflection import merge_rules_via_llm
 from repro.agents.tuning import (
     ReflectionFormatError,
     TuningAgent,
@@ -364,6 +365,53 @@ class TestReflectionFormatError:
         assert "agent 'tuning'" in message
         assert "tuning:IOR_16M:7" in message
         assert "line 1" in message and "column" in message
+
+    @pytest.mark.parametrize(
+        "payload",
+        ["5", "null", '{"parameter": "x"}', "[1, 2]"],
+        ids=["number", "null", "object", "list-of-numbers"],
+    )
+    def test_non_rule_list_payload_names_agent_and_session(self, payload):
+        """Valid JSON that is not a list of rule objects is rejected at the
+        boundary, not by a stray ``TypeError`` or later in the journal."""
+        agent = scripted_agent(
+            [
+                ToolCall(
+                    "run_configuration",
+                    {"changes": {"osc.max_dirty_mb": 256}, "rationale": "x"},
+                ),
+                ToolCall("end_tuning", {"reason": "done"}),
+            ],
+            reflection=payload,
+            session="tuning:IOR_16M:7",
+        )
+        with pytest.raises(ReflectionFormatError) as exc:
+            agent.run_loop()
+        message = str(exc.value)
+        assert "agent 'tuning'" in message
+        assert "tuning:IOR_16M:7" in message
+        assert "not a JSON list of objects" in message
+
+    def test_merge_reply_must_be_a_rule_list(self):
+        class FixedReply:
+            def __init__(self, reply):
+                self.reply = reply
+
+            def ask(self, prompt, agent, session):
+                return self.reply
+
+        rules = [{"parameter": "p", "rule_description": "d", "tuning_context": "c"}]
+        for reply in ("the merged rules are attached", '{"parameter": "x"}'):
+            with pytest.raises(ReflectionFormatError) as exc:
+                merge_rules_via_llm(
+                    FixedReply(reply),
+                    rules,
+                    rules,
+                    session="rules-merge:3:1",
+                    agent="rules_merge",
+                )
+            assert "agent 'rules_merge'" in str(exc.value)
+            assert "rules-merge:3:1" in str(exc.value)
 
 
 class ExhaustedRunner:

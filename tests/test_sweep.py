@@ -1,9 +1,10 @@
 """Sweep engine and run cache: bit-identity with sequential
 ``Simulator.run`` on every registered backend and randomized groups, one
-model evaluation per distinct config, cache-hit semantics and cold cached
-configs, bounded LRU, config bounds against an unmemoized oracle, and the
-sweep's noise draws."""
+model evaluation per distinct config, seedless cache hits that equal
+uncached runs and cold cached configs, bounded LRU, config bounds against an
+unmemoized oracle, and the sweep's noise draws."""
 
+import dataclasses
 import pickle
 from functools import lru_cache
 from typing import Mapping
@@ -19,6 +20,7 @@ from repro.experiments.harness import measure_config, measure_configs
 from repro.pfs import simulator as simulator_module
 from repro.pfs.config import PfsConfig
 from repro.pfs.expressions import ExpressionError, compile_expression
+from repro.pfs.phases import PhaseResult
 from repro.pfs.simulator import Simulator
 from repro.sim import sweep as sweep_module
 from repro.sim.cache import RUN_CACHE, RunCache
@@ -270,6 +272,56 @@ class TestGridItems:
         assert items == repetition_items(workload, base, 4, seed=3)
 
 
+#: Hardware for the run-cache property test: the config pool's cluster and
+#: one with fewer metadata threads, which costs ``CACHE_WORKLOADS``
+#: differently under the same config facts.
+CACHE_HARDWARE = ({}, {"mds_service_threads": 8})
+CACHE_WORKLOADS = ("MDWorkbench_2K", "AMReX")
+
+
+@lru_cache(maxsize=None)
+def cache_cluster(backend: str, hardware: int):
+    return make_cluster(seed=2, backend=backend, **CACHE_HARDWARE[hardware])
+
+
+@st.composite
+def cached_call_sequences(draw):
+    """``Simulator.run`` and ``run_items`` calls over both backends, two
+    clusters and two workloads, ending with one exact repeat of a drawn item
+    and its config under a new seed.  Item ``(workload, config index,
+    widened facts, seed)``; small ranges make repeated configs likely."""
+    item = st.tuples(
+        st.sampled_from(CACHE_WORKLOADS),
+        st.integers(0, 3),
+        st.booleans(),
+        st.integers(0, 3),
+    )
+    calls = []
+    for _ in range(draw(st.integers(1, 5))):
+        target = (
+            draw(st.sampled_from(list_backends())),
+            draw(st.integers(0, len(CACHE_HARDWARE) - 1)),
+        )
+        if draw(st.booleans()):
+            calls.append((target, "run", [draw(item)]))
+        else:
+            items = draw(st.lists(item, min_size=1, max_size=5))
+            calls.append((target, "items", items))
+    target, _kind, items = calls[draw(st.integers(0, len(calls) - 1))]
+    workload, config, widened, seed = draw(st.sampled_from(items))
+    repeats = [(workload, config, widened, seed), (workload, config, widened, seed + 4)]
+    calls.append((target, draw(st.sampled_from(["run", "items"])), repeats))
+    return calls
+
+
+def fresh_run_cache(monkeypatch) -> RunCache:
+    """Point ``Simulator.run`` and the sweep at one new, empty run cache."""
+    cache = RunCache()
+    monkeypatch.setattr(simulator_module, "RUN_CACHE", cache)
+    monkeypatch.setattr(sweep_module, "RUN_CACHE", cache)
+    return cache
+
+
 class TestRunCache:
     def test_cache_hit_returns_equal_result_without_model(self, monkeypatch):
         cluster = make_cluster(seed=0)
@@ -279,34 +331,47 @@ class TestRunCache:
             base,
             base.with_updates({"osc.max_rpcs_in_flight": 32}),
             base.with_updates({"osc.max_dirty_mb": 512}),
+            base.copy(),
         ]
         workload = get_workload("IOR_16M")
-        seeds = [11, 12, 13]
+        seeds = [11, 12, 13, 14]
+        fresh_seeds = [21, 22, 23, 24]
+        distinct = 3
 
         evaluations = count_evaluations(monkeypatch)
-        cache = RunCache()
-        monkeypatch.setattr(sweep_module, "RUN_CACHE", cache)
+        cache = fresh_run_cache(monkeypatch)
         with cache.enabled():
             first = run_sweep(sim, workload, configs, seeds)
-            assert len(evaluations) == len(configs)
+            assert len(evaluations) == distinct
             second = run_sweep(sim, workload, configs, seeds)
-        # A full hit: no model evaluation ran, results are the shared objects.
-        assert len(evaluations) == len(configs)
-        assert [b is a for a, b in zip(first, second)] == [True] * len(first)
-        assert_runs_identical(first, second)
-        assert cache.hits == len(first)
+            # A full hit: no model evaluation ran, one lookup per distinct
+            # config, and the results equal the first pass's.
+            assert len(evaluations) == distinct
+            assert cache.hits == distinct
+            assert_runs_identical(first, second)
+            # Keys carry no seed: fresh seeds skip the model too.
+            fresh = run_sweep(sim, workload, configs, fresh_seeds)
+            assert len(evaluations) == distinct
+        assert_runs_identical(
+            sequential(sim, sweep_items(workload, configs, fresh_seeds)), fresh
+        )
 
-    def test_cache_serves_simulator_run(self):
+    def test_cache_serves_simulator_run(self, monkeypatch):
         cluster = make_cluster(seed=0)
         sim = Simulator(cluster)
         config = PfsConfig(facts=cluster.config_facts())
         workload = get_workload("IOR_64K")
         cold = sim.run(workload, config, seed=9)
-        with RUN_CACHE.enabled():
+        cold_new_seed = sim.run(workload, config, seed=10)
+        cache = fresh_run_cache(monkeypatch)
+        with cache.enabled():
             primed = sim.run(workload, config, seed=9)
+            evaluations = count_evaluations(monkeypatch)
             served = sim.run(workload, config, seed=9)
-        assert served is primed
-        assert primed.seconds == cold.seconds
+            new_seed = sim.run(workload, config, seed=10)
+        assert evaluations == []
+        assert_runs_identical([cold, primed], [primed, served])
+        assert_runs_identical([cold_new_seed], [new_seed])
 
     def test_cached_results_carry_no_validation_memos(self, monkeypatch):
         """Validated per-run copies come back cold, so the ``RUN_CACHE``
@@ -327,11 +392,11 @@ class TestRunCache:
     def test_key_leads_with_backend_name(self):
         cluster = make_cluster(seed=0, backend="beegfs")
         config = PfsConfig(facts=cluster.config_facts(), backend="beegfs")
-        key = RunCache.key(cluster, get_workload("IOR_64K"), config, 5)
+        key = RunCache.key(cluster, get_workload("IOR_64K"), config)
         assert key[0] == "beegfs"
         assert key[1][0] == "beegfs"  # cluster key leads with it too
         assert key[3][0] == "beegfs"  # consistent with PfsConfig.cache_key()
-        assert key[-1] == 5
+        assert key[-1] == config.cache_key()  # no trailing seed
 
     def test_lru_bound_and_eviction_order(self):
         cache = RunCache(maxsize=3)
@@ -361,6 +426,93 @@ class TestRunCache:
     def test_rejects_nonpositive_maxsize(self):
         with pytest.raises(ValueError):
             RunCache(maxsize=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(calls=cached_call_sequences())
+    def test_cached_calls_match_uncached_run(self, calls):
+        """Any sequence of ``run``/``run_items`` calls under a fresh cache
+        equals cache-off sequential ``Simulator.run`` bit for bit (config
+        facts included), and costs each distinct evaluation once."""
+
+        def resolve(target, item):
+            backend, hardware = target
+            workload, index, widened, seed = item
+            config = config_pool(backend)[1][index].copy()
+            if widened:
+                # Valid either way (n_ost caps stripe counts); only the facts
+                # and thus the cache key differ.
+                config.facts["n_ost"] = 8
+            cluster = cache_cluster(backend, hardware)
+            return cluster, (get_workload(workload), config, seed)
+
+        flat = [
+            resolve(target, item) for target, _kind, items in calls for item in items
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            empty_noise_memo(patch)
+            expected = [Simulator(cluster).run(*item) for cluster, item in flat]
+            empty_noise_memo(patch)
+            cache = fresh_run_cache(patch)
+            evaluations = count_evaluations(patch)
+            actual = []
+            with cache.enabled():
+                for target, kind, items in calls:
+                    sim = Simulator(cache_cluster(*target))
+                    resolved = [resolve(target, item)[1] for item in items]
+                    if kind == "run":
+                        actual += [sim.run(*item) for item in resolved]
+                    else:
+                        actual += run_items(sim, resolved)
+        assert_runs_identical(expected, actual)
+        assert [dict(run.config.facts) for run in actual] == [
+            dict(run.config.facts) for run in expected
+        ]
+        distinct = {
+            RunCache.key(cluster, workload, config)
+            for cluster, (workload, config, _seed) in flat
+        }
+        assert len(evaluations) == len(distinct) == len(cache)
+
+    def test_mutating_a_run_leaves_later_hits_intact(self, monkeypatch):
+        cluster, pool = config_pool("lustre")
+        sim = Simulator(cluster)
+        workload = get_workload("IOR_16M")
+        expected = sim.run(workload, pool[0], seed=1)
+        cache = fresh_run_cache(monkeypatch)
+        with cache.enabled():
+            for run in (
+                sim.run(workload, pool[0], seed=1),
+                run_sweep(sim, workload, [pool[0]], [1])[0],
+            ):
+                for phase in run.phases:
+                    phase.seconds *= 1000.0
+            served = [
+                sim.run(workload, pool[0], seed=1),
+                run_sweep(sim, workload, [pool[0]], [1])[0],
+            ]
+        assert cache.hits == 3
+        assert_runs_identical([expected, expected], served)
+        # The copies carry every PhaseResult field (noisy_run lists them).
+        names = {field.name for field in dataclasses.fields(PhaseResult)}
+        assert all(set(vars(phase)) == names for phase in served[0].phases)
+
+    def test_invalid_config_raises_on_every_call_and_stores_nothing(
+        self, monkeypatch
+    ):
+        cluster = make_cluster(seed=0)
+        sim = Simulator(cluster)
+        bad = PfsConfig(facts=cluster.config_facts())
+        bad._set_raw("osc.max_rpcs_in_flight", 100000)
+        workload = get_workload("IOR_64K")
+        cache = fresh_run_cache(monkeypatch)
+        with cache.enabled():
+            for seed in (1, 1, 2):
+                with pytest.raises(ValueError, match="invalid configuration"):
+                    sim.run(workload, bad, seed=seed)
+                with pytest.raises(ValueError, match="invalid configuration"):
+                    run_items(sim, [(workload, bad, seed)])
+        assert len(cache) == 0
+        assert cache.hits == 0
 
 
 class TestMeasureConfigs:

@@ -11,10 +11,6 @@ import pytest
 from repro.cluster import make_cluster
 from repro.experiments.harness import shared_extraction
 
-#: Repetitions per configuration (the paper uses 8; benches use 5 to keep
-#: each artifact's regeneration under a minute end to end).
-BENCH_REPS = 5
-
 
 @pytest.fixture(scope="session")
 def cluster():

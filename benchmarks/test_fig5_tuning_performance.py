@@ -1,6 +1,6 @@
 """Bench: regenerate Figure 5 (STELLAR vs default and expert, 5 benchmarks)."""
 
-from conftest import BENCH_REPS
+from bench_settings import BENCH_REPS
 
 from repro.experiments import fig5
 

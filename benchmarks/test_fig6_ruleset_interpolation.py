@@ -1,6 +1,6 @@
 """Bench: regenerate Figure 6 (rule-set interpolation on the benchmarks)."""
 
-from conftest import BENCH_REPS
+from bench_settings import BENCH_REPS
 
 from repro.experiments import fig6
 

@@ -1,6 +1,6 @@
 """Bench: regenerate Figure 7 (rule extrapolation to unseen applications)."""
 
-from conftest import BENCH_REPS
+from bench_settings import BENCH_REPS
 
 from repro.experiments import fig7
 

@@ -1,6 +1,6 @@
 """Bench: regenerate Figure 8 (component ablations on MDWorkbench_8K)."""
 
-from conftest import BENCH_REPS
+from bench_settings import BENCH_REPS
 
 from repro.experiments import fig8
 

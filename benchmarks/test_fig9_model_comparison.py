@@ -1,6 +1,6 @@
 """Bench: regenerate Figure 9 (different LLMs as the Tuning Agent)."""
 
-from conftest import BENCH_REPS
+from bench_settings import BENCH_REPS
 
 from repro.experiments import fig9
 

@@ -1,6 +1,6 @@
 """Bench: the §5.6 user-accessible tuning direction."""
 
-from conftest import BENCH_REPS
+from bench_settings import BENCH_REPS
 
 from repro.experiments import userspace
 

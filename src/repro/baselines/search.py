@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.cluster.hardware import ClusterSpec
 from repro.pfs.config import PfsConfig
 from repro.pfs.simulator import Simulator
-from repro.sim.cache import RUN_CACHE
 from repro.sim.random import RngStreams
 from repro.workloads.base import Workload
 
@@ -49,12 +48,12 @@ class OracleSearch:
     seeded noise — evaluation ``i`` runs under ``RngStreams.rep_seed(seed,
     i)``, the shared repeated-measurement derivation — and the evaluation
     counter prices each simulated run exactly as the sequential search
-    did.  The whole search runs under the process-wide
-    :data:`~repro.sim.cache.RUN_CACHE`, which keeps each configuration's
-    noise-free model evaluation: re-measuring a configuration (a candidate
-    revisited under a later seed, a repeated search, a cell another
-    strategy already measured) skips the model and pays only its seed's
-    noise and result assembly.
+    did.  Like every simulated run, the search's runs are served from the
+    process-wide :data:`~repro.sim.cache.RUN_CACHE`, which keeps each
+    configuration's noise-free model evaluation: re-measuring a
+    configuration (a candidate revisited under a later seed, a repeated
+    search, a cell another strategy already measured) skips the model and
+    pays only its seed's noise and result assembly.
     """
 
     def __init__(self, cluster: ClusterSpec, seed: int = 0, max_rounds: int = 2):
@@ -80,10 +79,6 @@ class OracleSearch:
         ).seconds
 
     def run(self, workload: Workload) -> SearchResult:
-        with RUN_CACHE.enabled():
-            return self._run(workload)
-
-    def _run(self, workload: Workload) -> SearchResult:
         evaluations = 0
         best: dict[str, int] = {}
         default_seconds = self._measure(workload, {}, rep=evaluations)
@@ -127,3 +122,6 @@ class OracleSearch:
             evaluations=evaluations,
             trace=trace,
         )
+
+    #: Alias of :meth:`run`; perfbench's search check calls ``_run``.
+    _run = run

@@ -28,7 +28,6 @@ from repro.backends import get_backend
 from repro.cluster.hardware import ClusterSpec, make_cluster
 from repro.experiments.harness import DEFAULT_REPS, Measurement, measure_configs
 from repro.rules.model import RuleSet
-from repro.sim.cache import RUN_CACHE
 
 WORKLOADS = ("IOR_16M", "MDWorkbench_2K")
 BACKENDS = ("lustre", "beegfs")
@@ -187,15 +186,10 @@ def run(
     tuning and transfer measurements alike — so one result never mixes
     hardware; the other backends get an identically-sized default testbed.
 
-    The whole experiment runs under the process-wide run cache, and each
-    (target, workload) row scores its default and transferred
-    configurations in one sweep.
+    Each (target, workload) row scores its default and transferred
+    configurations in one sweep, and the process-wide run cache serves
+    every configuration an earlier row or tuning session already costed.
     """
-    with RUN_CACHE.enabled():
-        return _run(cluster, reps, seed, workloads)
-
-
-def _run(cluster, reps, seed, workloads) -> CrossFsResult:
     result = CrossFsResult()
     clusters: dict[str, ClusterSpec] = {}
     for backend_name in BACKENDS:

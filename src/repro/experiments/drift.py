@@ -34,7 +34,6 @@ from repro.core.engine import Stellar
 from repro.experiments.harness import DEFAULT_REPS, Measurement, shared_extraction
 from repro.pfs.config import PfsConfig
 from repro.pfs.simulator import Simulator
-from repro.sim.cache import RUN_CACHE
 from repro.sim.random import RngStreams
 from repro.workloads.dynamic import (
     DEFAULT_SEGMENTS,
@@ -123,26 +122,14 @@ def run_cell(
 ) -> DriftCell:
     """Compare the three strategies on one backend and one schedule.
 
-    The whole cell runs under the process-wide run cache: the three
-    strategies measure the same segments under shared seeds, so wherever
-    their configurations coincide (the online arm before its first re-tune
-    repeats the static arm, the oracle arm repeats whole tuning sessions)
-    the noise-free model evaluations are shared instead of re-costed.  Serving
-    measurements go through :meth:`Simulator.run_schedule`, which costs
-    each workload's distinct per-segment configurations once.
+    The three strategies measure the same segments under shared seeds, so
+    wherever their configurations coincide (the online arm before its first
+    re-tune repeats the static arm, the oracle arm repeats whole tuning
+    sessions) the process-wide run cache serves the noise-free model
+    evaluations instead of re-costing them.  Serving measurements go
+    through :meth:`Simulator.run_schedule`, which costs each workload's
+    distinct per-segment configurations once.
     """
-    with RUN_CACHE.enabled():
-        return _run_cell(cluster, schedule, reps, seed, band, max_retunes)
-
-
-def _run_cell(
-    cluster: ClusterSpec,
-    schedule: Schedule,
-    reps: int,
-    seed: int,
-    band: float,
-    max_retunes: int,
-) -> DriftCell:
     extraction = shared_extraction(cluster, seed=seed)
     sim = Simulator(cluster)
     base = PfsConfig(facts=cluster.config_facts(), backend=cluster.backend)

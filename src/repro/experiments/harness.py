@@ -60,7 +60,7 @@ def measure_config(
     per-rep noise seeded via :meth:`RngStreams.rep_seed` — the same
     derivation every repeated-run call site uses.  Implemented over
     :func:`measure_configs`, so model evaluations are served from the
-    process-wide run cache when an enclosing experiment enabled it.
+    process-wide run cache.
     """
     return measure_configs(
         cluster, workload_name, [updates], [label], reps=reps, seed=seed
@@ -80,12 +80,12 @@ def measure_configs(
     The cartesian (config x rep-seed) grid (:func:`repro.sim.sweep.grid_items`)
     goes through one :func:`~repro.sim.sweep.run_items` call, which costs
     each configuration once.  Results are bit-identical to calling
-    :func:`measure_config` per entry.  Cache enablement is left to the
-    *enclosing experiment* (drift cells, crossfs, the oracle search wrap
-    themselves in ``RUN_CACHE.enabled()``): strategies re-measuring the same
-    (workload, config) pair, under any seeds, then share one noise-free
-    model evaluation, while a bare measurement — the figure benchmarks time
-    these — always performs a fixed amount of work.
+    :func:`measure_config` per entry.  Each configuration's noise-free
+    model evaluation comes from the process-wide run cache, so a
+    measurement's cost depends on what ran before it: a (workload, config)
+    pair any earlier run costed, under any seeds, pays only its noise and
+    result assembly.  Callers that time the model itself measure inside
+    ``RUN_CACHE.disabled()``.
     """
     from repro.sim.random import RngStreams
     from repro.sim.sweep import grid_items, run_items

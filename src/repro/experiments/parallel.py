@@ -23,8 +23,10 @@ different worker count (or a broken pool) retires the old executor and
 builds a fresh one; :func:`shutdown_pool` retires it explicitly, and an
 ``atexit`` hook covers interpreter exit.  Correctness never depends on
 pool reuse — jobs are pure functions of their arguments, and per-job state
-like ``RUN_CACHE`` enablement is entered and exited inside the job body,
-so nothing leaks between waves (guarded by ``tests/test_fleet_batch.py``).
+like a ``RUN_CACHE.disabled()`` scope is entered and exited inside the job
+body, so nothing leaks between waves (guarded by
+``tests/test_fleet_batch.py``).  The run cache's entries do persist in a
+warm worker, which only ever skips re-costing an identical evaluation.
 """
 
 from __future__ import annotations

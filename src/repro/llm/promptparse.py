@@ -10,6 +10,7 @@ grounded.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -67,11 +68,23 @@ def build_hardware_section(description: str, facts: dict[str, float]) -> str:
     return "\n".join(lines)
 
 
+def _to_float(text: str) -> float | None:
+    """``float(text)``, or ``None`` when the text is not a number.  The
+    parsers' number patterns accept every character a float may hold, so
+    they also accept strings like ``1.2.3`` that conversion rejects."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 @lru_cache(maxsize=256)
 def _parse_hardware_facts_cached(body: str) -> dict[str, float]:
     facts: dict[str, float] = {}
     for match in re.finditer(r"^fact (\w+) = ([-\d.eE+]+)$", body, re.MULTILINE):
-        facts[match.group(1)] = float(match.group(2))
+        value = _to_float(match.group(2))
+        if value is not None:
+            facts[match.group(1)] = value
     return facts
 
 
@@ -116,7 +129,8 @@ def parse_parameter_section(body: str) -> list[ParameterInfo]:
     Memoized: the same parameter section recurs on every turn of a tuning
     loop, and there are only a handful of distinct sections per process
     (ablations toggle descriptions, §5.6 restricts the surface).  Callers
-    treat the returned infos as read-only.
+    treat the returned infos as read-only.  A ``default:`` field that is
+    not a finite number is skipped, keeping the entry's default of 0.
     """
     params: list[ParameterInfo] = []
     current: ParameterInfo | None = None
@@ -135,7 +149,9 @@ def parse_parameter_section(body: str) -> list[ParameterInfo]:
             key = key.strip()
             value = value.strip()
             if key == "default":
-                current.default = int(float(value))
+                number = _to_float(value)
+                if number is not None and math.isfinite(number):
+                    current.default = int(number)
             elif key == "range":
                 low, _, high = value.partition("..")
                 current.min_expr = low.strip()
@@ -183,8 +199,9 @@ def _parse_io_report_cached(body: str) -> IOReport:
             report.summary = line.split(":", 1)[1].strip()
         elif line.startswith("metric "):
             match = re.match(r"metric (\w+) = ([-\d.eE+]+)", line)
-            if match:
-                report.metrics[match.group(1)] = float(match.group(2))
+            value = _to_float(match.group(2)) if match else None
+            if value is not None:
+                report.metrics[match.group(1)] = value
         elif line.startswith("followup "):
             match = re.match(r"followup '(.*)': (.*)", line)
             if match:
@@ -209,12 +226,25 @@ def parse_io_report(body: str) -> IOReport:
 # Rule set (strict JSON structure, §4.4.1)
 # ---------------------------------------------------------------------------
 def _freeze(obj: Any):
-    """A hashable deep-frozen view of a JSON-shaped value (cache keys)."""
+    """A hashable deep-frozen view of a JSON-shaped value (cache keys).
+
+    Equal views must render equal JSON, so each view carries its type:
+    otherwise ``True == 1 == 1.0`` would alias ``true``, ``1`` and ``1.0``,
+    and a dict would alias the list of its pairs.  Floats freeze by
+    ``repr``, which is what ``json.dumps`` prints and which tells ``-0.0``
+    from ``0.0``.  Strings, the bulk of a rule set, stand for themselves:
+    no other view is a ``str``.
+    """
+    cls = obj.__class__
+    if cls is str:
+        return obj
     if isinstance(obj, dict):
-        return tuple((k, _freeze(v)) for k, v in obj.items())
-    if isinstance(obj, list):
-        return tuple(_freeze(v) for v in obj)
-    return obj
+        return (dict, tuple((_freeze(k), _freeze(v)) for k, v in obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return (list, tuple(_freeze(v) for v in obj))
+    if cls is float:
+        return (float, repr(obj))
+    return (cls, obj)
 
 
 #: ``indent=1`` renders keyed by the frozen payload — rule sets repeat
@@ -242,10 +272,21 @@ def build_rules_section(rules_json: list[dict[str, Any]]) -> str:
 
 @lru_cache(maxsize=256)
 def _parse_rules_cached(body: str) -> list[dict[str, Any]]:
-    return json.loads(body)
+    rules = json.loads(body)
+    if not isinstance(rules, list) or not all(isinstance(r, dict) for r in rules):
+        raise ValueError(
+            f"{S_RULES} section must be a JSON list of rule objects, "
+            f"got {body[:80]!r}"
+        )
+    return rules
 
 
 def parse_rules_section(body: str) -> list[dict[str, Any]]:
+    """The rule objects of a rule-set section; ``[]`` when empty.
+
+    Raises ``ValueError`` when the body is not JSON (``JSONDecodeError``)
+    or is JSON other than a list of objects.
+    """
     body = body.strip()
     if not body or body == "(empty)":
         return []
@@ -282,14 +323,21 @@ def build_history_section(initial_seconds: float, attempts: list[AttemptRecord])
 
 
 def parse_history_section(body: str) -> tuple[float, list[AttemptRecord]]:
+    """The initial runtime and attempt records of a history section.
+
+    Lines that do not parse are skipped: an attempt whose changes are not a
+    JSON object of integer-convertible values, or whose runtime or speedup
+    is not a number, is dropped whole.
+    """
     initial = 0.0
     attempts: list[AttemptRecord] = []
     for raw in body.splitlines():
         line = raw.strip()
         if line.startswith("initial run"):
             match = re.search(r"([\d.]+)s", line)
-            if match:
-                initial = float(match.group(1))
+            value = _to_float(match.group(1)) if match else None
+            if value is not None:
+                initial = value
         elif line.startswith("attempt "):
             match = re.match(
                 r"attempt (\d+): changes (\{.*\}) -> runtime ([\d.]+)s "
@@ -297,12 +345,14 @@ def parse_history_section(body: str) -> tuple[float, list[AttemptRecord]]:
                 line,
             )
             if match:
-                attempts.append(
-                    AttemptRecord(
+                try:
+                    record = AttemptRecord(
                         index=int(match.group(1)),
                         changes={k: int(v) for k, v in json.loads(match.group(2)).items()},
                         seconds=float(match.group(3)),
                         speedup=float(match.group(4)),
                     )
-                )
+                except (ValueError, TypeError, OverflowError):
+                    continue  # JSONDecodeError is a ValueError
+                attempts.append(record)
     return initial, attempts

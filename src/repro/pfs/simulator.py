@@ -189,10 +189,12 @@ class Simulator:
         real ``lctl set_param`` would fail — callers that want real-system
         clipping semantics should pass ``config.clipped()``.
 
-        When the :data:`~repro.sim.cache.RUN_CACHE` is enabled, the
-        seedless evaluation is served from and stored into it and
-        :func:`noisy_run` builds the run.  The cache-off path below is the
-        reference every parity test compares against.
+        The seedless evaluation is served from and stored into the
+        :data:`~repro.sim.cache.RUN_CACHE`, and :func:`noisy_run` builds
+        the run, so a repeated configuration costs only its seed's noise.
+        Inside a ``RUN_CACHE.disabled()`` scope the model runs every time:
+        that cache-off path below is the reference every parity test
+        compares against.
         """
         if RUN_CACHE.active:
             key = RUN_CACHE.key(self.cluster, workload, config)

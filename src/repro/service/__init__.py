@@ -3,7 +3,7 @@
 Where :mod:`repro.core` tunes one workload for one operator, this package
 schedules *many tenants* — each a backend × cluster × workload-or-schedule
 × engine cell — concurrently over the deterministic process pool, sharing
-the immutable offline artifacts and the opt-in run cache, and merging every
+the immutable offline artifacts and the run cache, and merging every
 tenant's rule contributions into one versioned, replay-deterministic
 journal.
 

@@ -24,13 +24,14 @@ What tenants share, and how:
   workers with the job — tenants never redo the offline phase.  Manuals and
   the RAG index live behind the extraction and the backend registry, both
   immutable at serving time.
-- **The opt-in run cache.**  Every tenant job runs inside
-  ``RUN_CACHE.enabled()`` (unless the fleet is built with
-  ``use_cache=False``), so tenants co-located on a worker share noise-free
-  model evaluations.  The cache only ever skips re-costing an identical
-  (backend, cluster, workload, config), and every run still applies its
-  own seed's noise, so sharing never changes results — worker-count
-  independence is asserted by ``tests/test_fleet.py``.
+- **The run cache.**  Every simulated run is served from the process-wide
+  ``RUN_CACHE``, so tenants co-located on a worker share noise-free model
+  evaluations; a fleet built with ``use_cache=False`` runs each tenant
+  job inside ``RUN_CACHE.disabled()`` instead.  The cache only ever skips
+  re-costing an identical (backend, cluster, workload, config), and every
+  run still applies its own seed's noise, so sharing never changes
+  results — worker-count independence is asserted by
+  ``tests/test_fleet.py``.
 - **Rule knowledge, after the fact.**  Each tenant accumulates into its own
   :class:`~repro.rules.store.RuleJournal`; a drained fleet replay-merges
   them (:meth:`RuleJournal.merged`) so concurrent tenants' contributions
@@ -141,9 +142,10 @@ def run_tenant(
 
     Module-level and dependent only on its arguments, so the inline and
     pooled paths cannot drift; the throughput bench also calls it directly
-    to build its sequential comparison arm.  The cache scope is
-    (re-)entered here because worker processes do not inherit the parent's
-    enablement depth under every start method.
+    to build its sequential comparison arm.  ``use_cache=False`` enters
+    ``RUN_CACHE.disabled()`` here, inside the job body, so the scope holds
+    in whichever process runs the job and ends with it: a warm worker
+    never carries one job's scope into the next.
 
     This function is the tenant's fault boundary: anything the resilience
     machinery could not absorb surfaces here and becomes a
@@ -159,7 +161,7 @@ def run_tenant(
         retry=retry if retry is not None else RetryPolicy(),
         policy=spec.policy,
     )
-    scope = RUN_CACHE.enabled() if use_cache else nullcontext()
+    scope = nullcontext() if use_cache else RUN_CACHE.disabled()
     sessions: list[TuningSession] = []
     current = ""
     try:

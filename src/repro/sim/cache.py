@@ -1,11 +1,11 @@
 """Process-wide memoization of noise-free model evaluations.
 
 The analytic model is a pure function of (cluster, workload,
-configuration); only the run-to-run noise depends on the seed.  The
-experiment layer leans on that heavily: the drift experiment's
+configuration); only the run-to-run noise depends on the seed.  The whole
+system leans on that: tuning engines on one cluster repeat each other's
+initial runs and most of their probes, the drift experiment's
 static/online/oracle arms share segment measurements, the oracle search
-re-measures incumbent configurations under fresh seeds, cross-backend
-transfer scores the same default configuration per target, and every
+re-measures incumbent configurations under fresh seeds, and every
 ``measure_config`` caller replays the paper's repetition protocol.
 :class:`RunCache` lets all of them share one bounded store of model
 evaluations instead of re-running the model.
@@ -23,12 +23,13 @@ Contract:
   noise (:func:`~repro.pfs.simulator.noisy_run`), so an exact replay is
   equal to, not the same object as, the first run.  The config and the
   ``phase`` / ``bounds`` objects are shared and immutable to consumers.
-- **Bounded.**  The store is an LRU of ``maxsize`` entries; experiments
-  cannot grow memory without bound.
-- **Opt-in.**  The cache only serves and stores while at least one
-  ``with RUN_CACHE.enabled():`` scope is active, so parity suites and
-  micro-benchmarks that intentionally re-run the model measure the real
-  thing unless they ask otherwise.
+- **Bounded.**  The store is an LRU of ``maxsize`` entries; no caller can
+  grow memory without bound.
+- **On by default.**  Every ``Simulator.run`` and ``run_items`` call is
+  served from and stored into the cache, unless a
+  ``with RUN_CACHE.disabled():`` scope is open.  The cache-off path is the
+  parity reference: parity suites reach it through ``disabled()``, and so
+  do micro-benchmarks that time the model itself.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class RunCache:
         self.maxsize = maxsize
         self._store: OrderedDict[tuple, "Evaluation"] = OrderedDict()
         self._depth = 0
-        # Concurrent threads may each enter their own ``enabled()`` scope;
+        # Concurrent threads may each enter their own ``disabled()`` scope;
         # the depth update is a read-modify-write, so it needs a lock to
         # stay exact.
         self._depth_lock = threading.Lock()
@@ -67,12 +68,14 @@ class RunCache:
     # -- enablement --------------------------------------------------------
     @property
     def active(self) -> bool:
-        """Whether lookups/stores are currently served."""
-        return self._depth > 0
+        """Whether lookups/stores are currently served: unless a
+        :meth:`disabled` scope is open."""
+        return self._depth == 0
 
     @contextmanager
-    def enabled(self):
-        """Serve the cache inside this scope (scopes nest)."""
+    def disabled(self):
+        """Bypass the cache inside this scope (scopes nest): every run
+        evaluates the model, and nothing is stored."""
         with self._depth_lock:
             self._depth += 1
         try:
@@ -136,5 +139,5 @@ class RunCache:
         }
 
 
-#: The process-wide instance every simulator path consults when enabled.
+#: The process-wide instance every simulator path consults unless disabled.
 RUN_CACHE = RunCache()

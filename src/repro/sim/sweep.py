@@ -7,9 +7,11 @@ baselines, the drift experiment — goes through :func:`run_items`, which
 groups items per workload, dedups each group's configurations and costs
 each distinct one with the scalar model
 (:func:`~repro.pfs.simulator.evaluate_phases`).  A config x seed grid thus
-pays one model evaluation per configuration, not one per item; with the
-:data:`~repro.sim.cache.RUN_CACHE` enabled, each distinct configuration is
-looked up once per group under its seedless key.
+pays one model evaluation per configuration, not one per item; each
+distinct configuration is looked up once per group under its seedless key
+in the :data:`~repro.sim.cache.RUN_CACHE`, so only configurations no
+earlier run costed reach the model.  Inside ``RUN_CACHE.disabled()`` every
+group costs its distinct configurations afresh.
 
 Noise happens here.  The per-item noise re-derives exactly the seeds and
 streams the scalar path uses (``RngStreams`` named streams) and takes each
@@ -164,7 +166,7 @@ def _sweep_group(
     group_items: list["BatchItem"],
 ) -> list["RunResult"]:
     """All items of one workload: dedup configs, evaluate each distinct one
-    (through the run cache when it is enabled), apply noise."""
+    (through the run cache unless it is disabled), apply noise."""
     from repro.pfs.simulator import (
         _NOISE_CACHE,
         _NOISE_CACHE_MAX,

@@ -20,6 +20,7 @@ from repro.pfs.config import PfsConfig
 from repro.pfs.proctree import ProcView, build_proc_tree, writable_parameter_names
 from repro.pfs.simulator import Simulator
 from repro.rag.extraction import ParameterExtractor
+from repro.sim.cache import RUN_CACHE
 from repro.sim.random import RngStreams
 from repro.workloads import get_workload
 
@@ -250,7 +251,8 @@ class TestSimulatorParity:
         # Each side starts from an empty noise memo, so the sweep draws its
         # own noise instead of reading the scalar side's.
         monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
-        sequential = [sim.run(workload, config, seed=s) for s in seeds]
+        with RUN_CACHE.disabled():
+            sequential = [sim.run(workload, config, seed=s) for s in seeds]
         monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
         batched = sim.run_items((workload, config, s) for s in seeds)
         assert [r.seconds for r in batched] == [r.seconds for r in sequential]

@@ -8,6 +8,7 @@ from repro.experiments import harness, parallel
 from repro.pfs.config import PfsConfig
 from repro.pfs.expressions import compile_expression
 from repro.pfs.simulator import Simulator
+from repro.sim.cache import RUN_CACHE
 from repro.sim.random import REP_STRIDE, RngStreams
 from repro.sim.sweep import repetition_items, sweep_items
 from repro.workloads import get_workload
@@ -34,7 +35,8 @@ class TestRunBatch:
             config = PfsConfig(facts=cluster.config_facts())
             seeds = [RngStreams.rep_seed(3, i) for i in range(4)]
             monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
-            sequential = [sim.run(workload, config, seed=s) for s in seeds]
+            with RUN_CACHE.disabled():
+                sequential = [sim.run(workload, config, seed=s) for s in seeds]
             monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
             batched = sim.run_items([(workload, config, s) for s in seeds])
             for seq, bat in zip(sequential, batched):
@@ -62,7 +64,8 @@ class TestRunBatch:
             (get_workload("IOR_64K"), base, 14),  # dedups with item 0's group
         ]
         monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
-        sequential = [sim.run(w, c, seed=s) for w, c, s in items]
+        with RUN_CACHE.disabled():
+            sequential = [sim.run(w, c, seed=s) for w, c, s in items]
         monkeypatch.setattr("repro.pfs.simulator._NOISE_CACHE", {})
         batched = sim.run_items(items)
         for seq, bat in zip(sequential, batched):

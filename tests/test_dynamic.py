@@ -12,6 +12,7 @@ from repro.experiments import drift
 from repro.experiments.harness import shared_extraction
 from repro.pfs.config import PfsConfig
 from repro.pfs.simulator import Simulator
+from repro.sim.cache import RUN_CACHE
 from repro.sim.random import RngStreams
 from repro.sim.sweep import schedule_items
 from repro.workloads import SCHEDULE_KINDS, build_schedule
@@ -82,10 +83,11 @@ class TestRunSchedule:
         schedule = build_schedule(kind, seed=0, n_segments=5)
         config = PfsConfig(facts=cluster.config_facts(), backend=cluster.backend)
         batched = sim.run_schedule(schedule, config, seed=9)
-        sequential = [
-            sim.run(seg.workload, config, seed=RngStreams.rep_seed(9, i))
-            for i, seg in enumerate(schedule)
-        ]
+        with RUN_CACHE.disabled():
+            sequential = [
+                sim.run(seg.workload, config, seed=RngStreams.rep_seed(9, i))
+                for i, seg in enumerate(schedule)
+            ]
         assert [r.seconds for r in batched] == [r.seconds for r in sequential]
         assert [r.seed for r in batched] == [r.seed for r in sequential]
         for bat, seq in zip(batched, sequential):
@@ -100,7 +102,8 @@ class TestRunSchedule:
         configs = [base, base, tuned, tuned]
         batched = sim.run_schedule(schedule, configs, seed=2)
         for i, (seg, cfg) in enumerate(zip(schedule, configs)):
-            seq = sim.run(seg.workload, cfg, seed=RngStreams.rep_seed(2, i))
+            with RUN_CACHE.disabled():
+                seq = sim.run(seg.workload, cfg, seed=RngStreams.rep_seed(2, i))
             assert batched[i].seconds == seq.seconds
 
     def test_config_count_mismatch_rejected(self, cluster):
@@ -115,9 +118,11 @@ class TestRunSchedule:
         sim = Simulator(cluster)
         base = PfsConfig(facts=cluster.config_facts(), backend=cluster.backend)
         runs = sim.run_schedule([get_workload("IOR_64K")], base, seed=4)
-        assert runs[0].seconds == sim.run(
-            get_workload("IOR_64K"), base, seed=RngStreams.rep_seed(4, 0)
-        ).seconds
+        with RUN_CACHE.disabled():
+            reference = sim.run(
+                get_workload("IOR_64K"), base, seed=RngStreams.rep_seed(4, 0)
+            )
+        assert runs[0].seconds == reference.seconds
 
 
 class TestDriftDetector:

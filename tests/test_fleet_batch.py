@@ -5,7 +5,7 @@ Two contracts:
 - shared-memory offline artifacts resolve to byte-identical bundles in
   every worker, whatever the pool start method — asserted by content hash;
 - the warm persistent pool reuses worker processes across waves without
-  leaking per-wave state (``RUN_CACHE`` enablement) between them.
+  leaking per-wave state (a ``RUN_CACHE.disabled()`` scope) between them.
 """
 
 import pytest
@@ -90,8 +90,8 @@ def _cache_state_probe(_):
 
 
 def _job_with_cache_scope(item):
-    with RUN_CACHE.enabled():
-        assert RUN_CACHE.active
+    with RUN_CACHE.disabled():
+        assert not RUN_CACHE.active
     return item * 2
 
 
@@ -114,7 +114,7 @@ class TestWarmPool:
         assert parallel._pool is None
 
     def test_cache_enablement_does_not_leak_between_waves(self):
-        # Wave 1: jobs enter (and exit) the run-cache scope in the worker.
+        # Wave 1: jobs enter (and exit) a cache-off scope in the worker.
         assert pmap(_job_with_cache_scope, [1, 2, 3, 4], max_workers=2) == [
             2,
             4,
@@ -122,7 +122,7 @@ class TestWarmPool:
             8,
         ]
         # Wave 2, same warm workers: the scope must not have leaked.
-        assert pmap(_cache_state_probe, range(4), max_workers=2) == [False] * 4
+        assert pmap(_cache_state_probe, range(4), max_workers=2) == [True] * 4
 
     def test_fleet_waves_reuse_pool_bit_identically(self):
         fleet = _mixed_fleet(4)

@@ -151,6 +151,28 @@ class TestPromptParse:
         # A memo hit renders the same text.
         assert pp.dumps_indented(payload) == json.dumps(payload, indent=1)
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ([True], [1]),
+            ([1], [1.0]),
+            ([0.0], [-0.0]),
+            ({"a": 1}, [["a", 1]]),
+            ({True: 1}, {1: 1}),
+            ([{"a": [False]}], [{"a": [0]}]),
+        ],
+        ids=["bool-int", "int-float", "zero-signs", "dict-pairs", "keys", "nested"],
+    )
+    def test_rules_json_memo_never_aliases_distinct_renderings(
+        self, monkeypatch, first, second
+    ):
+        """Payloads that compare equal once frozen naively but render
+        differently each get their own text, in either order."""
+        for payloads in ((first, second), (second, first)):
+            monkeypatch.setattr(pp, "_DUMPS_CACHE", {})
+            for payload in payloads:
+                assert pp.dumps_indented(payload) == json.dumps(payload, indent=1)
+
     def test_sections_round_trip(self):
         params = [
             pp.ParameterInfo(

@@ -70,6 +70,71 @@ class TestMalformedInputs:
         assert facts == {"n_ost": 5.0}
 
 
+#: Lines each parser's pattern accepts but whose values do not convert.
+#: Attempt lines wrap a changes payload in an otherwise valid record.
+ATTEMPT = "attempt 2: changes {changes} -> runtime {seconds}s (speedup 2.000x)"
+
+
+class TestRegexAcceptedButUnconvertible:
+    """Lines a parser's regex accepts but whose conversion fails are
+    skipped like garbage lines, never raised."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            ATTEMPT.format(changes='{"a": "x"}', seconds="5.000"),
+            ATTEMPT.format(changes='{"a": 1,}', seconds="5.000"),
+            ATTEMPT.format(changes='{"a": [1]}', seconds="5.000"),
+            ATTEMPT.format(changes='{"a": 1e999}', seconds="5.000"),
+            ATTEMPT.format(changes='{"a": 1}', seconds="5.0.0"),
+        ],
+    )
+    def test_history_skips_unconvertible_attempt(self, line):
+        initial, attempts = pp.parse_history_section(
+            "initial run (default configuration): 10.000s\n"
+            + line
+            + '\nattempt 3: changes {"b": 2} -> runtime 4.000s (speedup 2.500x)'
+        )
+        assert initial == 10.0
+        assert [(a.index, a.changes) for a in attempts] == [(3, {"b": 2})]
+
+    def test_history_skips_unconvertible_initial_run(self):
+        initial, attempts = pp.parse_history_section(
+            "initial run (default configuration): 1.2.3s"
+        )
+        assert (initial, attempts) == (0.0, [])
+
+    def test_io_report_skips_unconvertible_metric(self):
+        report = pp.parse_io_report("metric a = 1e5e5\nmetric b = 2")
+        assert report.metrics == {"b": 2.0}
+
+    def test_hardware_facts_skip_unconvertible_fact(self):
+        facts = pp.parse_hardware_facts("fact a = 1.2.3\nfact b = 3")
+        assert facts == {"b": 3.0}
+
+    @pytest.mark.parametrize("value", ["abc", "inf", "-inf", "nan", "1e999"])
+    def test_parameter_section_skips_unconvertible_default(self, value):
+        params = pp.parse_parameter_section(
+            "- parameter: osc.max_rpcs_in_flight\n"
+            f"  default: {value}\n"
+            "  range: 1 .. 256\n"
+            "- parameter: llite.statahead_max\n"
+            "  default: 32\n"
+        )
+        assert [(p.name, p.default) for p in params] == [
+            ("osc.max_rpcs_in_flight", 0),
+            ("llite.statahead_max", 32),
+        ]
+        assert params[0].max_expr == "256"  # the entry's other fields survive
+
+    @pytest.mark.parametrize(
+        "body", ['{"a": 1}', "[1, 2]", '[{"a": 1}, "rule"]', '"rules"', "3"]
+    )
+    def test_rules_section_rejects_json_that_is_not_a_list_of_objects(self, body):
+        with pytest.raises(ValueError, match="JSON list of rule objects"):
+            pp.parse_rules_section(body)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     metrics=st.dictionaries(

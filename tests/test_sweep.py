@@ -81,8 +81,13 @@ def assert_runs_identical(expected, actual):
 
 
 def sequential(sim, items):
-    """The scalar reference: one ``Simulator.run`` per item."""
-    return [sim.run(workload, config, seed=seed) for workload, config, seed in items]
+    """The scalar reference: one cache-off ``Simulator.run`` per item.  It
+    disables the cache ``Simulator.run`` reads, which a test may have
+    swapped for a fresh one (:func:`fresh_run_cache`)."""
+    with simulator_module.RUN_CACHE.disabled():
+        return [
+            sim.run(workload, config, seed=seed) for workload, config, seed in items
+        ]
 
 
 def empty_noise_memo(monkeypatch):
@@ -340,18 +345,17 @@ class TestRunCache:
 
         evaluations = count_evaluations(monkeypatch)
         cache = fresh_run_cache(monkeypatch)
-        with cache.enabled():
-            first = run_sweep(sim, workload, configs, seeds)
-            assert len(evaluations) == distinct
-            second = run_sweep(sim, workload, configs, seeds)
-            # A full hit: no model evaluation ran, one lookup per distinct
-            # config, and the results equal the first pass's.
-            assert len(evaluations) == distinct
-            assert cache.hits == distinct
-            assert_runs_identical(first, second)
-            # Keys carry no seed: fresh seeds skip the model too.
-            fresh = run_sweep(sim, workload, configs, fresh_seeds)
-            assert len(evaluations) == distinct
+        first = run_sweep(sim, workload, configs, seeds)
+        assert len(evaluations) == distinct
+        second = run_sweep(sim, workload, configs, seeds)
+        # A full hit: no model evaluation ran, one lookup per distinct
+        # config, and the results equal the first pass's.
+        assert len(evaluations) == distinct
+        assert cache.hits == distinct
+        assert_runs_identical(first, second)
+        # Keys carry no seed: fresh seeds skip the model too.
+        fresh = run_sweep(sim, workload, configs, fresh_seeds)
+        assert len(evaluations) == distinct
         assert_runs_identical(
             sequential(sim, sweep_items(workload, configs, fresh_seeds)), fresh
         )
@@ -361,14 +365,14 @@ class TestRunCache:
         sim = Simulator(cluster)
         config = PfsConfig(facts=cluster.config_facts())
         workload = get_workload("IOR_64K")
-        cold = sim.run(workload, config, seed=9)
-        cold_new_seed = sim.run(workload, config, seed=10)
+        with RUN_CACHE.disabled():
+            cold = sim.run(workload, config, seed=9)
+            cold_new_seed = sim.run(workload, config, seed=10)
         cache = fresh_run_cache(monkeypatch)
-        with cache.enabled():
-            primed = sim.run(workload, config, seed=9)
-            evaluations = count_evaluations(monkeypatch)
-            served = sim.run(workload, config, seed=9)
-            new_seed = sim.run(workload, config, seed=10)
+        primed = sim.run(workload, config, seed=9)
+        evaluations = count_evaluations(monkeypatch)
+        served = sim.run(workload, config, seed=9)
+        new_seed = sim.run(workload, config, seed=10)
         assert evaluations == []
         assert_runs_identical([cold, primed], [primed, served])
         assert_runs_identical([cold_new_seed], [new_seed])
@@ -379,12 +383,9 @@ class TestRunCache:
         cluster, pool = config_pool("lustre")
         sim = Simulator(cluster)
         workload = get_workload("IOR_64K")
-        cache = RunCache()
-        monkeypatch.setattr(simulator_module, "RUN_CACHE", cache)
-        monkeypatch.setattr(sweep_module, "RUN_CACHE", cache)
-        with cache.enabled():
-            runs = [sim.run(workload, pool[0], seed=0)]
-            runs += run_sweep(sim, workload, list(pool[1:4]), [1, 2, 3])
+        cache = fresh_run_cache(monkeypatch)
+        runs = [sim.run(workload, pool[0], seed=0)]
+        runs += run_sweep(sim, workload, list(pool[1:4]), [1, 2, 3])
         assert len(cache) == len(runs)  # every run evaluated, none served
         for run in runs:
             assert_no_memos(run.config)
@@ -412,16 +413,26 @@ class TestRunCache:
         assert cache.get(("k", 2)) == 2
         assert cache.get(("k", 3)) is None
 
-    def test_inactive_cache_stores_nothing(self):
+    def test_inactive_cache_stores_nothing(self, monkeypatch):
+        """Inside ``disabled()`` neither ``Simulator.run`` nor the sweep
+        reads or fills the cache: every run reaches the model."""
         cluster = make_cluster(seed=0)
         sim = Simulator(cluster)
         config = PfsConfig(facts=cluster.config_facts())
         workload = get_workload("IOR_64K")
-        entries = len(RUN_CACHE)
-        a = sim.run(workload, config, seed=3)
-        b = sim.run(workload, config, seed=3)
-        assert a is not b and a.seconds == b.seconds
-        assert len(RUN_CACHE) == entries
+        primed = sim.run(workload, config, seed=3)
+        entries, hits = len(RUN_CACHE), RUN_CACHE.hits
+        evaluations = count_evaluations(monkeypatch)
+        with RUN_CACHE.disabled():
+            assert not RUN_CACHE.active
+            a = sim.run(workload, config, seed=3)
+            b = sim.run(workload, config, seed=3)
+            swept = run_items(sim, [(workload, config, 3), (workload, config, 4)])
+        assert RUN_CACHE.active
+        assert a is not b and a.seconds == b.seconds == primed.seconds
+        assert swept[0].seconds == a.seconds
+        assert len(evaluations) == 3
+        assert (len(RUN_CACHE), RUN_CACHE.hits) == (entries, hits)
 
     def test_rejects_nonpositive_maxsize(self):
         with pytest.raises(ValueError):
@@ -450,19 +461,19 @@ class TestRunCache:
         ]
         with pytest.MonkeyPatch.context() as patch:
             empty_noise_memo(patch)
-            expected = [Simulator(cluster).run(*item) for cluster, item in flat]
+            with RUN_CACHE.disabled():
+                expected = [Simulator(cluster).run(*item) for cluster, item in flat]
             empty_noise_memo(patch)
             cache = fresh_run_cache(patch)
             evaluations = count_evaluations(patch)
             actual = []
-            with cache.enabled():
-                for target, kind, items in calls:
-                    sim = Simulator(cache_cluster(*target))
-                    resolved = [resolve(target, item)[1] for item in items]
-                    if kind == "run":
-                        actual += [sim.run(*item) for item in resolved]
-                    else:
-                        actual += run_items(sim, resolved)
+            for target, kind, items in calls:
+                sim = Simulator(cache_cluster(*target))
+                resolved = [resolve(target, item)[1] for item in items]
+                if kind == "run":
+                    actual += [sim.run(*item) for item in resolved]
+                else:
+                    actual += run_items(sim, resolved)
         assert_runs_identical(expected, actual)
         assert [dict(run.config.facts) for run in actual] == [
             dict(run.config.facts) for run in expected
@@ -477,19 +488,19 @@ class TestRunCache:
         cluster, pool = config_pool("lustre")
         sim = Simulator(cluster)
         workload = get_workload("IOR_16M")
-        expected = sim.run(workload, pool[0], seed=1)
+        with RUN_CACHE.disabled():
+            expected = sim.run(workload, pool[0], seed=1)
         cache = fresh_run_cache(monkeypatch)
-        with cache.enabled():
-            for run in (
-                sim.run(workload, pool[0], seed=1),
-                run_sweep(sim, workload, [pool[0]], [1])[0],
-            ):
-                for phase in run.phases:
-                    phase.seconds *= 1000.0
-            served = [
-                sim.run(workload, pool[0], seed=1),
-                run_sweep(sim, workload, [pool[0]], [1])[0],
-            ]
+        for run in (
+            sim.run(workload, pool[0], seed=1),
+            run_sweep(sim, workload, [pool[0]], [1])[0],
+        ):
+            for phase in run.phases:
+                phase.seconds *= 1000.0
+        served = [
+            sim.run(workload, pool[0], seed=1),
+            run_sweep(sim, workload, [pool[0]], [1])[0],
+        ]
         assert cache.hits == 3
         assert_runs_identical([expected, expected], served)
         # The copies carry every PhaseResult field (noisy_run lists them).
@@ -505,12 +516,11 @@ class TestRunCache:
         bad._set_raw("osc.max_rpcs_in_flight", 100000)
         workload = get_workload("IOR_64K")
         cache = fresh_run_cache(monkeypatch)
-        with cache.enabled():
-            for seed in (1, 1, 2):
-                with pytest.raises(ValueError, match="invalid configuration"):
-                    sim.run(workload, bad, seed=seed)
-                with pytest.raises(ValueError, match="invalid configuration"):
-                    run_items(sim, [(workload, bad, seed)])
+        for seed in (1, 1, 2):
+            with pytest.raises(ValueError, match="invalid configuration"):
+                sim.run(workload, bad, seed=seed)
+            with pytest.raises(ValueError, match="invalid configuration"):
+                run_items(sim, [(workload, bad, seed)])
         assert len(cache) == 0
         assert cache.hits == 0
 

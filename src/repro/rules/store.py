@@ -43,12 +43,17 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
     Readers either see the previous complete file or the new complete
     file, never a torn intermediate — the property journal and fleet
-    checkpoint persistence rely on.
+    checkpoint persistence rely on.  A failed write or rename removes the
+    temp file and re-raises, leaving ``path`` as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_rule_set(rule_set: RuleSet, path: str | Path) -> None:
@@ -256,8 +261,8 @@ class RuleJournal:
     def load(cls, path: str | Path) -> "RuleJournal":
         path = Path(path)
         try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            raw = json.loads(path.read_bytes().decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
             raise JournalCorruptError(
                 f"rule journal at {path} is not valid JSON ({exc}); "
                 "the file is truncated or corrupt"
@@ -408,8 +413,8 @@ def load_session_summary(path: str | Path) -> dict:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise JournalCorruptError(
             f"session export at {path} is not valid JSON ({exc}); "
             "the file is truncated or corrupt"

@@ -19,8 +19,9 @@ Fault domains: each tenant is its own blast radius.  Under an armed
 :class:`~repro.faults.plan.FaultPlan`, a tenant that exhausts its retry
 budget is quarantined with a structured
 :class:`~repro.service.tenant.TenantFailure` report while every other
-tenant completes, and fleet state checkpoints through the journal store so
-a killed fleet resumes without re-running completed tenants.
+tenant completes, and each outcome is appended to a fingerprinted
+checkpoint log so a killed fleet resumes without re-running completed
+tenants.
 
 The face of the layer is :class:`~repro.service.daemon.TuningService`:
 tenants arrive through deterministic admission control (rate limits +

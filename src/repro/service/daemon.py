@@ -20,11 +20,13 @@ Robustness features, all wall-clock-free:
 - **Circuit breakers.**  After ``breaker.threshold`` consecutive
   quarantines on one fault site, later tenants run with that site
   fail-fast (degraded mode) instead of each re-proving the site hostile.
-- **Crash safety.**  With a ``checkpoint`` path the service persists
-  every arrival through the fleet's fingerprinted checkpoint machinery;
-  a ``kill -9`` + restart + identical resubmission stream resumes
-  without re-running completed tenants, byte-identical to the
-  uninterrupted service.
+- **Crash safety.**  With a ``checkpoint`` path the service appends
+  every arrival as one line to the fleet's fingerprinted checkpoint log
+  (:class:`~repro.service.scheduler.CheckpointStore`); a ``kill -9`` +
+  restart + identical resubmission stream resumes without re-running
+  completed tenants, byte-identical to the uninterrupted service.  A
+  kill mid-append leaves a torn last line, which the restart drops and
+  re-runs; only a torn header is refused.
 
 Determinism contract: :meth:`drain` stops admission, finishes the queue
 and returns a :class:`~repro.service.scheduler.FleetResult` over the
@@ -543,9 +545,9 @@ class FleetScheduler:
     :func:`repro.experiments.parallel.effective_workers` (explicit arg >
     ``REPRO_MAX_WORKERS`` > cpu count).  ``faults`` arms the fault plan
     for every tenant (``None`` keeps the plane out of the code path
-    entirely); ``checkpoint`` names a JSON file that persists completed
-    outcomes after each arrival and is consulted on the next run, so a
-    killed fleet resumes where it stopped.  The file is stamped with this
+    entirely); ``checkpoint`` names a JSON-lines log that gains one line
+    per completed outcome and is consulted on the next run, so a killed
+    fleet resumes where it stopped.  The file is stamped with this
     fleet's tenant ids, so another fleet's checkpoint is refused.
 
     ``breaker`` arms per-fault-site circuit breakers: after the policy's

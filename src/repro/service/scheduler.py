@@ -13,8 +13,8 @@ logic — underneath them:
   pool the figure experiments use;
 - :class:`ArtifactCatalog` turns specs into clusters, extractions and
   worker payloads;
-- :class:`CheckpointStore` persists fingerprinted outcomes so a killed
-  fleet resumes without re-running completed tenants;
+- :class:`CheckpointStore` appends each fingerprinted outcome to a
+  log so a killed fleet resumes without re-running completed tenants;
 - :class:`FleetResult` is what a drained fleet reports.
 
 What tenants share, and how:
@@ -50,6 +50,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -77,12 +78,13 @@ from repro.service.artifacts import ArtifactRef, OfflineArtifacts
 from repro.service.tenant import TenantFailure, TenantResult, TenantSpec
 from repro.sim.cache import RUN_CACHE
 
-#: Version tag of the fleet checkpoint file format.  Format 2 stamps every
-#: checkpoint with a fleet fingerprint (tenant ids + seed + plan digest) and
-#: every outcome with its spec digest, so a checkpoint written by a
+#: Version tag of the fleet checkpoint file format.  Format 3 is an
+#: append-only JSON-lines log: a header line stamps the fleet fingerprint
+#: (tenant ids + seed + plan digest) and each arrival appends one line
+#: whose outcome carries its spec digest, so a checkpoint written by a
 #: *different* fleet is rejected loudly instead of silently partially
 #: applied.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 def spec_digest(spec: TenantSpec) -> str:
@@ -372,21 +374,29 @@ def _outcome_from_json(raw: dict, spec: TenantSpec) -> TenantResult | TenantFail
 
 
 class CheckpointStore:
-    """Incremental, fingerprinted fleet checkpoints (one JSON file).
+    """Incremental, fingerprinted fleet checkpoints (an append-only log).
 
-    Each outcome is JSON-encoded exactly once (restored ones at load,
-    fresh ones on arrival) into ``fragments``; every save joins the
-    precomputed fragments instead of re-serializing the fleet, keeping
-    per-arrival writes O(T) instead of the old O(T²) amplification.
+    The file is JSON lines.  The first successful persist writes the
+    header ``{"format": 3, "fleet": <stamp>}`` through
+    :func:`~repro.rules.store.atomic_write_text`, so a kill can never tear
+    it; each arrival then appends one ``{"tenant": <id>, "outcome":
+    <record>}`` line with a single ``write``.  Every record is encoded and
+    written once, so a fleet of T tenants writes O(T) bytes in all —
+    nothing is rewritten or renamed per arrival, and the store keeps no
+    encoded copy of a record already on disk.  A later line for a tenant
+    supersedes an earlier one (a canonical fold re-ran it).
 
-    Every payload carries the owning fleet's fingerprint (see
+    The header carries the owning fleet's fingerprint (see
     :func:`fleet_stamp`); :meth:`load` refuses — with a descriptive
     :class:`JournalCorruptError` — to hand a different fleet's outcomes
-    back.  Writes go through the armed ``journal.write`` fault site with
-    the caller's retry policy; an exhausted write budget leaves the
-    previous (complete, atomic) checkpoint on disk and is only *counted*
-    (``write_failures``), never raised — a resume just re-runs one more
-    tenant.
+    back.  Only the last line may be incomplete: it is an append a kill
+    cut short, so :meth:`load` drops it (its tenant re-runs
+    deterministically) and the next append first truncates the file back
+    to its last newline.  Writes go through the armed ``journal.write``
+    fault site with the caller's retry policy; an exhausted write budget
+    is only *counted* (``write_failures``), never raised — the record
+    waits in memory and goes out with the next successful append, and a
+    resume meanwhile just re-runs one more tenant.
     """
 
     def __init__(
@@ -400,52 +410,84 @@ class CheckpointStore:
         self.stamp = stamp
         self.retry = retry
         self.plan = plan if plan is not None else FaultPlan.none()
-        self.fragments: dict[str, str] = {}
         self.write_failures = 0
+        #: Encoded lines whose write budget ran dry, by tenant id.
+        self._unwritten: dict[str, str] = {}
+        #: Whether the file holds this fleet's header (:meth:`load` found
+        #: it, or this store wrote it); until then a persist starts a
+        #: fresh log.
+        self._header_written = False
+        #: Length of the file's complete lines when :meth:`load` found a
+        #: torn last line; the next append truncates back to it.
+        self._truncate_to: int | None = None
 
     # -- read side ------------------------------------------------------
     def load(self) -> dict[str, dict]:
         """Raw outcome dicts from disk, keyed by tenant id.
 
-        Validates the file shape, the format version and the fleet
-        fingerprint; returns ``{}`` when no checkpoint exists yet.
+        Validates the header line (format version, fleet fingerprint)
+        and every complete record line; a later line for the same tenant
+        wins.  An unterminated last line is an append a kill cut short
+        and is dropped.  Returns ``{}`` when no checkpoint exists yet.
         """
-        if not self.path.exists():
-            return {}
         try:
-            raw = json.loads(self.path.read_text())
-        except json.JSONDecodeError as exc:
-            raise JournalCorruptError(
-                f"fleet checkpoint at {self.path} is not valid JSON "
-                f"({exc}); the file is truncated or corrupt"
-            ) from exc
-        if not isinstance(raw, dict):
-            raise JournalCorruptError(
-                f"fleet checkpoint at {self.path} holds a JSON "
-                f"{type(raw).__name__}, not a checkpoint object; the file is "
-                "truncated or corrupt"
-            )
-        if raw.get("format") != CHECKPOINT_FORMAT:
-            raise JournalCorruptError(
-                f"fleet checkpoint at {self.path} has format "
-                f"{raw.get('format')!r}, expected {CHECKPOINT_FORMAT}"
-            )
-        recorded = raw.get("fleet")
-        if not isinstance(recorded, dict):
-            raise JournalCorruptError(
-                f"fleet checkpoint at {self.path} carries no fleet "
-                "fingerprint; the file is truncated or corrupt"
-            )
-        self._check_stamp(recorded)
-        outcomes = raw.get("outcomes", {})
-        if not isinstance(outcomes, dict):
-            raise JournalCorruptError(
-                f"fleet checkpoint at {self.path} has a malformed outcomes "
-                "table; the file is truncated or corrupt"
-            )
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return {}
+        complete = data.rfind(b"\n") + 1
+        lines = data[:complete].split(b"\n")[:-1]
+        # With no complete line, the whole file stands in for the header
+        # so a foreign file (an older format) is named by its format.
+        self._check_header(
+            self._decode(lines[0] if lines else data, "header line"),
+            terminated=bool(lines),
+        )
+        outcomes: dict[str, dict] = {}
+        for number, line in enumerate(lines[1:], start=2):
+            record = self._decode(line, f"line {number}")
+            if (
+                not isinstance(record, dict)
+                or record.keys() != {"tenant", "outcome"}
+                or not isinstance(record["tenant"], str)
+            ):
+                raise JournalCorruptError(
+                    f"fleet checkpoint at {self.path}: line {number} is not "
+                    'a {"tenant", "outcome"} record; the file is truncated '
+                    "or corrupt"
+                )
+            outcomes[record["tenant"]] = record["outcome"]
+        self._header_written = True
+        self._truncate_to = complete if complete < len(data) else None
         return outcomes
 
-    def _check_stamp(self, recorded: dict) -> None:
+    def _decode(self, line: bytes, what: str) -> object:
+        try:
+            return json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise JournalCorruptError(
+                f"fleet checkpoint at {self.path}: {what} is not valid JSON "
+                f"({exc}); the file is truncated or corrupt"
+            ) from exc
+
+    def _check_header(self, header: object, terminated: bool) -> None:
+        if not isinstance(header, dict):
+            raise JournalCorruptError(
+                f"fleet checkpoint at {self.path} starts with a JSON "
+                f"{type(header).__name__}, not a checkpoint header; the file "
+                "is truncated or corrupt"
+            )
+        if header.get("format") != CHECKPOINT_FORMAT:
+            raise JournalCorruptError(
+                f"fleet checkpoint at {self.path} has format "
+                f"{header.get('format')!r}, expected {CHECKPOINT_FORMAT}"
+            )
+        recorded = header.get("fleet")
+        if not terminated or not isinstance(recorded, dict):
+            raise JournalCorruptError(
+                f"fleet checkpoint at {self.path} has no complete header "
+                "line with a fleet fingerprint; the file is truncated or "
+                "corrupt"
+            )
         for part in ("seed", "plan"):
             if recorded.get(part) != self.stamp[part]:
                 raise JournalCorruptError(
@@ -466,7 +508,7 @@ class CheckpointStore:
     def adopt(
         self, spec: TenantSpec, raw: object
     ) -> tuple[TenantResult | TenantFailure, frozenset]:
-        """Decode the loaded entry for ``spec`` and take it into the table.
+        """Decode the loaded entry for ``spec``.
 
         Returns ``(outcome, degraded_sites)`` — the mode the outcome ran
         under feeds the canonical breaker walk on resume.  The entry must
@@ -500,38 +542,46 @@ class CheckpointStore:
                 f"fleet checkpoint entry for tenant {tenant_id!r} is "
                 f"malformed ({type(exc).__name__}: {exc})"
             ) from exc
-        self.fragments[tenant_id] = json.dumps(raw)
         return outcome, mode
 
     # -- write side -----------------------------------------------------
     def record(self, tenant_id: str, raw: dict) -> None:
-        """Encode one arrival and persist the assembled checkpoint."""
-        self.fragments[tenant_id] = json.dumps(raw)
-        self.write_failures += self._save(key=tenant_id)
-
-    def _save(self, key: str) -> int:
-        body = ", ".join(
-            f"{json.dumps(tenant_id)}: {fragment}"
-            for tenant_id, fragment in self.fragments.items()
+        """Append one arrival's line, after any line still unwritten."""
+        self._unwritten[tenant_id] = (
+            json.dumps({"tenant": tenant_id, "outcome": raw}) + "\n"
         )
-        payload = (
-            f'{{"format": {CHECKPOINT_FORMAT}, '
-            f'"fleet": {json.dumps(self.stamp)}, '
-            f'"outcomes": {{{body}}}}}'
-        )
+        data = "".join(self._unwritten.values()).encode()
+        key = f"checkpoint:{tenant_id}"
 
-        def attempt(n: int) -> int:
-            if self.plan.should_fire("journal.write", f"checkpoint:{key}:a{n}"):
-                raise TransientFault("journal.write", key=f"checkpoint:{key}:a{n}")
-            atomic_write_text(self.path, payload)
-            return 0
+        def attempt(n: int) -> None:
+            if self.plan.should_fire("journal.write", f"{key}:a{n}"):
+                raise TransientFault("journal.write", key=f"{key}:a{n}")
+            self._append(data)
 
         try:
-            return self.retry.execute(
-                attempt, site="journal.write", key=f"checkpoint:{key}", plan=self.plan
-            )
+            self.retry.execute(attempt, site="journal.write", key=key, plan=self.plan)
         except FaultBudgetExhausted:
-            return 1
+            self.write_failures += 1
+            return
+        self._unwritten.clear()
+
+    def _append(self, data: bytes) -> None:
+        if not self._header_written:
+            header = {"format": CHECKPOINT_FORMAT, "fleet": self.stamp}
+            atomic_write_text(self.path, json.dumps(header) + "\n")
+            self._header_written = True
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            if self._truncate_to is not None:
+                os.ftruncate(fd, self._truncate_to)
+                self._truncate_to = None
+            # One write() carries the whole append; the loop only finishes
+            # a write the kernel returned short.
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
 
 
 class ArtifactCatalog:

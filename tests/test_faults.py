@@ -507,7 +507,7 @@ class TestFleetCheckpoint:
         assert fleet_fingerprint(resumed) == fleet_fingerprint(first)
 
     def test_partial_checkpoint_runs_only_missing_tenants(self, tmp_path, monkeypatch):
-        import json
+        from checkpoint_files import read_checkpoint, write_checkpoint
 
         checkpoint = tmp_path / "fleet.ckpt.json"
         # A genuine kill mid-fleet: the file carries this fleet's stamp but
@@ -516,12 +516,10 @@ class TestFleetCheckpoint:
         FleetScheduler(
             SMALL_FLEET, seed=0, max_workers=1, checkpoint=checkpoint
         ).run()
-        raw = json.loads(checkpoint.read_text())
+        header, outcomes = read_checkpoint(checkpoint)
         keep = {s.tenant_id for s in SMALL_FLEET[:2]}
-        raw["outcomes"] = {
-            tid: out for tid, out in raw["outcomes"].items() if tid in keep
-        }
-        checkpoint.write_text(json.dumps(raw))
+        outcomes = {tid: out for tid, out in outcomes.items() if tid in keep}
+        write_checkpoint(checkpoint, header, outcomes)
 
         import repro.service.scheduler as scheduler_module
 

@@ -6,9 +6,11 @@ import pytest
 
 from repro import Stellar, get_workload, make_cluster
 from repro.rules import Rule, RuleSet
+from repro.faults import RetryPolicy
 from repro.rules.store import (
     JournalCorruptError,
     RuleJournal,
+    atomic_write_text,
     load_rule_set,
     load_session_summary,
     save_rule_set,
@@ -16,6 +18,7 @@ from repro.rules.store import (
     session_from_dict,
     session_to_dict,
 )
+from repro.service.scheduler import CheckpointStore, fleet_stamp
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +157,34 @@ class TestAtomicJournalStore:
         path.write_text('{"some": "other", "file": ["entirely"]}')
         with pytest.raises(JournalCorruptError, match="journal structure"):
             RuleJournal.load(path)
+
+    def test_failed_rename_removes_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "j.json"
+        path.write_text("previous")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("repro.rules.store.os.replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_text(path, "next")
+        assert path.read_text() == "previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["j.json"]
+
+
+#: Each persisted-file loader, as path -> loaded data.
+LOADERS = {
+    "journal": RuleJournal.load,
+    "session": load_session_summary,
+    "checkpoint": lambda path: CheckpointStore(
+        path, fleet_stamp(None, 0, None), RetryPolicy()
+    ).load(),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_non_utf8_file_is_descriptive(tmp_path, loader):
+    path = tmp_path / "state.json"
+    path.write_bytes(b'{"format": 1, "entries": ["\xff\xfe"]}')
+    with pytest.raises(JournalCorruptError, match=re.escape(str(path))):
+        LOADERS[loader](path)

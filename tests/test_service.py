@@ -16,8 +16,12 @@ from __future__ import annotations
 
 import copy
 import json
+from itertools import accumulate
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.faults import BreakerPolicy, BreakerState, FaultPlan, RetryPolicy
 from repro.rules.store import JournalCorruptError
@@ -31,6 +35,8 @@ from repro.service import (
     TenantSpec,
     TuningService,
 )
+from repro.service import scheduler
+from checkpoint_files import read_checkpoint, write_checkpoint
 from test_fleet import SMALL_FLEET, fleet_fingerprint
 
 CANONICAL = sorted(SMALL_FLEET, key=lambda s: (s.seed, s.tenant_id))
@@ -417,8 +423,8 @@ class TestCrashResume:
         )
         for spec in SMALL_FLEET[:2]:
             first.submit(spec)
-        persisted = json.loads(checkpoint.read_text())
-        assert len(persisted["outcomes"]) == 2
+        _, persisted = read_checkpoint(checkpoint)
+        assert len(persisted) == 2
         del first  # the kill -9
 
         # Restart with the identical submission stream.
@@ -456,8 +462,10 @@ class TestCrashResume:
             seed=0, max_workers=1, checkpoint=checkpoint, pump_interval=1
         )
         service.submit(SMALL_FLEET[0])
-        torn = checkpoint.read_bytes()[: len(checkpoint.read_bytes()) // 2]
-        checkpoint.write_bytes(torn)
+        # A torn header line is loud; a torn last record resumes (see
+        # test_any_crash_point_resumes_exactly).
+        header_line = checkpoint.read_bytes().index(b"\n") + 1
+        checkpoint.write_bytes(checkpoint.read_bytes()[: header_line // 2])
         with pytest.raises(JournalCorruptError, match="truncated or corrupt"):
             TuningService(seed=0, max_workers=1, checkpoint=checkpoint)
 
@@ -508,12 +516,10 @@ class TestCrashResume:
             checkpoint=checkpoint,
         ).run()
         # Kill between tenant arrivals: drop the last two outcomes.
-        raw = json.loads(checkpoint.read_text())
+        header, outcomes = read_checkpoint(checkpoint)
         keep = {s.tenant_id for s in SMALL_FLEET[:2]}
-        raw["outcomes"] = {
-            tid: out for tid, out in raw["outcomes"].items() if tid in keep
-        }
-        checkpoint.write_text(json.dumps(raw))
+        outcomes = {tid: out for tid, out in outcomes.items() if tid in keep}
+        write_checkpoint(checkpoint, header, outcomes)
         resumed = FleetScheduler(
             SMALL_FLEET,
             seed=0,
@@ -553,16 +559,16 @@ class TestCrashResume:
         self, tmp_path, written_checkpoint, corruption, loader
     ):
         spec = SMALL_FLEET[0]
-        raw = copy.deepcopy(written_checkpoint)
-        entry = raw["outcomes"][spec.tenant_id]
+        header, outcomes = copy.deepcopy(written_checkpoint)
+        entry = outcomes[spec.tenant_id]
         if corruption == "missing-kind":
             del entry["kind"]
         elif corruption == "sessions-not-a-list":
             entry["sessions"] = 5
         else:
-            raw["outcomes"][spec.tenant_id] = [entry]
+            outcomes[spec.tenant_id] = [entry]
         checkpoint = tmp_path / "corrupt.ckpt.json"
-        checkpoint.write_text(json.dumps(raw))
+        write_checkpoint(checkpoint, header, outcomes)
         with pytest.raises(JournalCorruptError, match=spec.tenant_id):
             if loader == "fleet":
                 FleetScheduler(
@@ -589,12 +595,118 @@ class TestCrashResume:
 
 @pytest.fixture(scope="module")
 def written_checkpoint(tmp_path_factory):
-    """A one-tenant fleet checkpoint, as loaded JSON."""
+    """A one-tenant fleet checkpoint, as its (header, outcomes)."""
     checkpoint = tmp_path_factory.mktemp("checkpoint") / "fleet.ckpt.json"
     FleetScheduler(
         [SMALL_FLEET[0]], seed=0, max_workers=1, checkpoint=checkpoint
     ).run()
-    return json.loads(checkpoint.read_text())
+    return read_checkpoint(checkpoint)
+
+
+# ---------------------------------------------------------------------------
+# The append-only log: a kill may cut it at any byte.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def service_log(tmp_path_factory):
+    """An uninterrupted SMALL_FLEET service: its log's bytes and drain."""
+    checkpoint = tmp_path_factory.mktemp("log") / "svc.ckpt.json"
+    service = TuningService(
+        seed=0,
+        max_workers=1,
+        faults=ROUGH_PLAN,
+        checkpoint=checkpoint,
+        pump_interval=None,
+    )
+    _submit_all(service)
+    drained = service.drain()
+    return checkpoint.read_bytes(), service_fingerprint(drained)
+
+
+def _rough_store(path) -> scheduler.CheckpointStore:
+    return scheduler.CheckpointStore(
+        path, scheduler.fleet_stamp(None, 0, ROUGH_PLAN), RetryPolicy(), ROUGH_PLAN
+    )
+
+
+class TestCheckpointLog:
+    """Crash points: whatever prefix of the log a kill leaves, the
+    restarted service either refuses it descriptively (a torn header) or
+    resumes to exactly the uninterrupted drain; a flipped byte anywhere
+    loads or is refused descriptively, never with a stray exception."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(short=st.integers(0, 100))
+    @example(short=0)  # the header's JSON is whole, its newline missing
+    def test_cut_inside_header_is_loud(self, tmp_path_factory, service_log, short):
+        log, _ = service_log
+        # ``short`` bytes before the header's newline; past its start, empty.
+        cut = max(log.index(b"\n") - short, 0)
+        checkpoint = tmp_path_factory.mktemp("cut") / "svc.ckpt.json"
+        checkpoint.write_bytes(log[:cut])
+        with pytest.raises(JournalCorruptError, match="truncated or corrupt"):
+            TuningService(
+                seed=0, max_workers=1, faults=ROUGH_PLAN, checkpoint=checkpoint
+            )
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_any_crash_point_resumes_exactly(
+        self, tmp_path_factory, service_log, data
+    ):
+        log, expected = service_log
+        ends = list(accumulate(len(line) + 1 for line in log.split(b"\n")[:-1]))
+        cut = data.draw(st.integers(ends[0], len(log)), label="cut")
+        checkpoint = tmp_path_factory.mktemp("cut") / "svc.ckpt.json"
+        checkpoint.write_bytes(log[:cut])
+        complete = {
+            json.loads(log[start:end])["tenant"]
+            for start, end in zip(ends, ends[1:])
+            if end <= cut
+        }
+        assert set(_rough_store(checkpoint).load()) == complete
+
+        with mock.patch.object(
+            scheduler, "run_tenant", wraps=scheduler.run_tenant
+        ) as runs:
+            restarted = TuningService(
+                seed=0,
+                max_workers=1,  # inline, so the wrapped body sees every run
+                faults=ROUGH_PLAN,
+                checkpoint=checkpoint,
+                pump_interval=None,
+            )
+            _submit_all(restarted)
+            resumed = restarted.drain()
+        reran = sorted(call.args[0].tenant_id for call in runs.call_args_list)
+        assert reran == sorted(
+            s.tenant_id for s in SMALL_FLEET if s.tenant_id not in complete
+        )
+        assert service_fingerprint(resumed) == expected
+        # The torn tail was truncated away before the first append.
+        assert checkpoint.read_bytes() == log
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_flipped_byte_loads_or_is_descriptive(
+        self, tmp_path_factory, service_log, data
+    ):
+        log, _ = service_log
+        position = data.draw(st.integers(0, len(log) - 1), label="position")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        flipped = bytearray(log)
+        flipped[position] ^= mask
+        checkpoint = tmp_path_factory.mktemp("flip") / "svc.ckpt.json"
+        checkpoint.write_bytes(bytes(flipped))
+        store = _rough_store(checkpoint)
+        try:  # the file loads and every entry adopts, or the error says why
+            loaded = store.load()
+            for spec in SMALL_FLEET:
+                if spec.tenant_id in loaded:
+                    store.adopt(spec, loaded[spec.tenant_id])
+        except JournalCorruptError:
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.service import (
     TuningService,
 )
 from repro.service.scheduler import _outcome_to_json
+from checkpoint_files import read_checkpoint
 from test_fleet import SMALL_FLEET, fleet_fingerprint
 from test_service import CANONICAL, ROUGH_PLAN, service_fingerprint
 
@@ -321,7 +322,7 @@ class TestStreamingService:
         stream = first.iter_results()
         next(stream)
         next(stream)
-        persisted = set(json.loads(checkpoint.read_text())["outcomes"])
+        persisted = set(read_checkpoint(checkpoint)[1])
         assert len(persisted) >= 2
         del first  # the kill -9
 

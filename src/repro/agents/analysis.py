@@ -16,9 +16,14 @@ from repro.agents.transcript import Transcript
 from repro.darshan.parser import ParsedLog
 from repro.llm.api import ChatMessage
 from repro.llm.client import LLMClient
-from repro.llm.promptparse import IOReport, parse_io_report, split_sections, S_IO_REPORT
-
-CODE_BLOCK_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+from repro.llm.promptparse import (
+    S_IO_REPORT,
+    IOReport,
+    parse_io_report,
+    split_sections,
+    to_float,
+)
+from repro.llm.tasks import ANALYZE_IO, FOLLOWUP_ANALYSIS, TASKS
 
 _SYSTEM = (
     "You are the Analysis Agent of an autonomous parallel file system "
@@ -53,7 +58,7 @@ class AnalysisAgent:
     def initial_report(self) -> IOReport:
         """Produce the high-level I/O Report for the Tuning Agent."""
         task = (
-            "## TASK: ANALYZE IO\n"
+            f"{ANALYZE_IO}\n"
             f"header: {self.parsed.header}\n"
             "Available variables: "
             + ", ".join(sorted(self._namespace))
@@ -64,7 +69,7 @@ class AnalysisAgent:
             + "\nProvide a high-level summary of the application's I/O "
             "behaviour with quantitative metrics."
         )
-        content = self._run_conversation(task)
+        content = self._run_conversation(ANALYZE_IO, task)
         report = self._parse_report(content)
         self.transcript.add(
             "io_report", report.summary, metrics=dict(report.metrics)
@@ -74,36 +79,38 @@ class AnalysisAgent:
     def answer(self, question: str) -> tuple[str, dict[str, float]]:
         """Answer a Tuning Agent follow-up; returns (text, new metrics)."""
         task = (
-            "## TASK: FOLLOWUP ANALYSIS\n"
+            f"{FOLLOWUP_ANALYSIS}\n"
             f"header: {self.parsed.header}\n"
             f"QUESTION: {question}\n"
             "Available variables: "
             + ", ".join(sorted(self._namespace))
         )
-        content = self._run_conversation(task)
+        content = self._run_conversation(FOLLOWUP_ANALYSIS, task)
         metrics = {}
         for match in re.finditer(r"ANSWER metric=(\w+) value=([-\d.eE+]+)", content):
-            metrics[match.group(1)] = float(match.group(2))
+            value = to_float(match.group(2))
+            if value is not None:
+                metrics[match.group(1)] = value
         answer_text = "; ".join(
             f"{name} = {value:g}" for name, value in metrics.items()
-        ) or content.strip().splitlines()[0]
+        ) or (content.strip().splitlines() or ["(empty answer)"])[0]
         self.transcript.add("followup", f"Q: {question} -> {answer_text}", metrics=metrics)
         return answer_text, metrics
 
     # ------------------------------------------------------------------
-    def _run_conversation(self, task: str) -> str:
+    def _run_conversation(self, marker: str, task: str) -> str:
         messages = [
             ChatMessage(role="system", content=_SYSTEM),
             ChatMessage(role="user", content=task),
         ]
+        read_code = TASKS[marker].parse
         for _ in range(MAX_CODE_ROUNDS):
             completion = self.client.complete(
                 messages, agent="analysis", session=self.session
             )
-            code_match = CODE_BLOCK_RE.search(completion.content)
-            if code_match is None:
+            code = read_code(completion.content)
+            if code is None:
                 return completion.content
-            code = code_match.group(1)
             try:
                 output = run_in_sandbox(code, self._namespace)
                 status = "ok"

@@ -24,6 +24,7 @@ from repro.llm.reasoning import (
     REACT_THOUGHT_TASK,
     build_react_transcript_section,
 )
+from repro.llm.tasks import REACT_DECIDE, REACT_THOUGHT, TASKS
 
 
 class ReACTAgent(TuningAgent):
@@ -84,8 +85,7 @@ class ReACTAgent(TuningAgent):
             agent="tuning",
             session=self.session,
         ).content
-        token = content.strip().split()[0].upper() if content.strip() else ""
-        return token if token in ("REASON", "TOOL", "HALT") else "TOOL"
+        return TASKS[REACT_DECIDE].parse(content)
 
     def _think(self, lines: list[str], result: TuningLoopResult) -> str:
         # The thought sees the full tuning context (minus the tool-turn
@@ -96,14 +96,15 @@ class ReACTAgent(TuningAgent):
         )
         sections.append(build_react_transcript_section(lines))
         sections.append(REACT_THOUGHT_TASK)
-        return self.client.complete(
+        content = self.client.complete(
             [
                 ChatMessage(role="system", content=self._system),
                 ChatMessage(role="user", content="\n\n".join(sections)),
             ],
             agent="tuning",
             session=self.session,
-        ).content.strip()
+        ).content
+        return TASKS[REACT_THOUGHT].parse(content)
 
     def _final_reason(self, lines: list[str]) -> str:
         for line in reversed(lines):

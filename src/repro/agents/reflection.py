@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 
-from repro.agents.tuning import parse_rule_list
 from repro.llm import promptparse as pp
 from repro.llm.client import LLMClient
+from repro.llm.tasks import MERGE_RULES, TASKS
 
 
 def merge_rules_via_llm(
@@ -29,7 +29,7 @@ def merge_rules_via_llm(
     passes ``rules_merge`` so the merge step shows up as its own line in
     session accounting instead of vanishing into a throwaway client.  A
     reply that is not a JSON list of rule objects raises
-    :class:`~repro.agents.tuning.ReflectionFormatError` naming ``agent``
+    :class:`~repro.llm.tasks.ReflectionFormatError` naming ``agent``
     and ``session``.
     """
     if not existing:
@@ -38,7 +38,7 @@ def merge_rules_via_llm(
         return list(existing)
     prompt = (
         pp.build_rules_section(existing)
-        + "\n\n## TASK: MERGE RULES\n"
+        + f"\n\n{MERGE_RULES}\n"
         "Augment the global rule set above with the new rules below. If a "
         "new rule directly contradicts an existing rule for the same "
         "parameter and tuning context, remove both. If two rules offer only "
@@ -47,4 +47,4 @@ def merge_rules_via_llm(
         "NEW RULES:\n" + json.dumps(new)
     )
     content = client.ask(prompt, agent=agent, session=session)
-    return parse_rule_list(content, agent, session, "rules-merge")
+    return TASKS[MERGE_RULES].read(content, agent, session)

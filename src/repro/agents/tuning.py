@@ -17,7 +17,6 @@ on the shared prefix every turn (§5.7).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -27,6 +26,12 @@ from repro.faults.retry import FaultBudgetExhausted
 from repro.llm import promptparse as pp
 from repro.llm.api import ChatMessage, ToolSpec
 from repro.llm.client import LLMClient
+from repro.llm.tasks import (  # noqa: F401 - ReflectionFormatError is re-exported
+    SUMMARIZE_RULES,
+    TASKS,
+    ReflectionFormatError,
+    coerce_changes,
+)
 
 TOOLS = [
     ToolSpec(
@@ -69,31 +74,6 @@ def system_prompt(fs_family: str = "Lustre") -> str:
         "further tuning would not elicit further performance gains, and "
         "justify the decision."
     )
-
-
-class ReflectionFormatError(ValueError):
-    """A Reflect & Summarize or rules-merge payload was not the strict JSON
-    rule list the protocol demands; the message names the agent and session
-    so a fleet operator can locate the offending run without replaying it."""
-
-
-def parse_rule_list(content: str, agent: str, session: str, task: str) -> list[dict]:
-    """``content`` as a JSON list of rule objects.  Anything else raises
-    :class:`ReflectionFormatError` naming ``agent``, ``session`` and the
-    ``task`` whose payload it was."""
-    origin = f"agent {agent!r} (session {session!r}) returned a {task} payload"
-    try:
-        rules = json.loads(content)
-    except json.JSONDecodeError as exc:
-        raise ReflectionFormatError(
-            f"{origin} that is not valid JSON at line {exc.lineno} column "
-            f"{exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(rules, list) or not all(isinstance(r, dict) for r in rules):
-        raise ReflectionFormatError(
-            f"{origin} that is not a JSON list of objects: {content.strip()[:60]}"
-        )
-    return rules
 
 
 class InvalidChanges(KeyError):
@@ -186,6 +166,11 @@ class TuningAgent:
             pp.build_parameter_section(self.parameters),
         ]
         self._rules_section = pp.build_rules_section(self.rules_json)
+        # The report section changes only when a follow-up answer lands in
+        # the report, and each attempt adds one history line; both are
+        # rendered once per change rather than on every turn.
+        self._report_section: str | None = None
+        self._history: tuple[TuningLoopResult | None, list[str]] = (None, [])
 
     # ------------------------------------------------------------------
     def run_loop(self) -> TuningLoopResult:
@@ -244,16 +229,18 @@ class TuningAgent:
             answer = "analysis unavailable"
             if self.report is not None:
                 self.report.followups[question] = answer
+                self._report_section = None
             result.followups[question] = answer
             self.transcript.add("followup", f"Q: {question} -> unavailable")
             return
         answer, metrics = self.analysis_agent.answer(question)
         self.report.followups[question] = answer
         self.report.metrics.update(metrics)
+        self._report_section = None
         result.followups[question] = answer
 
     def _handle_run(self, arguments: dict, result: TuningLoopResult) -> None:
-        requested, invalid = _coerce_changes(arguments.get("changes", {}))
+        requested, invalid = coerce_changes(arguments.get("changes", {}))
         rationale = str(arguments.get("rationale", ""))
         try:
             if invalid:
@@ -304,14 +291,28 @@ class TuningAgent:
         )
 
     # ------------------------------------------------------------------
+    def _report_and_history(self, result: TuningLoopResult) -> list[str]:
+        """The I/O report (if any) and tuning history sections."""
+        sections = []
+        if self.report is not None:
+            if self._report_section is None:
+                self._report_section = pp.build_io_report_section(self.report)
+            sections.append(self._report_section)
+        owner, lines = self._history
+        if owner is not result:
+            lines = []
+            self._history = (result, lines)
+        lines.extend(pp.history_line(a) for a in result.attempts[len(lines):])
+        sections.append(pp.join_history_section(self.runner.initial_seconds, lines))
+        return sections
+
     def _sections(self, result: TuningLoopResult) -> list[str]:
         """The prompt sections of one tool turn, stable-prefix first."""
-        sections = [*self._static_sections, self._rules_section]
-        if self.report is not None:
-            sections.append(pp.build_io_report_section(self.report))
-        sections.append(
-            pp.build_history_section(self.runner.initial_seconds, result.attempts)
-        )
+        sections = [
+            *self._static_sections,
+            self._rules_section,
+            *self._report_and_history(result),
+        ]
         sections.append(
             f"You may try at most {self.max_attempts} configurations. "
             "Choose your next action."
@@ -328,14 +329,9 @@ class TuningAgent:
         """Reflect & Summarize: distill the run into rules (§4.4)."""
         if not result.attempts:
             return []
-        sections = list(self._static_sections)
-        if self.report is not None:
-            sections.append(pp.build_io_report_section(self.report))
+        sections = [*self._static_sections, *self._report_and_history(result)]
         sections.append(
-            pp.build_history_section(self.runner.initial_seconds, result.attempts)
-        )
-        sections.append(
-            "## TASK: SUMMARIZE RULES\n"
+            f"{SUMMARIZE_RULES}\n"
             "Summarize what was learned during this tuning run as a strict "
             "JSON rule set (a list of objects with parameter, "
             "rule_description and tuning_context). Exclude the application "
@@ -349,24 +345,9 @@ class TuningAgent:
             agent="tuning",
             session=self.session,
         ).content
-        rules = parse_rule_list(content, "tuning", self.session, "Reflect & Summarize")
+        rules = TASKS[SUMMARIZE_RULES].read(content, "tuning", self.session)
         self.transcript.add(
             "reflection", f"distilled {len(rules)} rule(s)", rules=rules
         )
         return rules
 
-
-def _coerce_changes(changes) -> tuple[dict[str, int], list[str]]:
-    """``({name: int(value)}, [bad entry, ...])`` for a proposal's
-    ``changes``; entries ``int()`` rejects are named, not coerced."""
-    try:
-        items = dict(changes).items()
-    except (TypeError, ValueError):
-        return {}, [f"changes {changes!r} is not a mapping"]
-    requested, invalid = {}, []
-    for name, value in items:
-        try:
-            requested[str(name)] = int(value)
-        except (TypeError, ValueError):
-            invalid.append(f"value {value!r} for {str(name)!r} is not an integer")
-    return requested, invalid

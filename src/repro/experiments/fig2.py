@@ -15,6 +15,7 @@ from repro.cluster.hardware import ClusterSpec
 from repro.llm.client import LLMClient
 from repro.llm.knowledge import parametric_belief
 from repro.llm.profiles import get_profile
+from repro.llm.tasks import PARAM_INFO
 from repro.rag.extraction import ParameterExtractor
 
 PARAMETER = "llite.statahead_max"
@@ -73,7 +74,7 @@ def run(cluster: ClusterSpec, seed: int = 0) -> Fig2Result:
         # Exercise the real no-RAG path: a direct question to the model.
         client = LLMClient(model, seed=seed)
         client.ask(
-            f"## TASK: PARAM INFO\nPARAMETER: {PARAMETER}\n"
+            f"{PARAM_INFO}\nPARAMETER: {PARAMETER}\n"
             "Provide the definition and accepted range of this Lustre 2.15 "
             "parameter."
         )

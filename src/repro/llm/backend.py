@@ -1,19 +1,23 @@
 """The MockLLM backend.
 
-Dispatches on the task structure of the incoming conversation:
+Every request first advances the session's
+:class:`~repro.llm.view.ConversationView`, one incremental parsed view per
+session, shared by every handler and dropped with this model (hence with
+its client).  Then:
 
-- tool-calling conversations (the Tuning Agent's loop) run the
-  :class:`~repro.llm.reasoning.TuningPolicy` over the parsed prompt context;
-- ``## TASK: ANALYZE IO`` / ``FOLLOWUP ANALYSIS`` conversations follow the
-  code-execute-summarize state machine of a code-executing agent;
-- ``## TASK: JUDGE DOCUMENTATION`` / ``DESCRIBE PARAMETER`` / ``JUDGE
-  IMPACT`` implement the offline extraction judgments — answering from the
-  retrieved chunks when they contain the documentation, and falling back to
-  (possibly hallucinated) parametric beliefs when they do not;
-- ``## TASK: PARAM INFO`` answers directly from parametric knowledge (the
-  Figure 2 no-RAG baseline);
-- ``## TASK: SUMMARIZE RULES`` / ``MERGE RULES`` produce and synthesize the
-  strict-JSON rule sets.
+- a request that offers tools is the Tuning Agent's tool turn: the
+  :class:`~repro.llm.reasoning.TuningPolicy` decides over the parsed prompt
+  context and answers with one tool call;
+- any other request is answered by the handler that
+  :data:`repro.llm.tasks.TASKS` names for the conversation's ``## TASK:``
+  marker.  The analysis tasks follow the code-execute-summarize state
+  machine of a code-executing agent; the extraction judgments answer from
+  the retrieved chunks when they contain the documentation and fall back
+  to (possibly hallucinated) parametric beliefs when they do not; PARAM
+  INFO answers from parametric knowledge alone (the Figure 2 no-RAG
+  baseline); the rule tasks produce and merge strict-JSON rule sets; the
+  ReACT and critic tasks serve the alternative agent policies.  A request
+  with no known marker gets a generic reply.
 
 Every request is token-accounted against the session prompt cache.
 """
@@ -23,8 +27,8 @@ from __future__ import annotations
 import json
 import re
 
-import numpy as np
-
+from repro.backends import detect_backend
+from repro.backends.base import PfsBackend
 from repro.llm import analysis_codegen as codegen
 from repro.llm import promptparse as pp
 from repro.llm.api import ChatMessage, Completion, ToolCall, ToolSpec
@@ -44,10 +48,23 @@ from repro.llm.reasoning import (
     render_react_thought,
     review_proposal,
 )
+from repro.llm.tasks import TASKS
 from repro.llm.tokens import PromptCache, TokenUsage, count_tokens
+from repro.llm.view import ConversationView
 from repro.rules.merge import merge_rule_sets
 from repro.rules.model import RuleSet
 from repro.sim.random import RngStreams
+
+#: The reply to a request that carries no known task.
+NO_TASK_REPLY = (
+    "I can help with parallel file system tuning tasks; please provide a "
+    "structured task section."
+)
+
+
+def _section_backend(body: str) -> PfsBackend:
+    """The backend a parameter section's names belong to."""
+    return detect_backend([p.name for p in pp.parse_parameter_section(body)])
 
 
 class MockLLM:
@@ -58,6 +75,7 @@ class MockLLM:
         # Different models must not share random draws for the same seed.
         self.rng_streams = RngStreams(seed).spawn(f"model:{profile.name}")
         self.cache = PromptCache()
+        self._views: dict[str, ConversationView] = {}
 
     # ------------------------------------------------------------------
     def complete(
@@ -68,54 +86,30 @@ class MockLLM:
     ) -> Completion:
         prompt = self._render_prompt(messages, tools)
         cached = self.cache.lookup_and_store(session, prompt)
-        content = ""
+        view = self._views.get(session)
+        if view is None:
+            view = self._views[session] = ConversationView()
+        view.update(messages)
+
         tool_calls: list[ToolCall] = []
-
-        full_text = "\n".join(m.content for m in messages)
-        last_user = next(
-            (m.content for m in reversed(messages) if m.role in ("user", "tool")),
-            "",
-        )
-
         if tools:
-            decision = self._tuning_decision(full_text)
+            decision = self._decide(view, "tuning")
             tool_calls = [self._decision_to_call(decision)]
             content = decision.rationale or decision.reason
-        elif "## TASK: SUMMARIZE RULES" in last_user or "## TASK: MERGE RULES" in last_user:
-            content = self._rules_task(full_text, last_user)
-        elif "## TASK: JUDGE DOCUMENTATION" in last_user:
-            content = self._judge_documentation(last_user)
-        elif "## TASK: DESCRIBE PARAMETER" in last_user:
-            content = self._describe_parameter(last_user)
-        elif "## TASK: JUDGE IMPACT" in last_user:
-            content = self._judge_impact(last_user)
-        elif "## TASK: PARAM INFO" in last_user:
-            content = self._param_info(last_user)
-        elif "## TASK: REACT DECIDE" in last_user:
-            content = react_mode(
-                parse_react_transcript(
-                    pp.split_sections(last_user).get(S_REACT_TRANSCRIPT, "")
-                )
-            )
-        elif "## TASK: REACT THOUGHT" in last_user:
-            content = self._react_thought(full_text)
-        elif "## TASK: CRITIC REVIEW" in last_user:
-            content = self._critic_review(full_text)
-        elif "## TASK: ANALYZE IO" in full_text or "## TASK: FOLLOWUP ANALYSIS" in full_text:
-            content = self._analysis_turn(messages, full_text)
         else:
+            task = TASKS.get(view.task)
             content = (
-                "I can help with parallel file system tuning tasks; please "
-                "provide a structured task section."
+                NO_TASK_REPLY if task is None else getattr(self, task.handler)(view)
             )
 
         output_text = content + "".join(
             json.dumps({"tool": c.name, "arguments": c.arguments}) for c in tool_calls
         )
+        input_tokens = count_tokens(prompt)
         usage = TokenUsage(
-            input_tokens=count_tokens(prompt),
+            input_tokens=input_tokens,
             output_tokens=count_tokens(output_text),
-            cached_input_tokens=min(cached, count_tokens(prompt)),
+            cached_input_tokens=min(cached, input_tokens),
         )
         return Completion(
             content=content, tool_calls=tool_calls, usage=usage, model=self.profile.name
@@ -133,57 +127,50 @@ class MockLLM:
         return "\n\n".join(parts)
 
     # -- tuning ----------------------------------------------------------
-    def _parse_tuning_context(self, full_text: str) -> TuningContext:
+    def _tuning_context(self, view: ConversationView) -> TuningContext:
         """The full tuning context shared by every agent-policy task."""
-        sections = pp.split_sections(full_text)
-        parameters = pp.parse_parameter_section(sections.get(pp.S_PARAMETERS, ""))
-        report = None
-        if pp.S_IO_REPORT in sections:
-            report = pp.parse_io_report(sections[pp.S_IO_REPORT])
-        rules = (
-            pp.parse_rules_section(sections[pp.S_RULES])
-            if pp.S_RULES in sections
-            else []
-        )
-        facts = pp.parse_hardware_facts(sections.get(pp.S_HARDWARE, ""))
-        initial, attempts = pp.parse_history_section(sections.get(pp.S_HISTORY, ""))
-        max_attempts = 5
-        match = re.search(r"at most (\d+) configurations", full_text)
-        if match:
-            max_attempts = int(match.group(1))
-        vetoed = (
-            parse_vetoed_section(sections[S_VETOED])
-            if S_VETOED in sections
-            else []
-        )
+        sections = view.sections
+        initial, attempts = view.parsed(pp.S_HISTORY, pp.parse_history_section)
         return TuningContext(
-            parameters=parameters,
-            report=report,
-            rules=rules,
-            facts=facts,
+            parameters=view.parsed(pp.S_PARAMETERS, pp.parse_parameter_section),
+            report=(
+                view.parsed(pp.S_IO_REPORT, pp.parse_io_report)
+                if pp.S_IO_REPORT in sections
+                else None
+            ),
+            rules=(
+                view.parsed(pp.S_RULES, pp.parse_rules_section)
+                if pp.S_RULES in sections
+                else []
+            ),
+            facts=view.parsed(pp.S_HARDWARE, pp.parse_hardware_facts),
             initial_seconds=initial,
             attempts=attempts,
-            max_attempts=max_attempts,
-            vetoed=vetoed,
+            max_attempts=view.max_attempts,
+            vetoed=(
+                view.parsed(S_VETOED, parse_vetoed_section)
+                if S_VETOED in sections
+                else []
+            ),
         )
 
-    def _tuning_decision(self, full_text: str) -> Decision:
-        ctx = self._parse_tuning_context(full_text)
-        policy = TuningPolicy(self.profile, self.rng_streams.stream("tuning"))
-        return policy.decide(ctx)
+    def _decide(self, view: ConversationView, stream: str) -> Decision:
+        ctx = self._tuning_context(view)
+        ctx.backend = view.parsed(pp.S_PARAMETERS, _section_backend)
+        return TuningPolicy(self.profile, self.rng_streams.stream(stream)).decide(ctx)
 
-    def _react_thought(self, full_text: str) -> str:
+    def _react_thought(self, view: ConversationView) -> str:
         # Thought turns draw from their own stream: a policy that thinks
         # between actions must not perturb the act decisions other policies
         # (and the parity fixtures) take from the "tuning" stream.
-        ctx = self._parse_tuning_context(full_text)
-        policy = TuningPolicy(self.profile, self.rng_streams.stream("react"))
-        return render_react_thought(policy.decide(ctx))
+        return render_react_thought(self._decide(view, "react"))
 
-    def _critic_review(self, full_text: str) -> str:
-        sections = pp.split_sections(full_text)
-        parameters = pp.parse_parameter_section(sections.get(pp.S_PARAMETERS, ""))
-        changes, rationale = parse_proposed_section(sections.get(S_PROPOSED, ""))
+    def _react_decide(self, view: ConversationView) -> str:
+        return react_mode(view.parsed(S_REACT_TRANSCRIPT, parse_react_transcript))
+
+    def _critic_review(self, view: ConversationView) -> str:
+        parameters = view.parsed(pp.S_PARAMETERS, pp.parse_parameter_section)
+        changes, rationale = view.parsed(S_PROPOSED, parse_proposed_section)
         return review_proposal(changes, rationale, parameters)
 
     @staticmethod
@@ -198,36 +185,23 @@ class MockLLM:
         return ToolCall("end_tuning", {"reason": decision.reason})
 
     # -- rules -------------------------------------------------------------
-    def _rules_task(self, full_text: str, last_user: str) -> str:
-        sections = pp.split_sections(full_text)
-        if "## TASK: MERGE RULES" in last_user:
-            existing = RuleSet.from_json(
-                pp.parse_rules_section(sections.get(pp.S_RULES, "[]"))
-            )
-            new_body = _tail_after(last_user, "NEW RULES:")
-            new = RuleSet.loads(new_body) if new_body.strip() else RuleSet()
-            merged = merge_rule_sets(existing, new)
-            return merged.dumps()
-        parameters = pp.parse_parameter_section(sections.get(pp.S_PARAMETERS, ""))
-        report = (
-            pp.parse_io_report(sections[pp.S_IO_REPORT])
-            if pp.S_IO_REPORT in sections
-            else None
-        )
-        initial, attempts = pp.parse_history_section(sections.get(pp.S_HISTORY, ""))
-        ctx = TuningContext(
-            parameters=parameters,
-            report=report,
-            rules=[],
-            facts=pp.parse_hardware_facts(sections.get(pp.S_HARDWARE, "")),
-            initial_seconds=initial,
-            attempts=attempts,
-        )
+    def _summarize_rules(self, view: ConversationView) -> str:
         policy = TuningPolicy(self.profile, self.rng_streams.stream("reflection"))
-        return json.dumps(policy.summarize_rules(ctx), indent=1)
+        return json.dumps(policy.summarize_rules(self._tuning_context(view)), indent=1)
+
+    def _merge_rules(self, view: ConversationView) -> str:
+        existing = RuleSet.from_json(
+            view.parsed(pp.S_RULES, pp.parse_rules_section, "[]")
+        )
+        new_body = _tail_after(view.last_user, "NEW RULES:")
+        new = RuleSet.loads(new_body) if new_body.strip() else RuleSet()
+        # Rendered through the rule-set memo: the merged set is the next
+        # session's rule-set section, whose render is then a memo hit.
+        return pp.dumps_indented(merge_rule_sets(existing, new).to_json())
 
     # -- extraction judgments ----------------------------------------------
-    def _judge_documentation(self, task_text: str) -> str:
+    def _judge_documentation(self, view: ConversationView) -> str:
+        task_text = view.last_user
         param = _named_parameter(task_text)
         chunks = _tail_after(task_text, "RETRIEVED CONTEXT:")
         base = param.rsplit(".", 1)[-1]
@@ -246,7 +220,8 @@ class MockLLM:
             )
         return f"INSUFFICIENT: the retrieved context does not document {param}."
 
-    def _describe_parameter(self, task_text: str) -> str:
+    def _describe_parameter(self, view: ConversationView) -> str:
+        task_text = view.last_user
         param = _named_parameter(task_text)
         chunks = _tail_after(task_text, "RETRIEVED CONTEXT:")
         base = param.rsplit(".", 1)[-1]
@@ -317,7 +292,8 @@ class MockLLM:
         "keep-alive",
     )
 
-    def _judge_impact(self, task_text: str) -> str:
+    def _judge_impact(self, view: ConversationView) -> str:
+        task_text = view.last_user
         param = _named_parameter(task_text)
         description = _tail_after(task_text, "DESCRIPTION:").lower()
         positive = sum(k in description for k in self._POSITIVE_IMPACT)
@@ -333,26 +309,32 @@ class MockLLM:
             "testing rather than I/O performance."
         )
 
-    def _param_info(self, task_text: str) -> str:
-        belief = parametric_belief(self.profile, _named_parameter(task_text))
+    def _param_info(self, view: ConversationView) -> str:
+        belief = parametric_belief(self.profile, _named_parameter(view.last_user))
         return belief.render()
 
     # -- analysis state machine ---------------------------------------------
-    def _analysis_turn(self, messages: list[ChatMessage], full_text: str) -> str:
-        last = messages[-1].content
+    def _analyze_io(self, view: ConversationView) -> str:
+        return self._analysis_turn(view, followup=False)
+
+    def _followup_analysis(self, view: ConversationView) -> str:
+        return self._analysis_turn(view, followup=True)
+
+    def _analysis_turn(self, view: ConversationView, followup: bool) -> str:
+        last = view.last_message
         if "EXECUTION OUTPUT:" in last:
             output = _tail_after(last, "EXECUTION OUTPUT:")
             metrics = codegen.metrics_from_output(output)
             if not metrics:
                 # The code failed (or printed nothing usable): try again
                 # rather than fabricating a report from thin air.
-                if "## TASK: FOLLOWUP ANALYSIS" in full_text:
+                if followup:
                     return (
                         "ANALYSIS FAILED: execution produced no metrics "
                         f"({output.strip()[:120]})"
                     )
                 return f"```python\n{codegen.BASE_ANALYSIS_CODE}\n```"
-            if "## TASK: FOLLOWUP ANALYSIS" in full_text:
+            if followup:
                 lines = [
                     f"ANSWER metric={name} value={value:g}"
                     for name, value in metrics.items()
@@ -362,12 +344,12 @@ class MockLLM:
                     "counter dataframes."
                 )
                 return "\n".join(lines)
-            header_match = re.search(r"header: (.+)", full_text)
+            header_match = re.search(r"header: (.+)", view.text)
             header = header_match.group(1) if header_match else "the trace"
             report = codegen.report_from_metrics(metrics, header)
             return "REPORT READY\n" + pp.build_io_report_section(report)
-        if "## TASK: FOLLOWUP ANALYSIS" in full_text:
-            question_match = re.search(r"QUESTION: (.+)", full_text)
+        if followup:
+            question_match = re.search(r"QUESTION: (.+)", view.text)
             question = question_match.group(1) if question_match else ""
             code = codegen.code_for_task(question)
         else:

@@ -18,8 +18,8 @@ from typing import Any
 
 SECTION_RE = re.compile(r"^## ([A-Z0-9 _:?]+)$", re.MULTILINE)
 
-#: The exact character class of ``SECTION_RE``'s name group.
-_NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _:?")
+#: ``SECTION_RE``'s name group on its own.
+_NAME_RE = re.compile(r"[A-Z0-9 _:?]+")
 
 S_HARDWARE = "HARDWARE"
 S_PARAMETERS = "PFS TUNABLE PARAMETERS"
@@ -32,30 +32,47 @@ S_TASK = "TASK"
 def split_sections(text: str) -> dict[str, str]:
     """Map section name -> body for every ``## NAME`` block in ``text``.
 
-    Candidate headers are located with ``str.find`` (the backend re-splits
-    the full prompt on every completion, so this runs over the whole
-    context each turn) and validated against ``SECTION_RE``'s exact name
-    charset — the accepted language is identical to running the regex.
+    A later block of the same name replaces the earlier body in place.
+    Text before the first header belongs to no section.
     """
-    find = text.find
-    positions = [0] if text.startswith("## ") else []
-    pos = find("\n## ")
-    while pos != -1:
-        positions.append(pos + 1)
-        pos = find("\n## ", pos + 1)
-    headers: list[tuple[int, str, int]] = []
-    for start in positions:
-        eol = find("\n", start)
-        if eol == -1:
-            eol = len(text)
-        name = text[start + 3 : eol]
-        if name and all(c in _NAME_CHARS for c in name):
-            headers.append((start, name.strip(), eol))
+    headers = scan_headers(text)
     sections: dict[str, str] = {}
     for i, (start, name, body_start) in enumerate(headers):
         end = headers[i + 1][0] if i + 1 < len(headers) else len(text)
         sections[name] = text[body_start:end].strip()
     return sections
+
+
+def scan_headers(text: str, start: int = 0) -> list[tuple[int, str, int]]:
+    """``(line start, name, body start)`` of every header line of ``text``
+    at or after ``start``, which must be a line start.
+
+    Candidate headers are located with ``str.find`` and their names
+    validated with ``SECTION_RE``'s name pattern — the accepted language is
+    identical to running the regex.
+    """
+    find = text.find
+    positions = [start] if text.startswith("## ", start) else []
+    pos = find("\n## ", start)
+    while pos != -1:
+        positions.append(pos + 1)
+        pos = find("\n## ", pos + 1)
+    headers = []
+    for begin in positions:
+        header = header_line(text, begin)
+        if header is not None:
+            headers.append((begin, *header))
+    return headers
+
+
+def header_line(text: str, begin: int) -> tuple[str, int] | None:
+    """``(name, end of line)`` when the line of ``text`` that starts at
+    ``begin`` with ``"## "`` is a header line, else ``None``."""
+    eol = text.find("\n", begin)
+    if eol == -1:
+        eol = len(text)
+    name = text[begin + 3 : eol]
+    return (name.strip(), eol) if _NAME_RE.fullmatch(name) else None
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +85,7 @@ def build_hardware_section(description: str, facts: dict[str, float]) -> str:
     return "\n".join(lines)
 
 
-def _to_float(text: str) -> float | None:
+def to_float(text: str) -> float | None:
     """``float(text)``, or ``None`` when the text is not a number.  The
     parsers' number patterns accept every character a float may hold, so
     they also accept strings like ``1.2.3`` that conversion rejects."""
@@ -78,21 +95,16 @@ def _to_float(text: str) -> float | None:
         return None
 
 
-@lru_cache(maxsize=256)
-def _parse_hardware_facts_cached(body: str) -> dict[str, float]:
-    facts: dict[str, float] = {}
-    for match in re.finditer(r"^fact (\w+) = ([-\d.eE+]+)$", body, re.MULTILINE):
-        value = _to_float(match.group(2))
-        if value is not None:
-            facts[match.group(1)] = value
-    return facts
+_FACT_RE = re.compile(r"^fact (\w+) = ([-\d.eE+]+)$", re.MULTILINE)
 
 
 def parse_hardware_facts(body: str) -> dict[str, float]:
-    # The hardware section is identical on every turn of a session (and
-    # across co-tenant sessions on the same cluster), so the regex walk is
-    # memoized; callers get a fresh dict they are free to mutate.
-    return dict(_parse_hardware_facts_cached(body))
+    facts: dict[str, float] = {}
+    for match in _FACT_RE.finditer(body):
+        value = to_float(match.group(2))
+        if value is not None:
+            facts[match.group(1)] = value
+    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +138,12 @@ def build_parameter_section(params: list[ParameterInfo]) -> str:
 def parse_parameter_section(body: str) -> list[ParameterInfo]:
     """Parse the tunable-parameter block.
 
-    Memoized: the same parameter section recurs on every turn of a tuning
-    loop, and there are only a handful of distinct sections per process
-    (ablations toggle descriptions, §5.6 restricts the surface).  Callers
-    treat the returned infos as read-only.  A ``default:`` field that is
-    not a finite number is skipped, keeping the entry's default of 0.
+    Memoized: every session of a backend sends the same parameter section
+    (a conversation view re-parses it once per session, ~50 µs), and there
+    are only a handful of distinct sections per process (ablations toggle
+    descriptions, §5.6 restricts the surface).  Callers treat the returned
+    infos as read-only.  A ``default:`` field that is not a finite number is
+    skipped, keeping the entry's default of 0.
     """
     params: list[ParameterInfo] = []
     current: ParameterInfo | None = None
@@ -149,7 +162,7 @@ def parse_parameter_section(body: str) -> list[ParameterInfo]:
             key = key.strip()
             value = value.strip()
             if key == "default":
-                number = _to_float(value)
+                number = to_float(value)
                 if number is not None and math.isfinite(number):
                     current.default = int(number)
             elif key == "range":
@@ -190,74 +203,44 @@ def build_io_report_section(report: IOReport) -> str:
     return "\n".join(lines)
 
 
-@lru_cache(maxsize=256)
-def _parse_io_report_cached(body: str) -> IOReport:
+_METRIC_RE = re.compile(r"metric (\w+) = ([-\d.eE+]+)")
+_FOLLOWUP_RE = re.compile(r"followup '(.*)': (.*)")
+
+
+def parse_io_report(body: str) -> IOReport:
     report = IOReport()
     for raw in body.splitlines():
         line = raw.strip()
         if line.startswith("summary:"):
             report.summary = line.split(":", 1)[1].strip()
         elif line.startswith("metric "):
-            match = re.match(r"metric (\w+) = ([-\d.eE+]+)", line)
-            value = _to_float(match.group(2)) if match else None
+            match = _METRIC_RE.match(line)
+            value = to_float(match.group(2)) if match else None
             if value is not None:
                 report.metrics[match.group(1)] = value
         elif line.startswith("followup "):
-            match = re.match(r"followup '(.*)': (.*)", line)
+            match = _FOLLOWUP_RE.match(line)
             if match:
                 report.followups[match.group(1)] = match.group(2)
     return report
 
 
-def parse_io_report(body: str) -> IOReport:
-    # The IO report body repeats verbatim on every tuning turn after the
-    # analysis stage produces it.  The cached parse is shared; the returned
-    # report is a shallow copy because the tuning loop appends follow-up
-    # answers to ``report.followups`` in place.
-    cached = _parse_io_report_cached(body)
-    return IOReport(
-        summary=cached.summary,
-        metrics=dict(cached.metrics),
-        followups=dict(cached.followups),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Rule set (strict JSON structure, §4.4.1)
 # ---------------------------------------------------------------------------
-def _freeze(obj: Any):
-    """A hashable deep-frozen view of a JSON-shaped value (cache keys).
-
-    Equal views must render equal JSON, so each view carries its type:
-    otherwise ``True == 1 == 1.0`` would alias ``true``, ``1`` and ``1.0``,
-    and a dict would alias the list of its pairs.  Floats freeze by
-    ``repr``, which is what ``json.dumps`` prints and which tells ``-0.0``
-    from ``0.0``.  Strings, the bulk of a rule set, stand for themselves:
-    no other view is a ``str``.
-    """
-    cls = obj.__class__
-    if cls is str:
-        return obj
-    if isinstance(obj, dict):
-        return (dict, tuple((_freeze(k), _freeze(v)) for k, v in obj.items()))
-    if isinstance(obj, (list, tuple)):
-        return (list, tuple(_freeze(v) for v in obj))
-    if cls is float:
-        return (float, repr(obj))
-    return (cls, obj)
-
-
-#: ``indent=1`` renders keyed by the frozen payload — rule sets repeat
-#: verbatim across turns and co-tenant sessions, and pretty-printed JSON is
-#: one of the costlier string builds in the loop.  Bounded like the parser
-#: memos beside it; a full memo evicts its oldest entry.
-_DUMPS_CACHE: dict[tuple, str] = {}
+#: ``indent=1`` renders keyed by the payload's compact JSON — rule sets
+#: repeat verbatim across turns and sessions (an engine's merged set is the
+#: next session's rule-set section), and ``indent`` rules out the C
+#: encoder, so pretty-printing is one of the costlier string builds in the
+#: loop.  Two payloads with equal compact JSON have equal pretty JSON.  A
+#: full memo evicts its oldest entry.
+_DUMPS_CACHE: dict[str, str] = {}
 _DUMPS_CACHE_MAX = 256
 
 
 def dumps_indented(payload: Any) -> str:
     """``json.dumps(payload, indent=1)``, memoized on content."""
-    key = _freeze(payload)
+    key = json.dumps(payload)
     text = _DUMPS_CACHE.get(key)
     if text is None:
         if len(_DUMPS_CACHE) >= _DUMPS_CACHE_MAX:
@@ -270,32 +253,27 @@ def build_rules_section(rules_json: list[dict[str, Any]]) -> str:
     return f"## {S_RULES}\n" + dumps_indented(rules_json)
 
 
-@lru_cache(maxsize=256)
-def _parse_rules_cached(body: str) -> list[dict[str, Any]]:
-    rules = json.loads(body)
+def parse_rules_section(body: str) -> list[dict[str, Any]]:
+    """The rule objects of a rule-set section; ``[]`` when empty.
+
+    Raises a ``ValueError`` naming the section when the body is not JSON or
+    is JSON other than a list of objects.
+    """
+    body = body.strip()
+    if not body or body == "(empty)":
+        return []
+    try:
+        rules = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{S_RULES} section is not valid JSON ({exc.msg}): {body[:80]!r}"
+        ) from None
     if not isinstance(rules, list) or not all(isinstance(r, dict) for r in rules):
         raise ValueError(
             f"{S_RULES} section must be a JSON list of rule objects, "
             f"got {body[:80]!r}"
         )
     return rules
-
-
-def parse_rules_section(body: str) -> list[dict[str, Any]]:
-    """The rule objects of a rule-set section; ``[]`` when empty.
-
-    Raises ``ValueError`` when the body is not JSON (``JSONDecodeError``)
-    or is JSON other than a list of objects.
-    """
-    body = body.strip()
-    if not body or body == "(empty)":
-        return []
-    # json.loads of the (identical, per-turn) rule block is memoized; the
-    # copy keeps callers free to extend rule dicts or their tag lists.
-    return [
-        {k: (list(v) if isinstance(v, list) else v) for k, v in rule.items()}
-        for rule in _parse_rules_cached(body)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +290,33 @@ class AttemptRecord:
     rationale: str = ""
 
 
+def history_line(attempt: AttemptRecord) -> str:
+    """One attempt's line of the history section."""
+    return (
+        f"attempt {attempt.index}: changes {json.dumps(attempt.changes, sort_keys=True)} "
+        f"-> runtime {attempt.seconds:.3f}s (speedup {attempt.speedup:.3f}x)"
+    )
+
+
+def join_history_section(initial_seconds: float, lines: list[str]) -> str:
+    """The history section around already rendered attempt lines."""
+    return "\n".join(
+        [
+            f"## {S_HISTORY}",
+            f"initial run (default configuration): {initial_seconds:.3f}s",
+            *lines,
+        ]
+    )
+
+
 def build_history_section(initial_seconds: float, attempts: list[AttemptRecord]) -> str:
-    lines = [f"## {S_HISTORY}", f"initial run (default configuration): {initial_seconds:.3f}s"]
-    for attempt in attempts:
-        lines.append(
-            f"attempt {attempt.index}: changes {json.dumps(attempt.changes, sort_keys=True)} "
-            f"-> runtime {attempt.seconds:.3f}s (speedup {attempt.speedup:.3f}x)"
-        )
-    return "\n".join(lines)
+    return join_history_section(initial_seconds, [history_line(a) for a in attempts])
+
+
+_INITIAL_RE = re.compile(r"([\d.]+)s")
+_ATTEMPT_RE = re.compile(
+    r"attempt (\d+): changes (\{.*\}) -> runtime ([\d.]+)s \(speedup ([\d.]+)x\)"
+)
 
 
 def parse_history_section(body: str) -> tuple[float, list[AttemptRecord]]:
@@ -334,16 +331,12 @@ def parse_history_section(body: str) -> tuple[float, list[AttemptRecord]]:
     for raw in body.splitlines():
         line = raw.strip()
         if line.startswith("initial run"):
-            match = re.search(r"([\d.]+)s", line)
-            value = _to_float(match.group(1)) if match else None
+            match = _INITIAL_RE.search(line)
+            value = to_float(match.group(1)) if match else None
             if value is not None:
                 initial = value
         elif line.startswith("attempt "):
-            match = re.match(
-                r"attempt (\d+): changes (\{.*\}) -> runtime ([\d.]+)s "
-                r"\(speedup ([\d.]+)x\)",
-                line,
-            )
+            match = _ATTEMPT_RE.match(line)
             if match:
                 try:
                     record = AttemptRecord(

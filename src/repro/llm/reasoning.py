@@ -40,6 +40,7 @@ from repro.backends.base import KiB, MiB, PfsBackend
 from repro.llm.knowledge import believed_direction_is_correct
 from repro.llm.profiles import ModelProfile
 from repro.llm.promptparse import AttemptRecord, IOReport, ParameterInfo
+from repro.llm.tasks import CRITIC_REVIEW, REACT_DECIDE, REACT_THOUGHT, coerce_changes
 
 #: Improvement (vs best so far) below which returns are "diminishing".
 DIMINISHING_RETURNS = 0.05
@@ -69,20 +70,20 @@ S_PROPOSED = "PROPOSED CONFIGURATION"
 S_VETOED = "VETOED PROPOSALS"
 
 REACT_DECIDE_TASK = (
-    "## TASK: REACT DECIDE\n"
+    f"{REACT_DECIDE}\n"
     "You are operating as a ReACT agent. Review the transcript above and "
     "reply with exactly one token: REASON to think before acting, TOOL to "
     "take an environment action now, or HALT when the final thought has "
     "concluded the run."
 )
 REACT_THOUGHT_TASK = (
-    "## TASK: REACT THOUGHT\n"
+    f"{REACT_THOUGHT}\n"
     "Write the next thought for the transcript above: one short passage of "
     "reasoning about the tuning state. Prefix a concluding thought with "
     "'FINAL:' followed by the justification for stopping."
 )
 CRITIC_TASK = (
-    "## TASK: CRITIC REVIEW\n"
+    f"{CRITIC_REVIEW}\n"
     "You are the critic of a propose/critic tuning pair. Review the "
     "proposed configuration against the documented parameter ranges and "
     "the grounding of its rationale. Reply APPROVE, VETO: <reason>, or "
@@ -142,15 +143,29 @@ def build_proposed_section(changes: dict[str, int], rationale: str) -> str:
     )
 
 
+def _changes_line(text: str) -> dict[str, int] | None:
+    """A rendered changes map, or ``None`` when ``text`` is not a JSON
+    object of integer-convertible values."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(payload, dict):
+        return None
+    changes, invalid = coerce_changes(payload)
+    return None if invalid else changes
+
+
 def parse_proposed_section(body: str) -> tuple[dict[str, int], str]:
+    """The proposal's changes and rationale; a changes line that is not a
+    JSON object of integers is skipped."""
     changes: dict[str, int] = {}
     rationale = ""
     for line in body.splitlines():
         if line.startswith("changes: "):
-            changes = {
-                str(name): int(value)
-                for name, value in json.loads(line[len("changes: "):]).items()
-            }
+            parsed = _changes_line(line[len("changes: "):])
+            if parsed is not None:
+                changes = parsed
         elif line.startswith("rationale: "):
             rationale = line[len("rationale: "):]
     return changes, rationale
@@ -163,13 +178,15 @@ def build_vetoed_section(vetoed: list[dict[str, int]]) -> str:
 
 
 def parse_vetoed_section(body: str) -> list[dict[str, int]]:
+    """The vetoed change maps; lines that are not a JSON object of integers
+    are skipped."""
     vetoed = []
     for raw in body.splitlines():
         line = raw.strip()
         if line.startswith("- "):
-            vetoed.append(
-                {str(k): int(v) for k, v in json.loads(line[2:]).items()}
-            )
+            parsed = _changes_line(line[2:])
+            if parsed is not None:
+                vetoed.append(parsed)
     return vetoed
 
 
@@ -225,6 +242,9 @@ class TuningContext:
     #: Proposals a critic refused this run (propose/critic policy only);
     #: the policy treats them as tried so a veto can never livelock the loop.
     vetoed: list[dict[str, int]] = field(default_factory=list)
+    #: The backend the parameters belong to, when the caller has already
+    #: detected it for this parameter list; ``None`` detects it on use.
+    backend: PfsBackend | None = None
 
     def parameter(self, name: str) -> ParameterInfo | None:
         for p in self.parameters:
@@ -352,9 +372,7 @@ class TuningPolicy:
     # -- main entry ------------------------------------------------------
     def decide(self, ctx: TuningContext) -> Decision:
         report = ctx.report
-        # The policy infers which file system it is tuning from the
-        # parameter names in the prompt (as a real model would).
-        backend = detect_backend([p.name for p in ctx.parameters])
+        backend = _backend_of(ctx)
         # Minor loop: request missing analysis before the first proposal.
         if report is not None and not ctx.attempts:
             for metric, question in _DESIRED_METRICS:
@@ -640,7 +658,7 @@ class TuningPolicy:
         """Distill the tuning run into reusable rules (§4.4)."""
         if not ctx.attempts:
             return []
-        backend = detect_backend([p.name for p in ctx.parameters])
+        backend = _backend_of(ctx)
         workload_class = classify_workload(ctx.report)
         tags = context_tags(workload_class, ctx.report)
         best = max(ctx.attempts, key=lambda a: a.speedup)
@@ -732,6 +750,14 @@ class TuningPolicy:
             "behaviour; the direction was validated by measured speedups "
             "during tuning."
         )
+
+
+def _backend_of(ctx: TuningContext) -> PfsBackend:
+    # The policy infers which file system it is tuning from the parameter
+    # names in the prompt (as a real model would).
+    if ctx.backend is None:
+        ctx.backend = detect_backend([p.name for p in ctx.parameters])
+    return ctx.backend
 
 
 def _human_bytes(n: float) -> str:

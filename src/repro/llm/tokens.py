@@ -13,9 +13,14 @@ CACHE_BLOCK_TOKENS = 64
 
 def count_tokens(text: str) -> int:
     """Approximate token count (length-based, deterministic)."""
-    if not text:
+    return tokens_for_length(len(text))
+
+
+def tokens_for_length(n: int) -> int:
+    """The token count of any ``n``-character text."""
+    if not n:
         return 0
-    return max(1, round(len(text) / CHARS_PER_TOKEN))
+    return max(1, round(n / CHARS_PER_TOKEN))
 
 
 @dataclass
@@ -55,9 +60,9 @@ class PromptCache:
     def lookup_and_store(self, session: str, prompt: str) -> int:
         """Cached token count for this prompt; records it for next time."""
         previous = self._last_prompt.get(session, "")
-        shared = _common_prefix_len(previous, prompt)
+        shared = shared_prefix_len(previous, prompt)
         self._last_prompt[session] = prompt
-        cached_tokens = count_tokens(prompt[:shared])
+        cached_tokens = tokens_for_length(shared)
         return (cached_tokens // CACHE_BLOCK_TOKENS) * CACHE_BLOCK_TOKENS
 
     def reset(self, session: str | None = None) -> None:
@@ -67,24 +72,31 @@ class PromptCache:
             self._last_prompt.pop(session, None)
 
 
-def _common_prefix_len(a: str, b: str) -> int:
-    # Agent conversations are append-only, so the previous prompt is almost
-    # always a literal prefix of the next one — one startswith beats the
-    # binary search on that fast path.
+#: Block sizes of :func:`shared_prefix_len`'s walk, largest first.
+_BLOCKS = (2048, 256, 32, 4, 1)
+
+
+def shared_prefix_len(a: str, b: str) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``.
+
+    Agent conversations are append-only, so ``a`` is usually a prefix of
+    ``b`` and one ``startswith`` decides.  Otherwise the walk compares
+    blocks of ``b`` in place against ``a`` (``str.startswith`` at an
+    offset), moving to the next smaller block size at the first mismatch:
+    it copies about one prompt length in all, where bisecting
+    ``a[:mid] == b[:mid]`` copied two per step.
+    """
     if len(a) <= len(b):
         if b.startswith(a):
             return len(a)
     elif a.startswith(b):
         return len(b)
     limit = min(len(a), len(b))
-    low, high = 0, limit
-    while low < high:
-        mid = (low + high + 1) // 2
-        if a[:mid] == b[:mid]:
-            low = mid
-        else:
-            high = mid - 1
-    return low
+    pos = 0
+    for block in _BLOCKS:
+        while pos + block <= limit and a.startswith(b[pos : pos + block], pos):
+            pos += block
+    return pos
 
 
 #: Ledger key under which retried/timed-out request waste accumulates.

@@ -20,13 +20,13 @@ For our Lustre model the result is 13 parameters.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from repro.cluster.hardware import ClusterSpec
 from repro.corpus import render_manual
 from repro.llm.client import LLMClient
 from repro.llm.promptparse import ParameterInfo
+from repro.llm.tasks import DESCRIBE_PARAMETER, JUDGE_DOCUMENTATION, JUDGE_IMPACT, TASKS
 from repro.pfs.proctree import build_proc_tree, writable_parameter_names
 from repro.rag.index import VectorIndex
 
@@ -103,7 +103,7 @@ class ParameterExtractor:
         for name in candidates:
             context = self.retrieve(name)
             verdict = self.client.ask(
-                "## TASK: JUDGE DOCUMENTATION\n"
+                f"{JUDGE_DOCUMENTATION}\n"
                 f"PARAMETER: {name}\n"
                 "Does the retrieved documentation define this parameter's "
                 "purpose and its valid range?\n"
@@ -111,11 +111,11 @@ class ParameterExtractor:
                 agent="extraction",
                 session=f"extract:{name}",
             )
-            if not verdict.startswith("SUFFICIENT"):
+            if not TASKS[JUDGE_DOCUMENTATION].parse(verdict):
                 result.filtered_insufficient.append(name)
                 continue
             described = self.client.ask(
-                "## TASK: DESCRIBE PARAMETER\n"
+                f"{DESCRIBE_PARAMETER}\n"
                 f"PARAMETER: {name}\n"
                 "Describe the parameter's purpose, its intended impact on "
                 "I/O, and its valid range. Use the dependent expression "
@@ -125,15 +125,16 @@ class ParameterExtractor:
                 agent="extraction",
                 session=f"extract:{name}",
             )
-            extracted = _parse_described(described)
-            if extracted is None:
+            fields = TASKS[DESCRIBE_PARAMETER].parse(described)
+            if fields is None:
                 result.filtered_insufficient.append(name)
                 continue
+            extracted = ExtractedParameter(**fields)
             if extracted.binary:
                 result.filtered_binary.append(name)
                 continue
             impact = self.client.ask(
-                "## TASK: JUDGE IMPACT\n"
+                f"{JUDGE_IMPACT}\n"
                 f"PARAMETER: {name}\n"
                 "Is this parameter likely to have a significant impact on "
                 "I/O performance? Answer with documented reasoning.\n"
@@ -141,29 +142,10 @@ class ParameterExtractor:
                 agent="extraction",
                 session=f"extract:{name}",
             )
-            if not impact.startswith("SIGNIFICANT"):
+            if not TASKS[JUDGE_IMPACT].parse(impact):
                 result.filtered_low_impact.append(name)
                 continue
             extracted.impact_judgment = impact
             result.selected.append(extracted)
         return result
 
-
-def _parse_described(text: str) -> ExtractedParameter | None:
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        key, _, value = line.partition(":")
-        fields[key.strip()] = value.strip()
-    if "parameter" not in fields or "range" not in fields:
-        return None
-    low, _, high = fields["range"].partition("..")
-    return ExtractedParameter(
-        name=fields["parameter"],
-        description=fields.get("description", ""),
-        default=int(float(fields.get("default", "0"))),
-        min_expr=low.strip(),
-        max_expr=high.strip(),
-        unit=fields.get("unit", "count"),
-        binary=fields.get("binary", "no") == "yes",
-        grounded=fields.get("grounded", "yes") == "yes",
-    )

@@ -7,6 +7,7 @@ from repro.cluster import make_cluster
 from repro.core.runner import ConfigurationRunner
 from repro.darshan import parse_log
 from repro.frame import Frame
+from repro.llm.api import Completion
 from repro.llm.client import LLMClient
 from repro.workloads import get_workload
 
@@ -92,6 +93,28 @@ class TestAnalysisAgent:
             "What is the ratio of metadata operations to data operations?"
         )
         assert metrics["meta_data_op_ratio"] > 1.0
+
+    @pytest.mark.parametrize(
+        "reply, answer_text, metrics",
+        [
+            ("", "(empty answer)", {}),
+            ("ANSWER metric=a value=1.2.3\nANSWER metric=b value=2", "b = 2", {"b": 2.0}),
+            ("no metrics here\nsecond line", "no metrics here", {}),
+        ],
+        ids=["empty", "unconvertible-metric", "prose"],
+    )
+    def test_followup_reply_without_readable_metrics(
+        self, cluster, reply, answer_text, metrics
+    ):
+        """A final follow-up reply is read, never raised on: unconvertible
+        metric values are skipped, and an empty reply has a stand-in."""
+
+        class FixedReply:
+            def complete(self, messages, tools=None, agent="generic", session=None):
+                return Completion(content=reply)
+
+        agent = AnalysisAgent(FixedReply(), _parsed(cluster))
+        assert agent.answer("why?") == (answer_text, metrics)
 
     def test_transcript_records_code_execution(self, cluster):
         transcript = Transcript()

@@ -126,6 +126,26 @@ class TestImportGraph:
         ]
         assert offenders == []
 
+    def test_every_package_imports_first(self):
+        """Each top-level package imports into a fresh interpreter state on
+        its own: no import cycle depends on which package a program loads
+        first (``repro.rules`` before ``repro.llm``, say)."""
+        import subprocess
+        import sys
+
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "import repro\n"
+            "for info in pkgutil.iter_modules(repro.__path__, 'repro.'):\n"
+            "    for name in [m for m in sys.modules if m.split('.')[0] == 'repro']:\n"
+            "        del sys.modules[name]\n"
+            "    importlib.import_module(info.name)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+
 
 class TestConfigParity:
     def test_defaults_validate(self, backend):

@@ -19,12 +19,14 @@ Covers the policy tentpole's contracts:
   parity contracts.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.agents.policies import (
     PolicyContext,
+    ProposeCriticAgent,
     ProposeCriticPolicy,
     ReACTPolicy,
     ReflectionPolicy,
@@ -51,9 +53,11 @@ from repro.faults.retry import FaultBudgetExhausted
 from repro.llm.api import Completion, ToolCall
 from repro.llm.promptparse import ParameterInfo
 from repro.llm.reasoning import SPECULATIVE_RATIONALE_PREFIX, review_proposal
+from repro.llm.tasks import coerce_changes
 from repro.rules.store import session_to_dict
 from repro.service import FleetScheduler, TenantSpec, TuningService
 from repro.workloads import get_workload
+from test_cache_parity import queue_fingerprint
 from test_fleet import fleet_fingerprint
 from test_pipeline import assert_sessions_byte_identical
 
@@ -146,6 +150,31 @@ class TestDefaultPolicyCliParity:
         out = capsys.readouterr().out
         with open(f"{FIXTURE_DIR}/policy_parity_{backend}.txt") as handle:
             assert out == handle.read()
+
+
+class TestPolicyParityFixtures:
+    """Every non-default policy vs fixtures captured before the model I/O
+    moved to the task table and the per-session conversation view."""
+
+    @pytest.mark.parametrize("backend", list_backends())
+    @pytest.mark.parametrize("policy", ["react", "propose_critic"])
+    def test_seed2_transcript_matches_fixture(self, policy, backend, capsys):
+        argv = ["--seed", "2", "tune", "MDWorkbench_8K", "--backend", backend]
+        assert main([*argv, "--policy", policy, "--transcript"]) == 0
+        out = capsys.readouterr().out
+        with open(f"{FIXTURE_DIR}/policy_parity_{policy}_{backend}.txt") as handle:
+            assert out == handle.read()
+
+    @pytest.mark.parametrize("policy", list_policies())
+    @pytest.mark.parametrize("backend", list_backends())
+    def test_seed2_queue_matches_digest(self, backend, policy):
+        """Every session dict of a seed-2 engine's four-workload queue, then
+        its journal; sessions carry token usage and cached tokens, so the
+        digest pins the token count of every prompt byte."""
+        with open(f"{FIXTURE_DIR}/policy_queue_sha256.json") as handle:
+            expected = json.load(handle)[f"{backend}/{policy}"]
+        fingerprint = "\n".join(queue_fingerprint(backend, policy, 2))
+        assert hashlib.sha256(fingerprint.encode()).hexdigest() == expected
 
 
 class TestPolicyBehavior:
@@ -258,15 +287,19 @@ class TestReviewProposal:
 
 
 class ScriptedClient:
-    """Replays canned tool turns; answers reflections with fixed text."""
+    """Replays canned tool turns and critic verdicts; answers reflections
+    with fixed text."""
 
-    def __init__(self, turns, reflection="[]"):
+    def __init__(self, turns, reflection="[]", verdicts=()):
         self.turns = list(turns)
         self.reflection = reflection
+        self.verdicts = list(verdicts)
 
     def complete(self, messages, tools=None, agent="generic", session=None):
         if tools:
             return Completion(tool_calls=[self.turns.pop(0)])
+        if agent == "critic":
+            return Completion(content=self.verdicts.pop(0))
         return Completion(content=self.reflection)
 
 
@@ -280,9 +313,11 @@ class StaticRunner:
         return 5.0, dict(changes)
 
 
-def scripted_agent(turns, reflection="[]", runner=None, **kwargs):
-    return TuningAgent(
-        client=ScriptedClient(turns, reflection=reflection),
+def scripted_agent(
+    turns, reflection="[]", runner=None, agent_class=TuningAgent, verdicts=(), **kwargs
+):
+    return agent_class(
+        client=ScriptedClient(turns, reflection=reflection, verdicts=verdicts),
         parameters=[],
         hardware_description="one test node",
         facts={"n_clients": 1.0},
@@ -307,8 +342,7 @@ class TestUnknownToolDegradation:
         assert any("unknown tool 'fetch_weather'" in d for d in result.degradations)
 
     VALID = {"osc.max_rpcs_in_flight": 16}
-
-    @pytest.mark.parametrize(
+    INVALID_CHANGES = pytest.mark.parametrize(
         "changes, named",
         [
             ({**VALID, "bogus.param": 4}, "unknown parameter 'bogus.param'"),
@@ -320,10 +354,28 @@ class TestUnknownToolDegradation:
         ],
         ids=["unknown", "ambiguous", "read-only", "not-int", "none", "not-mapping"],
     )
+
+    @INVALID_CHANGES
     def test_invalid_changes_skip_turn_and_continue(self, changes, named):
         """Changes the runner cannot apply are model output, not a crash:
         one ``invalid_changes`` event, one ``llm.tool:`` degradation, no
         probe, and the loop goes on to the next proposal."""
+        self._assert_invalid_changes_absorbed(changes, named, TuningAgent)
+
+    @INVALID_CHANGES
+    def test_invalid_changes_skip_critic_and_continue(self, changes, named):
+        """Under propose/critic the same proposals reach the run handler,
+        which absorbs them.  Changes that are not a mapping of integers
+        skip the critic; the critic approves the others, as the runner
+        alone knows which names it can set."""
+        agent = self._assert_invalid_changes_absorbed(
+            changes, named, ProposeCriticAgent, verdicts=["APPROVE", "APPROVE"]
+        )
+        reviewed = 2 - len(agent.client.verdicts)
+        assert reviewed == (1 if coerce_changes(changes)[1] else 2)
+        assert not agent.transcript.of_kind("critic_veto")
+
+    def _assert_invalid_changes_absorbed(self, changes, named, agent_class, verdicts=()):
         runner = ConfigurationRunner(make_cluster(), get_workload("IOR_16M"), seed=1)
         runner.initial_execution()
         agent = scripted_agent(
@@ -333,6 +385,8 @@ class TestUnknownToolDegradation:
                 ToolCall("end_tuning", {"reason": "done"}),
             ],
             runner=runner,
+            agent_class=agent_class,
+            verdicts=verdicts,
         )
         result = agent.run_loop()
         assert result.end_reason == "done"
@@ -344,6 +398,37 @@ class TestUnknownToolDegradation:
         # Only the valid proposal ran, as the first attempt.
         assert runner.execution_count == 2
         assert [a.changes for a in result.attempts] == [self.VALID]
+        return agent
+
+    @pytest.mark.parametrize(
+        "verdict",
+        [
+            "AMEND\nnot json",
+            "AMEND",
+            "AMEND\n[1, 2]",
+            'AMEND\n{"osc.max_rpcs_in_flight": "many"}',
+        ],
+        ids=["not-json", "bare", "not-object", "not-int"],
+    )
+    def test_malformed_amend_runs_proposal_as_proposed(self, verdict):
+        """An AMEND the critic's output parser cannot read falls back like
+        an unrecognised verdict: the proposal runs unchanged, with one
+        ``critic_malformed`` event and one ``llm.critic:`` degradation."""
+        agent = scripted_agent(
+            [
+                ToolCall("run_configuration", {"changes": self.VALID}),
+                ToolCall("end_tuning", {"reason": "done"}),
+            ],
+            agent_class=ProposeCriticAgent,
+            verdicts=[verdict],
+        )
+        result = agent.run_loop()
+        assert result.end_reason == "done"
+        assert [a.changes for a in result.attempts] == [self.VALID]
+        assert len(agent.transcript.of_kind("critic_malformed")) == 1
+        assert not agent.transcript.of_kind("critic_amend")
+        assert len(result.degradations) == 1
+        assert result.degradations[0].startswith("llm.critic:")
 
 
 class TestReflectionFormatError:

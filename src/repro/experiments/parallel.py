@@ -16,16 +16,16 @@ boxes pay zero pickling or fork overhead.
 The pool is *warm*: the first ``pmap``/``imap`` call that needs ``n``
 workers creates one lazily and every later call with the same effective
 count reuses it, so consecutive fleet waves, chaos sweeps and drift cells
-stop paying fork + re-import per call.  Workers install the published
-shared-memory artifact refs (:mod:`repro.service.artifacts`) in their
-initializer, once per process instead of once per job.  A request for a
-different worker count (or a broken pool) retires the old executor and
-builds a fresh one; :func:`shutdown_pool` retires it explicitly, and an
-``atexit`` hook covers interpreter exit.  Correctness never depends on
-pool reuse — jobs are pure functions of their arguments, and per-job state
-like a ``RUN_CACHE.disabled()`` scope is entered and exited inside the job
-body, so nothing leaks between waves (guarded by
-``tests/test_fleet_batch.py``).  The run cache's entries do persist in a
+stop paying fork + re-import per call.  Workers run no initializer: a
+fork-started worker inherits what the parent had built before it forked
+(offline artifacts, memos), and a job builds anything else it needs once
+per worker.  A request for a different worker count (or a broken pool)
+retires the old executor and builds a fresh one; :func:`shutdown_pool`
+retires it explicitly, and an ``atexit`` hook covers interpreter exit.
+Correctness never depends on pool reuse — jobs are pure functions of their
+arguments, and per-job state like a ``RUN_CACHE.disabled()`` scope is
+entered and exited inside the job body, so nothing leaks between waves
+(guarded by ``tests/test_fleet_batch.py``).  The run cache's entries do persist in a
 warm worker, which only ever skips re-costing an identical evaluation.
 """
 
@@ -88,41 +88,17 @@ _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 
 
-def _init_worker(refs: list) -> None:
-    """Worker initializer: install shared artifacts once per process."""
-    if refs:
-        from repro.service import artifacts
-
-        artifacts.install(refs)
-
-
-def _published_refs() -> list:
-    # Imported lazily: the service layer imports this module at its own
-    # import time, so a top-level import here would cycle.
-    try:
-        from repro.service import artifacts
-    except ImportError:  # pragma: no cover - partial-init edge
-        return []
-    return artifacts.published_refs()
-
-
 def warm_pool(workers: int) -> ProcessPoolExecutor:
     """The shared executor with ``workers`` workers, created lazily.
 
     Reused across calls with the same count; a different count retires the
     old pool first (two live pools would double the resident workers).
-    New workers resolve the artifact refs published so far in their
-    initializer; refs published later still resolve per job.
     """
     global _pool, _pool_workers
     if _pool is not None and _pool_workers != workers:
         shutdown_pool()
     if _pool is None:
-        _pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(_published_refs(),),
-        )
+        _pool = ProcessPoolExecutor(max_workers=workers)
         _pool_workers = workers
     return _pool
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.faults.plan import LLM_SITES, FaultPlan
 from repro.faults.retry import RetryPolicy, TransientFault
 from repro.llm.api import ChatMessage, Completion, ToolSpec
+from repro.llm.backend import render_prompt
 from repro.llm.client import LLMClient
 from repro.llm.tokens import TokenUsage, UsageLedger, count_tokens
 
@@ -59,7 +60,6 @@ class ResilientLLMClient(LLMClient):
         index = self._request_index.get(session_key, 0) + 1
         self._request_index[session_key] = index
         key = f"llm:{session_key}:{index}"
-        prompt_tokens = count_tokens("\n\n".join(m.content for m in messages))
 
         def attempt(n: int) -> Completion:
             for site in LLM_SITES:
@@ -70,7 +70,11 @@ class ResilientLLMClient(LLMClient):
             )
 
         def record(fault: TransientFault, n: int, delay: float) -> None:
-            wasted = TokenUsage(input_tokens=prompt_tokens)
+            # A failed attempt sent the prompt the backend bills, so it is
+            # charged that prompt's count.
+            wasted = TokenUsage(
+                input_tokens=count_tokens(render_prompt(messages, tools))
+            )
             latency = delay + self.profile.latency_per_request
             if fault.site == "llm.timeout":
                 latency = delay + self.retry.request_timeout

@@ -62,6 +62,18 @@ NO_TASK_REPLY = (
 )
 
 
+def render_prompt(messages: list[ChatMessage], tools: list[ToolSpec] | None) -> str:
+    """The prompt text a request is billed for.
+
+    Tools are rendered after the conversation so that tool-bearing and
+    tool-free requests in the same session share a cacheable prefix.
+    """
+    parts = [f"[{m.role}]\n{m.content}" for m in messages]
+    if tools:
+        parts.append("AVAILABLE TOOLS:\n" + "\n".join(t.render() for t in tools))
+    return "\n\n".join(parts)
+
+
 def _section_backend(body: str) -> PfsBackend:
     """The backend a parameter section's names belong to."""
     return detect_backend([p.name for p in pp.parse_parameter_section(body)])
@@ -84,7 +96,7 @@ class MockLLM:
         tools: list[ToolSpec] | None = None,
         session: str = "default",
     ) -> Completion:
-        prompt = self._render_prompt(messages, tools)
+        prompt = render_prompt(messages, tools)
         cached = self.cache.lookup_and_store(session, prompt)
         view = self._views.get(session)
         if view is None:
@@ -114,17 +126,6 @@ class MockLLM:
         return Completion(
             content=content, tool_calls=tool_calls, usage=usage, model=self.profile.name
         )
-
-    # ------------------------------------------------------------------
-    def _render_prompt(
-        self, messages: list[ChatMessage], tools: list[ToolSpec] | None
-    ) -> str:
-        # Tools are rendered after the conversation so that tool-bearing and
-        # tool-free requests in the same session share a cacheable prefix.
-        parts = [f"[{m.role}]\n{m.content}" for m in messages]
-        if tools:
-            parts.append("AVAILABLE TOOLS:\n" + "\n".join(t.render() for t in tools))
-        return "\n\n".join(parts)
 
     # -- tuning ----------------------------------------------------------
     def _tuning_context(self, view: ConversationView) -> TuningContext:

@@ -1,201 +1,50 @@
-"""Shared-memory offline artifacts: publish once, resolve everywhere.
+"""Offline artifacts: one bundle per key, built once per process.
 
-The fleet's offline artifacts — the per-backend cluster spec, the RAG
-:class:`~repro.rag.extraction.ExtractionResult`, the compiled manual text
-and the rendered hardware document — are immutable at serving time but used
-to be pickled into *every* tenant job tuple.  This module ships them to
-workers once instead:
+STELLAR runs its offline phase — RAG parameter extraction from the
+manual — once, and every tuning session reuses the result.  A fleet
+tenant's :class:`OfflineArtifacts` bundle (its testbed cluster spec and
+the RAG :class:`~repro.rag.extraction.ExtractionResult`) is a pure
+function of its key ``(backend, cluster_seed, seed)``: ``make_cluster``
+and :func:`~repro.experiments.harness.shared_extraction` are seeded and
+deterministic.  So no process ever needs another process's copy.
+:func:`publish` builds a key's bundle on first use and hands the same
+object back for the life of the process.
 
-- :func:`publish` pickles the artifact bundle, records its sha256 content
-  hash, and (when the platform provides ``/dev/shm``) copies the blob into
-  a named :class:`multiprocessing.shared_memory.SharedMemory` segment.  The
-  artifact also stays in the parent's process-local store, which
-  fork-started workers inherit for free.
-- Job tuples carry only the tiny :class:`ArtifactRef` (key + segment name +
-  digest).
-- :func:`resolve` returns the artifact: from the process-local store when
-  the digest matches (fork inheritance, or a previous resolve), otherwise
-  by attaching the shared-memory segment, **verifying the content hash**,
-  and unpickling once per worker process.  The digest check is what makes
-  "every worker sees byte-identical artifacts" an assertion instead of a
-  hope — a torn or stale segment raises :class:`ArtifactIntegrityError`
-  instead of silently desynchronizing tenants.
-
-Keys are plain tuples, conventionally ``("offline", backend, seed)`` — one
-bundle per (backend, seed) cell, exactly the granularity
-:func:`repro.experiments.harness.shared_extraction` memoizes under.
-Publishing the same key twice returns the existing ref (the artifacts are
-deterministic, so a republication can only ever carry equal bytes).
-
-The parent unlinks its segments at interpreter exit; resolvers only ever
-``close()`` their attachment.
+Tenant jobs carry only the key and call :func:`publish` in whichever
+process runs them.  A fork-started worker created after the parent
+published the key inherits the bundle; any other worker (spawn,
+forkserver, or a fork that predates the key) builds an equal one, once.
+Cross-start-method parity is asserted by ``tests/test_fleet_batch.py``.
 """
 
 from __future__ import annotations
 
-import atexit
-import hashlib
-import pickle
 from dataclasses import dataclass
-from typing import Any
 
-try:  # pragma: no cover - absent only on exotic platforms
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover
-    shared_memory = None  # type: ignore[assignment]
-
-
-class ArtifactIntegrityError(RuntimeError):
-    """A resolved blob's content hash does not match its ref."""
-
-
-class ArtifactUnavailableError(RuntimeError):
-    """A ref cannot be resolved in this process (no local copy, no segment)."""
-
-
-@dataclass(frozen=True)
-class ArtifactRef:
-    """A tiny, picklable pointer to one published artifact."""
-
-    key: tuple
-    digest: str
-    size: int
-    shm_name: str | None = None
+from repro.cluster.hardware import ClusterSpec, make_cluster
+from repro.experiments.harness import shared_extraction
+from repro.rag.extraction import ExtractionResult
 
 
 @dataclass(frozen=True)
 class OfflineArtifacts:
-    """The per-(backend, seed) bundle every tenant session reads.
+    """The per-key bundle every tenant session reads."""
 
-    ``cluster`` and ``extraction`` are the objects tenant jobs used to carry
-    individually; ``manual`` and ``hardware_doc`` are the compiled prompt
-    corpus sections derived from them, bundled so workers never re-render.
-    """
-
-    cluster: Any
-    extraction: Any
-    manual: str = ""
-    hardware_doc: str = ""
+    cluster: ClusterSpec
+    extraction: ExtractionResult
 
 
-#: Process-local artifact store: key -> (digest, artifact).  In the parent
-#: this holds everything published; fork-started workers inherit it.
-_LOCAL: dict[tuple, tuple[str, Any]] = {}
-#: Refs of everything published by *this* process, in publication order.
-_REFS: dict[tuple, ArtifactRef] = {}
-#: Shared-memory segments owned (and unlinked at exit) by this process.
-_OWNED: dict[tuple, Any] = {}
+#: key -> bundle; fork-started workers inherit what the parent built.
+_BUNDLES: dict[tuple[str, int, int], OfflineArtifacts] = {}
 
 
-def publish(key: tuple, artifact: Any) -> ArtifactRef:
-    """Make ``artifact`` resolvable in every worker; returns its ref."""
-    existing = _REFS.get(key)
-    if existing is not None:
-        return existing
-    blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(blob).hexdigest()
-    shm_name = None
-    if shared_memory is not None:
-        try:
-            segment = shared_memory.SharedMemory(create=True, size=len(blob))
-            segment.buf[: len(blob)] = blob
-            shm_name = segment.name
-            _OWNED[key] = segment
-        except OSError:
-            # No usable /dev/shm — fork inheritance still covers the
-            # default start method; spawn-started workers will raise
-            # ArtifactUnavailableError and the caller falls back to
-            # shipping the artifact inline.
-            shm_name = None
-    ref = ArtifactRef(key=key, digest=digest, size=len(blob), shm_name=shm_name)
-    _LOCAL[key] = (digest, artifact)
-    _REFS[key] = ref
-    return ref
-
-
-def resolve(ref: ArtifactRef) -> Any:
-    """The artifact behind ``ref`` — local copy or verified shared blob."""
-    hit = _LOCAL.get(ref.key)
-    if hit is not None and hit[0] == ref.digest:
-        return hit[1]
-    blob = _read_blob(ref)
-    actual = hashlib.sha256(blob).hexdigest()
-    if actual != ref.digest:
-        raise ArtifactIntegrityError(
-            f"artifact {ref.key!r}: shared blob hashes to {actual[:12]}..., "
-            f"ref expects {ref.digest[:12]}... — the segment is torn or stale"
+def publish(key: tuple[str, int, int]) -> OfflineArtifacts:
+    """The bundle for ``key = (backend, cluster_seed, seed)``, built once."""
+    bundle = _BUNDLES.get(key)
+    if bundle is None:
+        backend, cluster_seed, seed = key
+        cluster = make_cluster(seed=cluster_seed, backend=backend)
+        bundle = _BUNDLES[key] = OfflineArtifacts(
+            cluster=cluster, extraction=shared_extraction(cluster, seed=seed)
         )
-    artifact = pickle.loads(blob)
-    _LOCAL[ref.key] = (ref.digest, artifact)
-    return artifact
-
-
-def _read_blob(ref: ArtifactRef) -> bytes:
-    if ref.shm_name is None or shared_memory is None:
-        raise ArtifactUnavailableError(
-            f"artifact {ref.key!r} has no shared segment and no local copy "
-            "in this process (spawn-started worker without /dev/shm?)"
-        )
-    try:
-        segment = shared_memory.SharedMemory(name=ref.shm_name)
-    except FileNotFoundError as exc:
-        raise ArtifactUnavailableError(
-            f"artifact {ref.key!r}: shared segment {ref.shm_name} is gone "
-            "(publisher exited?)"
-        ) from exc
-    try:
-        return bytes(segment.buf[: ref.size])
-    finally:
-        segment.close()
-
-
-def ref_for(key: tuple) -> ArtifactRef | None:
-    """The ref already published under ``key`` in this process, if any."""
-    return _REFS.get(key)
-
-
-def published_refs() -> list[ArtifactRef]:
-    """Every ref published by this process (pool initializers warm these)."""
-    return list(_REFS.values())
-
-
-def install(refs: list[ArtifactRef]) -> None:
-    """Pool-initializer hook: resolve ``refs`` once, at worker start.
-
-    Best-effort — a ref that cannot be resolved here is deferred to the
-    first job that actually needs it (which may have a fresher ref).
-    """
-    for ref in refs:
-        try:
-            resolve(ref)
-        except (ArtifactUnavailableError, ArtifactIntegrityError):
-            pass
-
-
-def local_digest(key: tuple) -> str | None:
-    """The digest of the locally installed artifact (tests / diagnostics)."""
-    hit = _LOCAL.get(key)
-    return hit[0] if hit is not None else None
-
-
-def _probe_worker(ref: ArtifactRef) -> str:
-    """Resolve ``ref`` in a worker and report the verified digest.
-
-    Module-level so pools can pickle it; used by the start-method parity
-    tests to assert every worker observes byte-identical artifacts.
-    """
-    resolve(ref)
-    digest = local_digest(ref.key)
-    assert digest is not None
-    return digest
-
-
-@atexit.register
-def _cleanup() -> None:  # pragma: no cover - interpreter teardown
-    for segment in _OWNED.values():
-        try:
-            segment.close()
-            segment.unlink()
-        except Exception:
-            pass
-    _OWNED.clear()
+    return bundle

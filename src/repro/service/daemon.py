@@ -74,7 +74,6 @@ from repro.service.scheduler import (
     CheckpointStore,
     FleetResult,
     _outcome_to_json,
-    _resolve_payload,
     execute_jobs,
     fleet_stamp,
     run_tenant,
@@ -340,11 +339,10 @@ class TuningService:
         re-run is byte-identical to what a pooled run under ``mode`` would
         have produced.
         """
-        bundle = _resolve_payload(self._catalog.payload_for(spec))
         return run_tenant(
             spec,
-            bundle.cluster,
-            bundle.extraction,
+            self._catalog.cluster_for(spec),
+            self._catalog.extraction_for(spec),
             self.use_cache,
             self.faults,
             self._retries[spec.tenant_id].with_fail_fast(mode),

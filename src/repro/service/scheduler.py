@@ -11,19 +11,21 @@ logic — underneath them:
 - :func:`execute_jobs` is the one pooled route: an ordered fan-out over
   :func:`repro.experiments.parallel.imap`, the same deterministic warm
   pool the figure experiments use;
-- :class:`ArtifactCatalog` turns specs into clusters, extractions and
-  worker payloads;
+- :class:`ArtifactCatalog` turns specs into offline-bundle keys, clusters
+  and extractions;
 - :class:`CheckpointStore` appends each fingerprinted outcome to a
   log so a killed fleet resumes without re-running completed tenants;
 - :class:`FleetResult` is what a drained fleet reports.
 
 What tenants share, and how:
 
-- **Immutable offline artifacts.**  The RAG extraction is computed once per
-  (backend, seed) in the parent (:func:`shared_extraction`) and shipped to
-  workers with the job — tenants never redo the offline phase.  Manuals and
-  the RAG index live behind the extraction and the backend registry, both
-  immutable at serving time.
+- **Immutable offline artifacts.**  A tenant's cluster and RAG extraction
+  are a pure function of its bundle key, built once per process by
+  :func:`repro.service.artifacts.publish`; a job carries the key, and a
+  worker that did not inherit the bundle from the parent builds it once —
+  tenants never redo the offline phase.  Manuals and the RAG index live
+  behind the extraction and the backend registry, both immutable at
+  serving time.
 - **The run cache.**  Every simulated run is served from the process-wide
   ``RUN_CACHE``, so tenants co-located on a worker share noise-free model
   evaluations; a fleet built with ``use_cache=False`` runs each tenant
@@ -57,11 +59,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.cluster.hardware import ClusterSpec, make_cluster
+from repro.cluster.hardware import ClusterSpec
 from repro.core.engine import Stellar
 from repro.core.session import TuningSession
-from repro.corpus import render_hardware_doc, render_manual
-from repro.experiments.harness import shared_extraction
 from repro.experiments.parallel import imap
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import FaultBudgetExhausted, RetryPolicy, TransientFault
@@ -74,7 +74,6 @@ from repro.rules.store import (
     session_to_dict,
 )
 from repro.service import artifacts
-from repro.service.artifacts import ArtifactRef, OfflineArtifacts
 from repro.service.tenant import TenantFailure, TenantResult, TenantSpec
 from repro.sim.cache import RUN_CACHE
 
@@ -197,17 +196,10 @@ def run_tenant(
     return TenantResult(spec=spec, sessions=sessions, journal=engine.journal)
 
 
-def _resolve_payload(payload: "ArtifactRef | OfflineArtifacts") -> OfflineArtifacts:
-    """The tenant's offline bundle — shared-memory ref or inline fallback."""
-    if isinstance(payload, ArtifactRef):
-        return artifacts.resolve(payload)
-    return payload
-
-
 def _tenant_job(args: tuple) -> TenantResult | TenantFailure:
     """Picklable adapter: one jobs-tuple -> :func:`run_tenant`."""
-    spec, payload, use_cache, faults, retry = args
-    bundle = _resolve_payload(payload)
+    spec, key, use_cache, faults, retry = args
+    bundle = artifacts.publish(key)
     return run_tenant(spec, bundle.cluster, bundle.extraction, use_cache, faults, retry)
 
 
@@ -230,9 +222,11 @@ def execute_jobs(
     """THE tenant-execution core: run job tuples over the warm pool.
 
     ``jobs`` are :func:`run_tenant` payload tuples
-    ``(spec, payload, use_cache, faults, retry)`` — each entry carries its
-    *own* retry policy, which is how the service daemon applies per-tenant
-    deadlines and degraded modes without forking the execution path.
+    ``(spec, key, use_cache, faults, retry)``, where ``key`` names the
+    tenant's offline bundle (:meth:`ArtifactCatalog.payload_for`).  Each
+    entry carries its *own* retry policy, which is how the service daemon
+    applies per-tenant deadlines and degraded modes without forking the
+    execution path.
     Yields ``(index, outcome)`` in job order, each as soon as it and every
     job before it have finished, so a consumer that orders its jobs the
     way it reports them hands the first one back after one tenant's queue.
@@ -585,62 +579,33 @@ class CheckpointStore:
 
 
 class ArtifactCatalog:
-    """Shared offline artifacts, resolved once per (backend, cluster seed).
+    """Tenant specs to offline bundles, under one fleet seed.
 
-    The one place tenant specs turn into clusters, extractions and
-    publishable worker payloads — the daemon, and through it the batch
-    fleet, leans on it, so no path can drift in how tenants acquire their
-    offline phase.
+    The one place tenant specs turn into bundle keys, clusters and
+    extractions — the daemon, and through it the batch fleet, leans on
+    it, so no path can drift in how tenants acquire their offline phase.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._clusters: dict[tuple[str, int], ClusterSpec] = {}
 
-    def cluster_for(self, spec: TenantSpec) -> ClusterSpec:
-        """The tenant's testbed; one instance per (backend, cluster seed)."""
-        key = (
-            spec.backend,
-            spec.cluster_seed if spec.cluster_seed is not None else self.seed,
-        )
-        if key not in self._clusters:
-            self._clusters[key] = make_cluster(seed=key[1], backend=key[0])
-        return self._clusters[key]
+    def payload_for(self, spec: TenantSpec) -> tuple[str, int, int]:
+        """The tenant's job payload: the key of its offline bundle.
 
-    def extraction_for(self, spec: TenantSpec) -> ExtractionResult:
-        """The shared offline artifact for the tenant's backend.
-
-        Memoized process-wide by :func:`shared_extraction` under
-        (backend, seed) — every scheduler and experiment in the process
-        shares one copy per cell.
+        Builds the bundle here first, so pool workers forked afterwards
+        inherit it instead of building their own.
         """
-        return shared_extraction(self.cluster_for(spec), seed=self.seed)
-
-    def _bundle_key(self, spec: TenantSpec) -> tuple:
         cluster_seed = (
             spec.cluster_seed if spec.cluster_seed is not None else self.seed
         )
-        return ("offline", spec.backend, cluster_seed, self.seed)
+        key = (spec.backend, cluster_seed, self.seed)
+        artifacts.publish(key)
+        return key
 
-    def payload_for(self, spec: TenantSpec) -> "ArtifactRef | OfflineArtifacts":
-        """The tenant's offline bundle, published once per (backend, seed).
+    def cluster_for(self, spec: TenantSpec) -> ClusterSpec:
+        """The tenant's testbed, shared by every tenant of its key."""
+        return artifacts.publish(self.payload_for(spec)).cluster
 
-        Returns the shared-memory ref when one exists; when the platform
-        could not provide a segment the bundle itself ships inline (the
-        fork-started default still dedups it through the publisher's
-        process-local store).
-        """
-        key = self._bundle_key(spec)
-        ref = artifacts.ref_for(key)
-        if ref is None:
-            cluster = self.cluster_for(spec)
-            bundle = OfflineArtifacts(
-                cluster=cluster,
-                extraction=self.extraction_for(spec),
-                manual=render_manual(backend=cluster.backend),
-                hardware_doc=render_hardware_doc(cluster),
-            )
-            ref = artifacts.publish(key, bundle)
-        if ref.shm_name is not None:
-            return ref
-        return artifacts.resolve(ref)
+    def extraction_for(self, spec: TenantSpec) -> ExtractionResult:
+        """The tenant's RAG extraction, shared by every tenant of its key."""
+        return artifacts.publish(self.payload_for(spec)).extraction

@@ -20,13 +20,16 @@ The contracts, from the inside out:
 
 import json
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
 from repro import Stellar, get_workload, make_cluster
-from repro.agents.tuning import TuningAgent, TuningLoopResult
+from repro.agents.tuning import TOOLS, TuningAgent, TuningLoopResult
 from repro.backends import list_backends
+from repro.corpus import render_hardware_doc
 from repro.darshan import trace_run, truncate_log
+from repro.experiments.harness import shared_extraction
 from repro.faults import (
     FAULT_SITES,
     FaultBudgetExhausted,
@@ -258,6 +261,7 @@ class TestResilientClient:
         assert self._ask(plain).content == self._ask(resilient).content
 
     def test_retries_charged_separately(self):
+        """A failed attempt is billed exactly what the backend bills."""
         ledger = UsageLedger()
         client = ResilientLLMClient(
             "claude-3.7-sonnet",
@@ -266,14 +270,28 @@ class TestResilientClient:
             faults=FaultPlan.uniform(0.4, seed=1),
             retry=RetryPolicy(max_retries=30, timeout_budget=1e9),
         )
-        for i in range(10):
-            client.complete(
-                [ChatMessage(role="user", content=f"## TASK: MERGE RULES\n[{i}]")],
-                agent="tuning",
-                session="s",
+        cluster = make_cluster(seed=0, backend="lustre")
+        agent = TuningAgent(
+            client,
+            parameters=[p.to_info() for p in shared_extraction(cluster).selected],
+            hardware_description=render_hardware_doc(cluster),
+            facts=cluster.config_facts(),
+            runner=SimpleNamespace(initial_seconds=12.5),
+            report=None,
+        )
+        # A tool turn: role tags and the tool block are part of the prompt.
+        messages = agent._messages(TuningLoopResult())
+        for _ in range(10):
+            retries = ledger.retries
+            wasted = ledger.agent(RETRY_AGENT).input_tokens
+            completion = client.complete(
+                messages, tools=TOOLS, agent="tuning", session="s"
+            )
+            failed = ledger.retries - retries
+            assert ledger.agent(RETRY_AGENT).input_tokens - wasted == (
+                failed * completion.usage.input_tokens
             )
         assert ledger.retries > 0
-        assert ledger.per_agent[RETRY_AGENT].input_tokens > 0
         assert sum(client.fault_counts.values()) == ledger.retries
         # Successful traffic is accounted exactly as the plain client would.
         assert ledger.per_agent["tuning"].input_tokens > 0

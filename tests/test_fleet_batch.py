@@ -2,22 +2,33 @@
 
 Two contracts:
 
-- shared-memory offline artifacts resolve to byte-identical bundles in
-  every worker, whatever the pool start method — asserted by content hash;
+- an offline bundle is a pure function of its key: every worker, whatever
+  the pool start method, holds a bundle equal to the parent's, whether it
+  inherited it or built it;
 - the warm persistent pool reuses worker processes across waves without
   leaking per-wave state (a ``RUN_CACHE.disabled()`` scope) between them.
 """
+
+import hashlib
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cluster import make_cluster
 from repro.experiments import parallel
+from repro.experiments.harness import shared_extraction
 from repro.experiments.parallel import pmap, shutdown_pool, warm_pool
 from repro.service import FleetScheduler, TenantSpec
 from repro.service import artifacts
 from repro.sim.cache import RUN_CACHE
 
 from test_fleet import fleet_fingerprint
+
+TESTS = Path(__file__).resolve().parent
 
 
 def _mixed_fleet(n=6):
@@ -33,39 +44,31 @@ def _mixed_fleet(n=6):
     ]
 
 
-def _cluster_blob(backend):
-    return artifacts.OfflineArtifacts(
-        cluster=make_cluster(backend=backend), extraction=None, manual="m"
+def _bundle_identity(key):
+    """Module-level so the pool can pickle it: what a worker's bundle is."""
+    bundle = artifacts.publish(key)
+    return (
+        bundle.cluster.cache_key(),
+        hashlib.sha256(pickle.dumps(bundle.extraction)).hexdigest(),
     )
 
 
 class TestSharedArtifacts:
-    """Publish-once artifacts: content-hash parity in every worker."""
+    """Offline bundles: built once per process, equal in every worker."""
 
     def test_local_resolve_round_trip(self):
-        key = ("test-artifacts", "local", 0)
-        ref = artifacts.ref_for(key) or artifacts.publish(key, _cluster_blob("lustre"))
-        assert artifacts.resolve(ref).cluster.backend_name == "lustre"
-        assert artifacts.local_digest(key) == ref.digest
+        """``publish`` returns the bundle its key names."""
+        bundle = artifacts.publish(("beegfs", 3, 1))
+        assert bundle.cluster.backend_name == "beegfs"
+        assert bundle.cluster.cache_key() == make_cluster(
+            seed=3, backend="beegfs"
+        ).cache_key()
+        assert bundle.extraction is shared_extraction(bundle.cluster, seed=1)
 
     def test_republication_returns_same_ref(self):
-        key = ("test-artifacts", "idempotent", 0)
-        first = artifacts.publish(key, _cluster_blob("lustre"))
-        second = artifacts.publish(key, _cluster_blob("lustre"))
-        assert second is first
-
-    def test_integrity_error_on_digest_mismatch(self):
-        key = ("test-artifacts", "torn", 0)
-        ref = artifacts.publish(key, _cluster_blob("beegfs"))
-        if ref.shm_name is None:
-            pytest.skip("no shared memory on this platform")
-        import dataclasses
-
-        forged = dataclasses.replace(
-            ref, key=("test-artifacts", "torn", 1), digest="0" * 64
-        )
-        with pytest.raises(artifacts.ArtifactIntegrityError):
-            artifacts.resolve(forged)
+        """A key's bundle is built once per process."""
+        key = ("lustre", 0, 0)
+        assert artifacts.publish(key) is artifacts.publish(key)
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
     def test_worker_digest_parity_across_start_methods(self, start_method):
@@ -74,14 +77,46 @@ class TestSharedArtifacts:
 
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable on this platform")
-        key = ("test-artifacts", "parity", 0)
-        ref = artifacts.ref_for(key) or artifacts.publish(key, _cluster_blob("lustre"))
-        if start_method != "fork" and ref.shm_name is None:
-            pytest.skip("non-fork parity needs a shared-memory segment")
+        key = ("lustre", 0, 0)
+        # Built here first: fork workers inherit it, the others rebuild it.
+        expected = _bundle_identity(key)
         ctx = multiprocessing.get_context(start_method)
         with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
-            digests = list(pool.map(artifacts._probe_worker, [ref] * 4))
-        assert digests == [ref.digest] * 4
+            identities = list(pool.map(_bundle_identity, [key] * 4))
+        assert identities == [expected] * 4
+
+    def test_pool_warmed_before_any_bundle_leaks_nothing(self):
+        """Workers that predate every bundle build their own, cleanly.
+
+        A fresh interpreter starts the warm pool first, so no worker
+        inherits a bundle, then runs a two-backend fleet on it.  Exit must
+        leave nothing for the resource tracker to report, and the fleet
+        must equal the inline one.
+        """
+        script = (
+            "import hashlib\n"
+            "from repro.experiments.parallel import pmap\n"
+            "from repro.service import FleetScheduler\n"
+            "from test_fleet import fleet_fingerprint\n"
+            "from test_fleet_batch import _mixed_fleet\n"
+            "pmap(abs, range(2), max_workers=2)\n"
+            "result = FleetScheduler(_mixed_fleet(4), seed=0, max_workers=2).run()\n"
+            "print(hashlib.sha256(fleet_fingerprint(result).encode()).hexdigest())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": f"{TESTS.parent / 'src'}:{TESTS}"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        inline = FleetScheduler(_mixed_fleet(4), seed=0, max_workers=1).run()
+        assert (
+            proc.stdout.strip()
+            == hashlib.sha256(fleet_fingerprint(inline).encode()).hexdigest()
+        )
 
 
 def _cache_state_probe(_):

@@ -89,7 +89,15 @@ class DarshanLog:
 
     @classmethod
     def loads(cls, text: str) -> "DarshanLog":
-        header: dict[str, str] = {}
+        """Parse :meth:`dumps` text.
+
+        Malformed input raises ``ValueError("malformed darshan ...")``
+        naming the offending line: a record line without six tab-separated
+        fields, a non-integer rank, a non-numeric counter value, a numeric
+        header that does not convert, or ``lost ranks`` outside
+        ``[0, nprocs]``.
+        """
+        header: dict[str, tuple[str, str]] = {}  # key -> (value, line)
         records: dict[tuple[str, int, str, str], DarshanRecord] = {}
         for line in text.splitlines():
             line = line.rstrip()
@@ -98,28 +106,46 @@ class DarshanLog:
             if line.startswith("#"):
                 if ":" in line:
                     key, _, value = line[1:].partition(":")
-                    header[key.strip()] = value.strip()
+                    header[key.strip()] = (value.strip(), line)
                 continue
             parts = line.split("\t")
             if len(parts) != 6:
                 raise ValueError(f"malformed darshan line: {line!r}")
             module, rank, path, rtype, counter, value = parts
-            key = (module, int(rank), path, rtype)
+            try:
+                rank_number, reading = int(rank), float(value)
+            except ValueError:
+                raise ValueError(f"malformed darshan line: {line!r}") from None
+            key = (module, rank_number, path, rtype)
             record = records.get(key)
             if record is None:
                 record = DarshanRecord(
-                    module=module, file=path, rank=int(rank), record_type=rtype
+                    module=module, file=path, rank=rank_number, record_type=rtype
                 )
                 records[key] = record
-            record.counters[counter] = float(value)
+            record.counters[counter] = reading
+
+        def number(key: str, convert):
+            value, line = header.get(key, ("0", ""))
+            try:
+                return convert(value)
+            except ValueError:
+                raise ValueError(f"malformed darshan header: {line!r}") from None
+
+        nprocs, lost_ranks = number("nprocs", int), number("lost ranks", int)
+        if not 0 <= lost_ranks <= max(nprocs, 0):
+            raise ValueError(
+                f"malformed darshan header: {header['lost ranks'][1]!r} "
+                f"(nprocs: {nprocs})"
+            )
         return cls(
-            exe=header.get("exe", "unknown"),
-            nprocs=int(header.get("nprocs", "0")),
-            run_time=float(header.get("run time", "0")),
-            jobid=int(header.get("jobid", "0")),
-            start_time=float(header.get("start_time", "0")),
+            exe=header.get("exe", ("unknown", ""))[0],
+            nprocs=nprocs,
+            run_time=number("run time", float),
+            jobid=number("jobid", int),
+            start_time=number("start_time", float),
             records=list(records.values()),
-            lost_ranks=int(header.get("lost ranks", "0")),
+            lost_ranks=lost_ranks,
         )
 
     def header_text(self) -> str:

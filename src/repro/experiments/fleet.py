@@ -68,17 +68,20 @@ class FleetReport:
         return sum(1 for t in self.result.tenants if t.mean_speedup > 1.0)
 
     def render(self) -> str:
-        lines = [
-            "Fleet scenario: mixed tenants per backend "
-            f"({len(self.result.tenants)} tenants sharing offline artifacts "
-            "and the run cache)"
-        ]
-        lines.append(self.result.render())
-        lines.append(
-            f"  {self.improving_tenants}/{len(self.result.tenants)} tenants "
-            "improve on their defaults"
+        """The fleet's rendering with the improvement summary inserted above
+        its machine-dependent ``aggregate:`` line, which stays last."""
+        body, aggregate = self.result.render().rsplit("\n", 1)
+        return "\n".join(
+            [
+                "Fleet scenario: mixed tenants per backend "
+                f"({len(self.result.tenants)} tenants sharing offline artifacts "
+                "and the run cache)",
+                body,
+                f"  {self.improving_tenants}/{len(self.result.tenants)} tenants "
+                "improve on their defaults",
+                aggregate,
+            ]
         )
-        return "\n".join(lines)
 
 
 def run(

@@ -25,11 +25,16 @@ the ``cache_key()`` tuple.  All mutation funnels through ``__setitem__`` /
 ``_set_raw`` and the observing ``facts`` dict (:class:`_Facts`), which keep
 both coherent (a facts mutation drops them, since env keys may appear or
 vanish) — code must never write ``_values`` directly from outside this
-module.
+module.  ``_values`` holds every writable parameter in registry order, so
+``cache_key()`` carries the values as one tuple without their names.  The
+facts dict reaches its config through a weak reference: a config is in no
+reference cycle, and reference counting frees it the moment its last
+reference goes, without the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -48,16 +53,23 @@ class Violation:
 
 
 class _Facts(dict):
-    """A facts dict that invalidates its owning config's caches on mutation."""
+    """A facts dict that invalidates its owning config's caches on mutation.
+
+    It holds its owner through a :func:`weakref.ref`, not a strong
+    reference, so a config and its facts form no reference cycle.  A facts
+    dict that outlives its config drops nothing on mutation.
+    """
 
     __slots__ = ("_owner",)
 
     def __init__(self, owner: "PfsConfig", *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._owner = owner
+        self._owner = weakref.ref(owner)
 
     def _touch(self) -> None:
-        self._owner._invalidate()
+        owner = self._owner()
+        if owner is not None:
+            owner._invalidate()
 
     def __setitem__(self, key, value):
         super().__setitem__(key, value)
@@ -177,9 +189,9 @@ class PfsConfig:
     __hash__ = None
 
     def __getstate__(self) -> dict:
-        # Caches are rebuilt lazily; ``facts`` crosses as a plain dict so the
-        # observer's owner cycle never hits the pickle machinery half-built.
-        # The backend is a process-wide singleton and crosses by name.
+        # Caches are rebuilt lazily; ``facts`` crosses as a plain dict, since
+        # a weak reference does not pickle.  The backend is a process-wide
+        # singleton and crosses by name.
         return {
             "values": dict(self._values),
             "facts": dict(self.facts),
@@ -188,7 +200,12 @@ class PfsConfig:
 
     def __setstate__(self, state: dict) -> None:
         self.backend = get_backend(state.get("backend"))
-        self._values = state["values"]
+        # Registry order, whatever order the state lists: ``cache_key()``
+        # carries the values without their names.
+        values = state["values"]
+        self._values = {
+            name: values[name] for name in self.backend.registry if name in values
+        }
         self.facts = _Facts(self, state["facts"])
         self._env_cache = None
         self._cache_key = None
@@ -222,15 +239,20 @@ class PfsConfig:
     def cache_key(self) -> tuple:
         """Hashable identity of (backend, values, facts) — for batch dedup.
 
-        Memoized: the batch/sweep engines and the run cache key every item,
-        so the sort is paid once per distinct mutation state (the memo drops
-        on ``__setitem__`` and facts mutation like the other caches).
+        ``(backend name, values, sorted (fact, value) pairs)``, where the
+        values are one tuple in registry order: every config of a backend
+        lists the same parameters in that order, so the names add nothing
+        to the identity, and a flat tuple of ints is cheaper to hash and to
+        hold as a run-cache key than one ``(name, value)`` pair per
+        parameter.  Memoized: the sweep engine and the run cache key every
+        item, so the key is built once per distinct mutation state (the
+        memo drops on ``__setitem__`` and facts mutation like the env).
         """
         key = self._cache_key
         if key is None:
             key = (
                 self.backend.name,
-                tuple(sorted(self._values.items())),
+                tuple(self._values.values()),
                 tuple(sorted(self.facts.items())),
             )
             self._cache_key = key

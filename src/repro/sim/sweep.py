@@ -17,10 +17,14 @@ Noise happens here.  The per-item noise re-derives exactly the seeds and
 streams the scalar path uses (``RngStreams`` named streams) and takes each
 stream's single draw from ``np.random.default_rng(seed)``
 (:func:`first_normals`); factors are shared with the scalar path through
-the ``run_noise`` memo.  :func:`~repro.pfs.simulator.noisy_run` builds each
-item's ``RunResult``, as for cached ``Simulator.run`` calls.  Results are
-**bit-identical** to one ``Simulator.run`` per item — asserted per
-registered backend by ``tests/test_sweep.py``.
+the ``run_noise`` memo, which both paths fill through
+:func:`~repro.pfs.simulator.remember_noise`.  The memo keeps its newest
+4,096 entries, so a run repeated within that many noise inserts finds its
+factors however long the process has been running; an entry it dropped is
+re-drawn to the same factors.  :func:`~repro.pfs.simulator.noisy_run`
+builds each item's ``RunResult``, as for cached ``Simulator.run`` calls.
+Results are **bit-identical** to one ``Simulator.run`` per item — asserted
+per registered backend by ``tests/test_sweep.py``.
 
 Sharing caveats: items with equal configurations share one validated
 ``PfsConfig`` and phase results share ``phase`` / ``bounds`` objects, with
@@ -169,11 +173,11 @@ def _sweep_group(
     (through the run cache unless it is disabled), apply noise."""
     from repro.pfs.simulator import (
         _NOISE_CACHE,
-        _NOISE_CACHE_MAX,
         PHASE_NOISE_SIGMA,
         RUN_NOISE_SIGMA,
         evaluate_phases,
         noisy_run,
+        remember_noise,
     )
 
     head = RUN_CACHE.group_key(sim.cluster, workload_key) if RUN_CACHE.active else None
@@ -230,8 +234,7 @@ def _sweep_group(
                 float(run_noises[index]),
             )
             noise_by_seed[seed] = noise
-            if len(_NOISE_CACHE) < _NOISE_CACHE_MAX:
-                _NOISE_CACHE[(seed, name, n_phases)] = noise
+            remember_noise((seed, name, n_phases), noise)
 
     return [
         noisy_run(name, evaluation, seed, noise_by_seed[seed])

@@ -1,13 +1,18 @@
 """Batch/parallel execution: equivalence with the sequential paths, cache
 invalidation, and seed-stream unification."""
 
+import gc
+import pickle
+import random
+import weakref
+
 import pytest
 
 from repro.cluster import make_cluster
 from repro.experiments import harness, parallel
 from repro.pfs.config import PfsConfig
 from repro.pfs.expressions import compile_expression
-from repro.pfs.simulator import Simulator
+from repro.pfs.simulator import Simulator, evaluate_phases
 from repro.sim.cache import RUN_CACHE
 from repro.sim.random import REP_STRIDE, RngStreams
 from repro.sim.sweep import repetition_items, sweep_items
@@ -169,6 +174,98 @@ class TestBoundsCache:
             clone.facts["n_ost"] = 3
             assert clone.bounds("lov.stripe_count")[1] == 3.0
             assert config.bounds("lov.stripe_count")[1] == 5.0
+
+
+@pytest.fixture
+def gc_off():
+    """Run with the cyclic collector off, so only reference counting frees."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+class TestConfigLifetime:
+    """A config and its observing facts dict form no reference cycle."""
+
+    @pytest.mark.parametrize("backend", ["lustre", "beegfs"])
+    def test_configs_freed_by_reference_counting(self, backend, gc_off):
+        cluster = make_cluster(seed=0, backend=backend)
+        base = PfsConfig(facts=cluster.config_facts(), backend=backend)
+        name, values = next(iter(cluster.backend.search_candidates.items()))
+        built = {
+            "init": PfsConfig(facts=cluster.config_facts(), backend=backend),
+            "copy": base.copy(),
+            "with_updates": base.with_updates({name: values[-1]}),
+            "clipped": base.with_updates({name: values[-1]}).clipped(),
+            "evaluate_phases": evaluate_phases(
+                cluster, get_workload("IOR_16M"), base
+            )[0],
+        }
+        refs = {how: weakref.ref(config) for how, config in built.items()}
+        built.clear()
+        assert {how: ref() for how, ref in refs.items()} == dict.fromkeys(refs)
+
+    def test_facts_mutation_still_drops_memos(self, gc_off):
+        config = PfsConfig().copy()
+        env, key = config._env(), config.cache_key()
+        config.facts["n_ost"] = 12
+        assert config._env_cache is None and config._cache_key is None
+        assert config._env() is not env and config.cache_key() != key
+        assert config.bounds("lov.stripe_count")[1] == 12.0
+
+    def test_facts_outliving_config_mutate_quietly(self):
+        config = PfsConfig()
+        facts = config.facts
+        del config
+        gc.collect()
+        facts["n_ost"] = 3  # the owner is gone: nothing to invalidate
+        assert facts["n_ost"] == 3
+
+
+class TestConfigCacheKey:
+    """``cache_key()`` carries the values as one tuple in registry order."""
+
+    @pytest.mark.parametrize("backend", ["lustre", "beegfs"])
+    def test_equal_values_give_equal_keys(self, backend):
+        cluster = make_cluster(seed=0, backend=backend)
+        facts = cluster.config_facts()
+        grids = cluster.backend.search_candidates
+        updates = {name: values[-1] for name, values in list(grids.items())[:4]}
+        forward = PfsConfig(values=updates, facts=facts, backend=backend)
+        backward = PfsConfig(
+            values=dict(reversed(list(updates.items()))), facts=facts, backend=backend
+        )
+        stepwise = PfsConfig(facts=facts, backend=backend)
+        for name in reversed(list(updates)):
+            stepwise = stepwise.with_updates({name: updates[name]})
+        state = forward.__getstate__()
+        shuffled_values = list(state["values"].items())
+        random.Random(3).shuffle(shuffled_values)
+        shuffled = PfsConfig.__new__(PfsConfig)
+        shuffled.__setstate__(dict(state, values=dict(shuffled_values)))
+        key = forward.cache_key()
+        for other in (
+            backward,
+            stepwise,
+            forward.copy(),
+            pickle.loads(pickle.dumps(forward)),
+            shuffled,
+        ):
+            assert other == forward
+            assert other.cache_key() == key
+            assert list(other.as_dict()) == list(cluster.backend.defaults())
+        name = next(iter(updates))
+        changed = forward.with_updates({name: grids[name][0]})
+        assert changed.cache_key() != key
+
+    def test_values_are_one_tuple_in_registry_order(self):
+        config = PfsConfig(values={"osc.max_dirty_mb": 256})
+        key = config.cache_key()
+        assert key[0] == "lustre"
+        assert key[1] == tuple(config.as_dict().values())
+        assert list(config.as_dict()) == list(config.backend.defaults())
+        assert key[2] == tuple(sorted(config.facts.items()))
 
 
 class TestExpressionCompilation:

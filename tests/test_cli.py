@@ -94,6 +94,8 @@ class TestCli:
         assert "beegfs" not in out
         assert "aggregate:" in out
         assert "tenants improve" in out
+        # The machine-dependent line stays last, so checks can diff above it.
+        assert out.rstrip("\n").splitlines()[-1].lstrip().startswith("aggregate:")
 
     def test_fleet_nonpositive_workers_clean_error(self, capsys):
         assert main(["fleet", "--workers", "0"]) == 2

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import make_cluster
-from repro.darshan import DarshanLog, parse_log, trace_run
+from repro.darshan import DarshanLog, parse_log, trace_run, truncate_log
 from repro.pfs import PfsConfig, Simulator
 from repro.workloads import get_workload
 
@@ -128,6 +130,83 @@ class TestLogSerialization:
         text = log.header_text()
         assert "IOR_16M" in text
         assert "nprocs: 50" in text
+
+
+#: Field text: valid numbers, near misses and arbitrary strings.
+_fields = st.one_of(
+    st.integers(-3, 60).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " ", "1.5", "0x10", "1e3", "nan", "-inf", "12abc", "٣"]),
+    st.text(max_size=8),
+)
+_header_keys = st.sampled_from(
+    ["exe", "jobid", "nprocs", "start_time", "run time", "lost ranks", "other"]
+)
+_lines = st.one_of(
+    st.builds(lambda key, value: f"# {key}: {value}", _header_keys, _fields),
+    st.lists(_fields, min_size=4, max_size=7).map("\t".join),
+    st.text(max_size=20),
+)
+
+
+class TestLogRobustness:
+    """The parser is a trust boundary: valid logs load, anything else raises
+    the descriptive error."""
+
+    @pytest.mark.parametrize("backend", ["lustre", "beegfs"])
+    @pytest.mark.parametrize("keep_ranks", [None, 7])
+    def test_traced_logs_round_trip(self, backend, keep_ranks):
+        """A traced log (whole or truncated) survives ``dumps``/``loads``: the
+        reloaded log dumps to the same text and keeps every record."""
+        cluster = make_cluster(seed=0, backend=backend)
+        workload = get_workload("IOR_64K")
+        run = Simulator(cluster).run(
+            workload, PfsConfig(facts=cluster.config_facts(), backend=backend), seed=2
+        )
+        log = trace_run(run, n_ranks=workload.n_ranks)
+        if keep_ranks is not None:
+            truncate_log(log, keep_ranks)
+        text = log.dumps()
+        loaded = DarshanLog.loads(text)
+        assert loaded.dumps() == text
+        assert (loaded.exe, loaded.nprocs, loaded.run_time, loaded.lost_ranks) == (
+            log.exe, log.nprocs, log.run_time, log.lost_ranks
+        )
+        assert [(r.module, r.rank, r.file, r.record_type) for r in loaded.records] == [
+            (r.module, r.rank, r.file, r.record_type) for r in log.records
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_lines, max_size=8))
+    def test_drawn_text_loads_or_raises_malformed(self, lines):
+        """Any text loads, or raises ``ValueError("malformed darshan ...")``;
+        nothing else escapes, and a loaded log reports a coverage in [0, 1]."""
+        text = "\n".join(lines)
+        try:
+            log = DarshanLog.loads(text)
+        except ValueError as exc:
+            assert str(exc).startswith("malformed darshan "), exc
+            return
+        assert 0 <= log.lost_ranks <= max(log.nprocs, 0)
+        assert 0.0 <= log.coverage <= 1.0
+        log.header_text()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "POSIX\tx\tf\tfile\tPOSIX_READS\t1\n",  # non-integer rank
+            "POSIX\t0\tf\tfile\tPOSIX_READS\tmany\n",  # non-numeric value
+            "# nprocs: fifty\n",
+            "# jobid: 1.5\n",
+            "# lost ranks: one\n",
+            "# nprocs: 0\n# lost ranks: 3\n",  # more lost than ran
+            "# nprocs: 4\n# lost ranks: -1\n",
+        ],
+    )
+    def test_rejected_naming_the_line(self, text):
+        with pytest.raises(ValueError, match="malformed darshan") as info:
+            DarshanLog.loads(text)
+        assert repr(text.splitlines()[-1]) in str(info.value)
 
 
 class TestParser:

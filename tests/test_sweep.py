@@ -6,6 +6,8 @@ unmemoized oracle, and the sweep's noise draws."""
 
 import dataclasses
 import pickle
+import sys
+import threading
 from functools import lru_cache
 from typing import Mapping
 
@@ -542,6 +544,98 @@ class TestMeasureConfigs:
         cluster = make_cluster(seed=0)
         with pytest.raises(ValueError):
             measure_configs(cluster, "IOR_16M", [{}], ["a", "b"])
+
+
+class TestNoiseMemo:
+    """The ``run_noise`` memo keeps its newest ``_NOISE_CACHE_MAX`` entries."""
+
+    CAP = 4
+
+    @staticmethod
+    def reference_noise(seed: int, name: str, n_phases: int) -> tuple:
+        """A cache-off draw: the named streams ``run_noise`` documents."""
+        rng = RngStreams(seed).spawn(f"run:{name}")
+        return (
+            tuple(
+                rng.lognormal_noise(f"phase:{i}", simulator_module.PHASE_NOISE_SIGMA)
+                for i in range(n_phases)
+            ),
+            rng.lognormal_noise("run", simulator_module.RUN_NOISE_SIGMA),
+        )
+
+    def count_draws(self, monkeypatch) -> list:
+        """Record every scalar and sweep noise draw from here on."""
+        draws = []
+        scalar, sweep = RngStreams.lognormal_noise, sweep_module.first_normals
+
+        def scalar_draw(streams, *args):
+            draws.append("scalar")
+            return scalar(streams, *args)
+
+        def sweep_draw(seeds, sigma):
+            draws.append("sweep")
+            return sweep(seeds, sigma)
+
+        monkeypatch.setattr(RngStreams, "lognormal_noise", scalar_draw)
+        monkeypatch.setattr(sweep_module, "first_normals", sweep_draw)
+        return draws
+
+    @pytest.mark.parametrize("path", ["run", "run_sweep"])
+    def test_repeat_past_the_cap_draws_no_noise(self, monkeypatch, path):
+        monkeypatch.setattr(simulator_module, "_NOISE_CACHE_MAX", self.CAP)
+        memo = simulator_module._NOISE_CACHE
+        cluster, pool = config_pool("lustre")
+        sim = Simulator(cluster)
+        workload = get_workload("IOR_64K")
+
+        def measure(config, seed):
+            if path == "run":
+                return sim.run(workload, config, seed=seed)
+            return run_sweep(sim, workload, [config], [seed])[0]
+
+        draws = self.count_draws(monkeypatch)
+        for seed in range(3 * self.CAP):
+            config = pool[seed % len(pool)]
+            first = measure(config, seed)
+            assert len(memo) <= self.CAP
+            del draws[:]
+            repeat = measure(config, seed)
+            assert draws == [], f"seed {seed}: a repeat right after its run drew noise"
+            assert repeat.seconds == first.seconds
+        assert len(memo) == self.CAP
+        assert [key[0] for key in memo] == list(range(2 * self.CAP, 3 * self.CAP))
+        for (seed, name, n_phases), noise in memo.items():
+            assert noise == self.reference_noise(seed, name, n_phases)
+
+    def test_concurrent_inserts_keep_the_cap(self, monkeypatch):
+        """Threads filling the memo past its cap lose no drop and raise
+        nothing: inserts and drops run under the module lock."""
+        monkeypatch.setattr(simulator_module, "_NOISE_CACHE_MAX", self.CAP)
+        memo = simulator_module._NOISE_CACHE
+        errors = []
+
+        def fill(offset):
+            try:
+                for seed in range(offset, offset + 5000):
+                    simulator_module.remember_noise((seed, "w", 1), ((1.0,), 1.0))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=fill, args=(k * 10_000,)) for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(memo) == self.CAP
 
 
 class TestFastRng:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 
-from repro.agents.policies.reflection import ReflectionPolicy
 from repro.agents.tuning import TuningAgent, TuningLoopResult
 from repro.llm.api import ChatMessage, ToolCall
 from repro.llm.reasoning import (
@@ -123,8 +122,3 @@ class ProposeCriticAgent(TuningAgent):
                 f"llm.critic: malformed verdict ignored ({verdict.reason})"
             )
         return call
-
-
-class ProposeCriticPolicy(ReflectionPolicy):
-    name = "propose_critic"
-    agent_class = ProposeCriticAgent

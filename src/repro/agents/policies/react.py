@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 
-from repro.agents.policies.reflection import ReflectionPolicy
 from repro.agents.tuning import TOOLS, TuningAgent, TuningLoopResult
 from repro.llm.api import ChatMessage, ToolCall
 from repro.llm.reasoning import (
@@ -128,8 +127,3 @@ class ReACTAgent(TuningAgent):
             question = call.arguments.get("question", "")
             return f"analysis recorded an answer for {question!r}"
         return f"unknown tool {call.name!r} was skipped"
-
-
-class ReACTPolicy(ReflectionPolicy):
-    name = "react"
-    agent_class = ReACTAgent

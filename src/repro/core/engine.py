@@ -26,7 +26,6 @@ from repro.agents.reflection import merge_rules_via_llm
 from repro.cluster.hardware import ClusterSpec
 from repro.core.pipeline import SESSION_PIPELINE, SessionState
 from repro.core.session import TuningSession
-from repro.faults.llm import ResilientLLMClient
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.llm.client import LLMClient
@@ -50,8 +49,9 @@ class Stellar:
     faults: FaultPlan | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Default turn-taking strategy for every run this engine drives: a
-    #: registered policy name or ``None`` for the reflection loop;
-    #: ``tune(policy=...)`` overrides it per run.
+    #: policy name, i.e. a key of :data:`repro.agents.policies.POLICIES`,
+    #: whose agent class runs the loop, or ``None`` for the reflection
+    #: loop; ``tune(policy=...)`` overrides it per run.
     policy: str | None = None
 
     def __post_init__(self):
@@ -154,25 +154,20 @@ class Stellar:
             return
         ledger = UsageLedger()
         basis_version = self.journal.version
-        if self.faults is not None:
-            client = ResilientLLMClient(
-                self.model,
-                seed=self.seed,
-                ledger=ledger,
-                faults=self.faults,
-                retry=self.retry,
-            )
-            # The merge's fault-draw key must differ per merge and per
-            # engine, or every merge in the fleet would fail in lockstep.
-            merge_session = f"rules-merge:{self.seed}:{basis_version}"
-        else:
-            client = LLMClient(self.model, seed=self.seed, ledger=ledger)
-            merge_session = "rules-merge"
+        client = LLMClient(
+            self.model,
+            seed=self.seed,
+            ledger=ledger,
+            faults=self.faults,
+            retry=self.retry,
+        )
         merged = merge_rules_via_llm(
             client,
             self.rule_set.to_json(),
             session.rules_json,
-            session=merge_session,
+            # The merge's fault-draw key must differ per merge and per
+            # engine, or every merge in the fleet would fail in lockstep.
+            session=f"rules-merge:{self.seed}:{basis_version}",
             agent="rules_merge",
         )
         self.journal.append(
@@ -184,7 +179,7 @@ class Stellar:
         for agent, usage in ledger.per_agent.items():
             session.usage[agent] = session.usage.get(agent, TokenUsage()) + usage
         session.llm_latency += ledger.wall_latency
-        for site, count in getattr(client, "fault_counts", {}).items():
+        for site, count in client.fault_counts.items():
             session.fault_recovery[site] = (
                 session.fault_recovery.get(site, 0) + count
             )

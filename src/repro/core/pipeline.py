@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.agents.analysis import AnalysisAgent
-from repro.agents.policies import AgentPolicy, PolicyContext, resolve_policy
+from repro.agents.policies import POLICIES
 from repro.agents.transcript import Transcript
 from repro.agents.tuning import TuningLoopResult
 from repro.cluster.hardware import ClusterSpec
@@ -39,7 +39,6 @@ from repro.core.runner import ConfigurationRunner
 from repro.core.session import TuningSession
 from repro.corpus import render_hardware_doc
 from repro.darshan import DarshanLog, parse_log
-from repro.faults.llm import ResilientLLMClient
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.llm.client import LLMClient
@@ -74,10 +73,10 @@ class SessionState:
     user_accessible_only: bool = False
     faults: FaultPlan | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Turn-taking strategy for the agent loop: a registered policy name,
-    #: an :class:`AgentPolicy` instance, or ``None`` for the default
-    #: reflection loop.
-    policy: "AgentPolicy | str | None" = None
+    #: Turn-taking strategy for the agent loop: a registered policy name
+    #: (see :data:`repro.agents.policies.POLICIES`), or ``None`` for the
+    #: default reflection loop.
+    policy: str | None = None
 
     # -- ClientSetupStage ----------------------------------------------
     ledger: UsageLedger | None = None
@@ -121,38 +120,24 @@ class ClientSetupStage:
 
     Both clients share one ledger so the session's usage accounting spans
     every agent; each client owns an independent RNG stream derived from the
-    run seed, so stage order never perturbs model draws.
+    run seed, so stage order never perturbs model draws.  Both consult the
+    session's fault plan (none means the inert one) before every request.
     """
 
     name = "clients"
 
     def run(self, state: SessionState) -> SessionState:
         state.ledger = UsageLedger()
-        if state.faults is not None:
-            # Any plan — even the inert one — routes through the resilient
-            # client, so the zero-fault parity suite exercises the exact
-            # code path faulted runs use.
-            state.tuning_client = ResilientLLMClient(
-                state.model,
+        state.tuning_client, state.analysis_client = (
+            LLMClient(
+                model,
                 seed=state.run_seed,
                 ledger=state.ledger,
                 faults=state.faults,
                 retry=state.retry,
             )
-            state.analysis_client = ResilientLLMClient(
-                state.analysis_model,
-                seed=state.run_seed,
-                ledger=state.ledger,
-                faults=state.faults,
-                retry=state.retry,
-            )
-        else:
-            state.tuning_client = LLMClient(
-                state.model, seed=state.run_seed, ledger=state.ledger
-            )
-            state.analysis_client = LLMClient(
-                state.analysis_model, seed=state.run_seed, ledger=state.ledger
-            )
+            for model in (state.model, state.analysis_model)
+        )
         state.transcript = Transcript()
         return state
 
@@ -234,20 +219,19 @@ class ParameterSelectionStage:
 
 
 class AgentLoopStage:
-    """The agent loop, behind the policy seam.
+    """The agent loop, run by the agent class the state's policy names.
 
-    The state's policy (default: reflection) receives the same context the
-    stage used to hand :class:`~repro.agents.tuning.TuningAgent` directly —
-    field for field, in the same order — so the default policy reproduces
-    the pre-refactor loop byte for byte while alternative policies swap
-    only the turn-taking strategy.
+    ``None`` names the reflection loop
+    (:class:`~repro.agents.tuning.TuningAgent`).  Every policy's class is
+    built from the same state fields, so policies differ only in their
+    turn-taking strategy.
     """
 
     name = "agent_loop"
 
     def run(self, state: SessionState) -> SessionState:
-        policy = resolve_policy(state.policy)
-        ctx = PolicyContext(
+        agent_class = POLICIES["reflection" if state.policy is None else state.policy]
+        agent = agent_class(
             client=state.tuning_client,
             parameters=state.parameters,
             hardware_description=render_hardware_doc(state.cluster),
@@ -261,7 +245,7 @@ class AgentLoopStage:
             session=f"tuning:{state.workload.name}:{state.run_seed}",
             fs_family=state.cluster.backend.fs_family,
         )
-        state.loop = policy.run(ctx)
+        state.loop = agent.run_loop()
         return state
 
 
@@ -273,7 +257,7 @@ class SessionAssemblyStage:
     def run(self, state: SessionState) -> SessionState:
         fault_recovery: dict[str, int] = {}
         for source in (state.tuning_client, state.analysis_client, state.runner):
-            for site, count in getattr(source, "fault_counts", {}).items():
+            for site, count in source.fault_counts.items():
                 fault_recovery[site] = fault_recovery.get(site, 0) + count
         state.session = TuningSession(
             workload=state.workload.name,

@@ -16,7 +16,7 @@ from repro.agents.tuning import InvalidChanges
 from repro.cluster.hardware import ClusterSpec
 from repro.core.hygiene import HygieneLog
 from repro.darshan import DarshanLog, trace_run, truncate_log
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import NO_FAULTS, FaultPlan
 from repro.faults.retry import RetryPolicy, TransientFault
 from repro.pfs.config import PfsConfig
 from repro.pfs.simulator import RunResult, Simulator
@@ -56,7 +56,7 @@ class ConfigurationRunner:
         self.executions: list[Execution] = []
         self.initial_seconds: float = 0.0
         self.initial_run: RunResult | None = None
-        self.faults = faults
+        self.faults = faults or NO_FAULTS
         self.retry = retry if retry is not None else RetryPolicy()
         #: Absorbed probe faults (feeds the session's recovery record).
         self.fault_counts: dict[str, int] = {}
@@ -70,16 +70,15 @@ class ConfigurationRunner:
         self.initial_run = run
         self.executions.append(Execution(changes={}, seconds=run.seconds, run=run))
         log = trace_run(run, n_ranks=self.workload.n_ranks)
-        if self.faults is not None:
-            key = f"darshan:{self.seed}:{self.workload.name}"
-            if self.faults.should_fire("darshan.truncate", key):
-                # Lose between half and ~all of the tail ranks; rank 0 and
-                # the shared reduction records always survive.
-                keep = self.faults.fraction("darshan.truncate", f"{key}:keep")
-                log = truncate_log(log, keep_ranks=int(log.nprocs * 0.5 * keep) + 1)
-                self.fault_counts["darshan.truncate"] = (
-                    self.fault_counts.get("darshan.truncate", 0) + 1
-                )
+        key = f"darshan:{self.seed}:{self.workload.name}"
+        if self.faults.should_fire("darshan.truncate", key):
+            # Lose between half and ~all of the tail ranks; rank 0 and the
+            # shared reduction records always survive.
+            keep = self.faults.fraction("darshan.truncate", f"{key}:keep")
+            log = truncate_log(log, keep_ranks=int(log.nprocs * 0.5 * keep) + 1)
+            self.fault_counts["darshan.truncate"] = (
+                self.fault_counts.get("darshan.truncate", 0) + 1
+            )
         return run, log
 
     def measure(self, changes: dict[str, int]) -> tuple[float, dict[str, int]]:
@@ -118,7 +117,7 @@ class ConfigurationRunner:
         """
         config = config if config is not None else self.base_config
         run_seed = self._next_seed()
-        if self.faults is None or not self.faults.active:
+        if not self.faults.active:
             return self._evaluate(config, run_seed)
         key = f"probe:{self.seed}:{len(self.executions)}"
 

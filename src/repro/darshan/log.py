@@ -94,8 +94,8 @@ class DarshanLog:
         Malformed input raises ``ValueError("malformed darshan ...")``
         naming the offending line: a record line without six tab-separated
         fields, a non-integer rank, a non-numeric counter value, a numeric
-        header that does not convert, or ``lost ranks`` outside
-        ``[0, nprocs]``.
+        header that does not convert, a negative ``nprocs``, or ``lost
+        ranks`` outside ``[0, nprocs]``.
         """
         header: dict[str, tuple[str, str]] = {}  # key -> (value, line)
         records: dict[tuple[str, int, str, str], DarshanRecord] = {}
@@ -133,7 +133,9 @@ class DarshanLog:
                 raise ValueError(f"malformed darshan header: {line!r}") from None
 
         nprocs, lost_ranks = number("nprocs", int), number("lost ranks", int)
-        if not 0 <= lost_ranks <= max(nprocs, 0):
+        if nprocs < 0:
+            raise ValueError(f"malformed darshan header: {header['nprocs'][1]!r}")
+        if not 0 <= lost_ranks <= nprocs:
             raise ValueError(
                 f"malformed darshan header: {header['lost ranks'][1]!r} "
                 f"(nprocs: {nprocs})"

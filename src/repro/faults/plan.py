@@ -41,7 +41,7 @@ FAULT_SITES: dict[str, str] = {
     "journal.write": "persisting journal/checkpoint state fails",
 }
 
-#: The LLM-facing sites, in the order the resilient client checks them.
+#: The LLM-facing sites, in the order the model client checks them.
 LLM_SITES = ("llm.transient", "llm.timeout", "llm.malformed")
 
 
@@ -73,12 +73,16 @@ class FaultPlan:
         object.__setattr__(
             self, "_root", RngStreams(self.seed).spawn("faults").seed
         )
+        # Read before every model request and probe run, so decided once.
+        object.__setattr__(
+            self, "_active", any(rate > 0.0 for rate in self.rates.values())
+        )
 
     # ------------------------------------------------------------------
     @property
     def active(self) -> bool:
         """Whether any site can ever fire (the zero plan is inert)."""
-        return any(rate > 0.0 for rate in self.rates.values())
+        return self._active
 
     def rate(self, site: str) -> float:
         return float(self.rates.get(site, 0.0))
@@ -114,3 +118,8 @@ class FaultPlan:
             return f"FaultPlan(seed={self.seed}, inert)"
         rates = ", ".join(f"{site}={rate:g}" for site, rate in armed.items())
         return f"FaultPlan(seed={self.seed}, {rates})"
+
+
+#: The one inert plan a model client or probe runner built without a plan
+#: consults: no site ever fires, so every operation takes the plain path.
+NO_FAULTS = FaultPlan.none()

@@ -94,9 +94,12 @@ class JournalEntry:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "JournalEntry":
+        origin = raw["origin"]
+        if type(origin) is not list or [type(part) for part in origin] != [int, int]:
+            raise ValueError(f"journal entry origin is not two integers: {origin!r}")
         return cls(
             version=int(raw["version"]),
-            origin=tuple(int(part) for part in raw["origin"]),
+            origin=tuple(origin),
             rules=tuple(dict(rule) for rule in raw["rules"]),
         )
 

@@ -34,9 +34,10 @@ class TenantSpec:
     describes the work.  ``seed`` doubles as the tenant's replay-order key:
     when a fleet merges journals, this tenant's rule contributions land at
     its seed's position regardless of completion order.  ``policy`` names
-    the agent's turn-taking strategy (a registered
-    :mod:`repro.agents.policies` name) — a first-class fleet dimension like
-    the backend; policies only change *when* a tenant parks evaluations,
+    the agent's turn-taking strategy (a key of
+    :data:`repro.agents.policies.POLICIES`, whose agent class runs the
+    tenant's loops) — a first-class fleet dimension like the backend;
+    policies only change *when* a tenant parks evaluations,
     never probe seeds or operand order, so every scheduler contract
     (worker-count invariance, drain equals batch) holds per policy.
     """

@@ -22,6 +22,7 @@ from repro.baselines.search import OracleSearch
 from repro.cluster import make_cluster
 from repro.core.engine import Stellar
 from repro.experiments.harness import shared_extraction
+from repro.faults import FaultPlan, RetryPolicy
 from repro.rules.store import session_to_dict
 from repro.sim.cache import RUN_CACHE
 from repro.workloads import get_workload
@@ -37,14 +38,23 @@ def backend_setup(backend: str):
     return cluster, shared_extraction(cluster, seed=0)
 
 
-def queue_fingerprint(backend: str, policy: str, seed: int) -> list[str]:
-    """Every session of a fresh engine's queue, then its rule journal."""
+def queue_fingerprint(
+    backend: str,
+    policy: str,
+    seed: int,
+    faults: FaultPlan | None = None,
+    retry: RetryPolicy | None = None,
+) -> list[str]:
+    """Every session of a fresh engine's queue, then its rule journal,
+    optionally under a fault plan and retry policy."""
     cluster, extraction = backend_setup(backend)
     engine = Stellar(
         cluster=cluster,
         model="claude-3.7-sonnet",
         extraction=extraction,
         seed=seed,
+        faults=faults,
+        retry=retry if retry is not None else RetryPolicy(),
         policy=policy,
     )
     sessions = [engine.tune_and_accumulate(get_workload(name)) for name in QUEUE]

@@ -201,6 +201,9 @@ class TestLogRobustness:
             "# lost ranks: one\n",
             "# nprocs: 0\n# lost ranks: 3\n",  # more lost than ran
             "# nprocs: 4\n# lost ranks: -1\n",
+            # A negative process count beside a rank-3 record (the header
+            # is read wherever it sits; the named line comes last here).
+            "POSIX\t3\tf\tfile\tPOSIX_READS\t1\n# nprocs: -5\n",
         ],
     )
     def test_rejected_naming_the_line(self, text):

@@ -34,10 +34,10 @@ from repro.faults import (
     FAULT_SITES,
     FaultBudgetExhausted,
     FaultPlan,
-    ResilientLLMClient,
     RetryPolicy,
     TransientFault,
 )
+from repro.faults.plan import NO_FAULTS
 from repro.llm.api import ChatMessage
 from repro.llm.client import LLMClient
 from repro.llm.tokens import RETRY_AGENT, UsageLedger
@@ -230,6 +230,8 @@ class TestRetryPolicy:
 
 
 class TestResilientClient:
+    """:class:`LLMClient` under a fault plan."""
+
     def _ask(self, client):
         return client.complete(
             [ChatMessage(role="user", content="## TASK: MERGE RULES\n[]")],
@@ -240,9 +242,11 @@ class TestResilientClient:
     def test_inert_plan_matches_plain_client_byte_for_byte(self):
         plain_ledger, res_ledger = UsageLedger(), UsageLedger()
         plain = LLMClient("claude-3.7-sonnet", seed=5, ledger=plain_ledger)
-        resilient = ResilientLLMClient(
+        resilient = LLMClient(
             "claude-3.7-sonnet", seed=5, ledger=res_ledger, faults=FaultPlan.none()
         )
+        # A client built without a plan shares the one inert plan.
+        assert plain.faults is NO_FAULTS
         a, b = self._ask(plain), self._ask(resilient)
         assert a.content == b.content
         assert a.usage == b.usage
@@ -252,7 +256,7 @@ class TestResilientClient:
         """Absorbed faults change accounting, never the model's answer."""
         plain = LLMClient("claude-3.7-sonnet", seed=5)
         # High enough to fault some attempts, low enough to finish.
-        resilient = ResilientLLMClient(
+        resilient = LLMClient(
             "claude-3.7-sonnet",
             seed=5,
             faults=FaultPlan.uniform(0.4, seed=1),
@@ -263,7 +267,7 @@ class TestResilientClient:
     def test_retries_charged_separately(self):
         """A failed attempt is billed exactly what the backend bills."""
         ledger = UsageLedger()
-        client = ResilientLLMClient(
+        client = LLMClient(
             "claude-3.7-sonnet",
             seed=5,
             ledger=ledger,
@@ -297,7 +301,7 @@ class TestResilientClient:
         assert ledger.per_agent["tuning"].input_tokens > 0
 
     def test_exhaustion_propagates(self):
-        client = ResilientLLMClient(
+        client = LLMClient(
             "claude-3.7-sonnet",
             seed=5,
             faults=FaultPlan(rates={"llm.transient": 1.0}),

@@ -2,7 +2,8 @@
 
 Covers the policy tentpole's contracts:
 
-- the registry (ordering, lookup errors, resolution rules);
+- the policy table (ordering, lookup errors, name -> agent class, the
+  default when a run names none);
 - CLI byte parity: the default policy's seed-2 transcript matches the
   pre-refactor fixtures exactly, on every backend;
 - ReACT and propose/critic determinism and quality (both improve on the
@@ -21,19 +22,15 @@ Covers the policy tentpole's contracts:
 
 import hashlib
 import json
+import re
 
 import pytest
 
 from repro.agents.policies import (
-    PolicyContext,
+    POLICIES,
     ProposeCriticAgent,
-    ProposeCriticPolicy,
-    ReACTPolicy,
-    ReflectionPolicy,
-    get_policy,
+    ReACTAgent,
     list_policies,
-    register_policy,
-    resolve_policy,
 )
 from repro.agents.reflection import merge_rules_via_llm
 from repro.agents.tuning import (
@@ -46,10 +43,9 @@ from repro.cli import main
 from repro.cluster.hardware import make_cluster
 from repro.core.engine import Stellar
 from repro.core.runner import ConfigurationRunner
-from repro.core.pipeline import SESSION_PIPELINE, SessionState
-from repro.corpus import render_hardware_doc
+from repro.core.pipeline import SESSION_PIPELINE, AgentLoopStage, SessionState
 from repro.faults.plan import FaultPlan
-from repro.faults.retry import FaultBudgetExhausted
+from repro.faults.retry import FaultBudgetExhausted, RetryPolicy
 from repro.llm.api import Completion, ToolCall
 from repro.llm.promptparse import ParameterInfo
 from repro.llm.reasoning import SPECULATIVE_RATIONALE_PREFIX, review_proposal
@@ -57,7 +53,7 @@ from repro.llm.tasks import coerce_changes
 from repro.rules.store import session_to_dict
 from repro.service import FleetScheduler, TenantSpec, TuningService
 from repro.workloads import get_workload
-from test_cache_parity import queue_fingerprint
+from test_cache_parity import backend_setup, queue_fingerprint
 from test_fleet import fleet_fingerprint
 from test_pipeline import assert_sessions_byte_identical
 
@@ -71,61 +67,70 @@ def engine(request):
     return Stellar.build(cluster, seed=0)
 
 
-def build_context(engine, workload_name, seed=0, max_attempts=5, runner=None):
-    """A PolicyContext the way AgentLoopStage builds one, stage by stage."""
-    workload = get_workload(workload_name)
+def build_state(engine, workload_name, seed=0, max_attempts=5, policy=None):
+    """A session state ready for AgentLoopStage, built stage by stage."""
     state = SessionState(
         cluster=engine.cluster,
-        workload=workload,
+        workload=get_workload(workload_name),
         model=engine.model,
         analysis_model="gpt-4o",
         extraction=engine.extraction,
         run_seed=seed,
+        max_attempts=max_attempts,
+        policy=policy,
     )
     for stage in SESSION_PIPELINE.stages[:4]:
         state = stage.run(state)
-    return PolicyContext(
-        client=state.tuning_client,
-        parameters=state.parameters,
-        hardware_description=render_hardware_doc(engine.cluster),
-        facts=state.facts,
-        runner=runner if runner is not None else state.runner,
-        report=state.report,
-        analysis_agent=state.analysis_agent,
-        rules_json=[],
-        max_attempts=max_attempts,
-        transcript=state.transcript,
-        session=f"tuning:{workload.name}:{seed}",
-        fs_family=engine.cluster.backend.fs_family,
-    )
+    return state
 
 
 class TestPolicyRegistry:
     def test_registration_order(self):
         assert list_policies() == ["reflection", "react", "propose_critic"]
+        assert list(POLICIES) == list_policies()
 
     def test_get_unknown_names_registered(self):
         with pytest.raises(KeyError, match="reflection.*react.*propose_critic"):
-            get_policy("chain_of_thought")
+            POLICIES["chain_of_thought"]
+        # A failed lookup registers nothing.
+        assert list_policies() == ["reflection", "react", "propose_critic"]
 
     def test_resolve_none_is_reflection(self):
-        assert resolve_policy(None) is get_policy("reflection")
+        """A run that names no policy is the reflection loop's run."""
+        cluster, extraction = backend_setup("lustre")
+        sessions = [
+            Stellar(
+                cluster=cluster,
+                model="claude-3.7-sonnet",
+                extraction=extraction,
+                policy=policy,
+            ).tune(get_workload("IOR_16M"), seed=5)
+            for policy in (None, "reflection")
+        ]
+        assert_sessions_byte_identical(*sessions)
 
     def test_resolve_by_name(self):
-        assert resolve_policy("react").name == "react"
+        assert POLICIES["reflection"] is TuningAgent
+        assert POLICIES["react"] is ReACTAgent
+        assert POLICIES["propose_critic"] is ProposeCriticAgent
 
     def test_resolve_instance_passthrough(self):
-        policy = ReACTPolicy()
-        assert resolve_policy(policy) is policy
+        """Every policy is an agent class the stage builds with the
+        reflection loop's constructor arguments."""
+        assert all(issubclass(cls, TuningAgent) for cls in POLICIES.values())
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="reflection"):
-            register_policy(ReflectionPolicy())
+        """No agent class runs two policies."""
+        assert len(set(POLICIES.values())) == len(POLICIES)
 
-    def test_policy_classes_expose_names(self):
-        assert ReflectionPolicy().name == "reflection"
-        assert ReACTPolicy().name == "react"
-        assert ProposeCriticPolicy().name == "propose_critic"
+    def test_policy_classes_expose_names(self, capsys):
+        """The table's names are the CLI's ``--policy`` choices."""
+        with pytest.raises(SystemExit):
+            main(["tune", "IOR_16M", "--policy", "chain_of_thought"])
+        assert re.search(
+            r"invalid choice.*reflection.*react.*propose_critic",
+            capsys.readouterr().err,
+        )
 
 
 class TestDefaultPolicyCliParity:
@@ -174,6 +179,25 @@ class TestPolicyParityFixtures:
         with open(f"{FIXTURE_DIR}/policy_queue_sha256.json") as handle:
             expected = json.load(handle)[f"{backend}/{policy}"]
         fingerprint = "\n".join(queue_fingerprint(backend, policy, 2))
+        assert hashlib.sha256(fingerprint.encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("policy", list_policies())
+    @pytest.mark.parametrize("backend", list_backends())
+    def test_seed2_faulted_queue_matches_digest(self, backend, policy):
+        """The same queue under a 10% plan on every site; the sessions'
+        fault-recovery counts and ``llm_retries`` usage pin every absorbed
+        fault and what its failed attempts were charged."""
+        with open(f"{FIXTURE_DIR}/policy_queue_sha256.json") as handle:
+            expected = json.load(handle)[f"{backend}/{policy}/faulted"]
+        fingerprint = "\n".join(
+            queue_fingerprint(
+                backend,
+                policy,
+                2,
+                faults=FaultPlan.uniform(0.1, seed=2),
+                retry=RetryPolicy(max_retries=10, timeout_budget=1000.0),
+            )
+        )
         assert hashlib.sha256(fingerprint.encode()).hexdigest() == expected
 
 
@@ -558,9 +582,9 @@ class TestPolicyFaultInteraction:
 
     @pytest.mark.parametrize("policy", list_policies())
     def test_probe_exhaustion_degrades_not_crashes(self, engine, policy):
-        ctx = build_context(engine, "MDWorkbench_8K", max_attempts=2)
-        ctx.runner = ExhaustedRunner(ctx.runner)
-        result = resolve_policy(policy).run(ctx)
+        state = build_state(engine, "MDWorkbench_8K", max_attempts=2, policy=policy)
+        state.runner = ExhaustedRunner(state.runner)
+        result = AgentLoopStage().run(state).loop
         assert not result.attempts
         assert result.degradations
         assert all("probe.run" in d for d in result.degradations)

@@ -1,5 +1,6 @@
 """Tests for rule set / session persistence."""
 
+import json
 import re
 
 import pytest
@@ -18,7 +19,13 @@ from repro.rules.store import (
     session_from_dict,
     session_to_dict,
 )
-from repro.service.scheduler import CheckpointStore, fleet_stamp
+from repro.service import TenantResult, TenantSpec
+from repro.service.scheduler import (
+    CheckpointStore,
+    _outcome_to_json,
+    fleet_stamp,
+    spec_digest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +195,36 @@ def test_non_utf8_file_is_descriptive(tmp_path, loader):
     path.write_bytes(b'{"format": 1, "entries": ["\xff\xfe"]}')
     with pytest.raises(JournalCorruptError, match=re.escape(str(path))):
         LOADERS[loader](path)
+
+
+def _load_journal(tmp_path, journal_json):
+    path = tmp_path / "journal.json"
+    path.write_text(json.dumps(journal_json))
+    return RuleJournal.load(path)
+
+
+def _adopt_journal(tmp_path, journal_json):
+    spec = TenantSpec("acme", workloads=("IOR_16M",), seed=1)
+    result = TenantResult(spec=spec, sessions=[], journal=RuleJournal())
+    raw = _outcome_to_json(result, spec_digest(spec))
+    raw["journal"] = journal_json
+    store = CheckpointStore(
+        tmp_path / "fleet.ckpt", fleet_stamp(None, 0, None), RetryPolicy()
+    )
+    return store.adopt(spec, raw)
+
+
+#: Both loaders that decode a persisted rule journal.
+JOURNAL_LOADERS = {"journal": _load_journal, "checkpoint": _adopt_journal}
+
+
+@pytest.mark.parametrize("origin", [[0], "12", [0, 1, 2]], ids=repr)
+@pytest.mark.parametrize("loader", sorted(JOURNAL_LOADERS))
+def test_malformed_entry_origin_is_corrupt(tmp_path, loader, origin):
+    """An origin must be exactly ``[engine_seed, sequence]``: a short one
+    used to crash the resume with a stray IndexError, and a string or a
+    longer list loaded silently."""
+    journal_json = _populated_journal().to_json()
+    journal_json["entries"][0]["origin"] = origin
+    with pytest.raises(JournalCorruptError, match="origin"):
+        JOURNAL_LOADERS[loader](tmp_path, journal_json)

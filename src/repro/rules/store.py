@@ -97,10 +97,16 @@ class JournalEntry:
         origin = raw["origin"]
         if type(origin) is not list or [type(part) for part in origin] != [int, int]:
             raise ValueError(f"journal entry origin is not two integers: {origin!r}")
+        version = raw["version"]
+        if type(version) is not int:
+            raise ValueError(f"journal entry version is not an integer: {version!r}")
+        rules = raw["rules"]
+        if type(rules) is not list or not all(type(rule) is dict for rule in rules):
+            raise ValueError(f"journal entry rules are not JSON objects: {rules!r}")
         return cls(
-            version=int(raw["version"]),
+            version=version,
             origin=tuple(origin),
-            rules=tuple(dict(rule) for rule in raw["rules"]),
+            rules=tuple(dict(rule) for rule in rules),
         )
 
 

@@ -14,10 +14,15 @@ earlier run costed reach the model.  Inside ``RUN_CACHE.disabled()`` every
 group costs its distinct configurations afresh.
 
 Noise happens here.  The per-item noise re-derives exactly the seeds and
-streams the scalar path uses (``RngStreams`` named streams) and takes each
-stream's single draw from ``np.random.default_rng(seed)``
-(:func:`first_normals`); factors are shared with the scalar path through
-the ``run_noise`` memo, which both paths fill through
+streams the scalar path uses (``RngStreams`` named streams).  A group draws
+the streams of every seed it has no factors for in one
+:func:`first_normals` batch, which hashes the batch's ``SeedSequence``
+state words as uint32 arrays (:func:`seed_words`), builds each stream's
+``Generator(PCG64(...))`` from its words and takes its single draw,
+bit-identical to ``np.random.default_rng(seed)``; the scalar path
+(:func:`~repro.pfs.simulator.run_noise`) still seeds through
+``default_rng`` and is the reference.  Factors are shared with the scalar
+path through the ``run_noise`` memo, which both paths fill through
 :func:`~repro.pfs.simulator.remember_noise`.  The memo keeps its newest
 4,096 entries, so a run repeated within that many noise inserts finds its
 factors however long the process has been running; an entry it dropped is
@@ -36,6 +41,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.pfs.config import PfsConfig
 from repro.sim.cache import RUN_CACHE
@@ -200,7 +206,9 @@ def _sweep_group(
     # Noise depends on (seed, workload, n_phases) alone — never the config —
     # so a config×seed grid computes each seed's factors once, and the
     # shared memo in the simulator module carries them across groups and
-    # ``Simulator.run`` calls (both fill and read the same dict).
+    # ``Simulator.run`` calls (both fill and read the same dict).  The
+    # missing seeds' streams, each seed's ``phase:i`` then ``run``, are
+    # drawn in one batch.
     name = workload.name
     n_phases = len(evaluations[0][1])
     noise_by_seed: dict[int, tuple[tuple[float, ...], float]] = {}
@@ -209,30 +217,15 @@ def _sweep_group(
             noise_by_seed[seed] = _NOISE_CACHE.get((seed, name, n_phases))
     missing = [seed for seed, noise in noise_by_seed.items() if noise is None]
     if missing:
-        roots = [_derive_seed(seed, f"spawn:run:{name}") for seed in missing]
-        phase_names = [f"phase:{i}" for i in range(n_phases)]
-        if PHASE_NOISE_SIGMA > 0:
-            phase_noises = np.exp(
-                first_normals(
-                    [_derive_seed(root, pn) for root in roots for pn in phase_names],
-                    PHASE_NOISE_SIGMA,
-                )
-            ).reshape(len(missing), n_phases)
-        else:
-            phase_noises = np.ones((len(missing), n_phases))
-        if RUN_NOISE_SIGMA > 0:
-            run_noises = np.exp(
-                first_normals(
-                    [_derive_seed(root, "run") for root in roots], RUN_NOISE_SIGMA
-                )
-            )
-        else:
-            run_noises = np.ones(len(missing))
-        for index, seed in enumerate(missing):
-            noise = (
-                tuple(phase_noises[index].tolist()),
-                float(run_noises[index]),
-            )
+        streams = [f"phase:{i}" for i in range(n_phases)] + ["run"]
+        stream_seeds = []
+        for seed in missing:
+            root = _derive_seed(seed, f"spawn:run:{name}")
+            stream_seeds.extend(_derive_seed(root, stream) for stream in streams)
+        sigmas = [PHASE_NOISE_SIGMA] * n_phases + [RUN_NOISE_SIGMA]
+        factors = np.exp(first_normals(stream_seeds, sigmas * len(missing)))
+        for seed, row in zip(missing, factors.reshape(len(missing), -1).tolist()):
+            noise = (tuple(row[:n_phases]), row[n_phases])
             noise_by_seed[seed] = noise
             remember_noise((seed, name, n_phases), noise)
 
@@ -242,9 +235,102 @@ def _sweep_group(
     ]
 
 
-def first_normals(seeds, sigma: float) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Noise seeding
+# ---------------------------------------------------------------------------
+# ``np.random.default_rng(seed)`` is ``Generator(PCG64(SeedSequence(seed)))``,
+# and PCG64 seeds itself from ``generate_state(4, np.uint64)``.  For an
+# integer seed below 2**64 (no spawn key) SeedSequence hashes the seed's two
+# 32-bit words and two zero words into a 4-word pool, mixes each pool word
+# into the other three, and hashes the pool out into 8 uint32 words.  Each
+# hash call's constants depend only on its position, so a batch of seeds
+# runs as uint32 array ops, which wrap on overflow without a warning.
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+
+
+def _hash_constants(value: int, multiplier: int, n: int):
+    """The xor and multiply constants of ``n`` successive hash calls."""
+    xors, mults = [], []
+    for _ in range(n):
+        xors.append(value)
+        value = value * multiplier & 0xFFFFFFFF
+        mults.append(value)
+    return np.array(xors, np.uint32), np.array(mults, np.uint32)
+
+
+_POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUT_XOR, _OUT_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _round_constants(src: int):
+    """Round ``src`` mixes pool word ``src`` into the other three, in
+    ascending order, with hash calls ``4 + 3 * src`` onwards.  The pool
+    turns one place left per round, so word ``src`` leads it and the rest
+    follow as ``src + 1``, ``src + 2``, ``src + 3`` (mod 4): the constants
+    come in that order."""
+    others = [dst for dst in range(4) if dst != src]
+    calls = [4 + 3 * src + others.index((src + k) % 4) for k in (1, 2, 3)]
+    return _POOL_XOR[calls], _POOL_MULT[calls]
+
+
+_ROUNDS = [_round_constants(src) for src in range(4)]
+
+
+def seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed,
+    one row each, computed for the whole batch at once."""
+    if len(seeds) and not (0 <= min(seeds) and max(seeds) < 2**64):
+        bad = min(seeds) if min(seeds) < 0 else max(seeds)
+        raise ValueError(f"seed {bad} is outside [0, 2**64)")
+    wide = np.zeros((len(seeds), 2), "<u8")
+    wide[:, 0] = seeds
+    pool = wide.view("<u4")
+    pool ^= _POOL_XOR[:4]
+    pool *= _POOL_MULT[:4]
+    pool ^= pool >> 16
+    for xors, mults in _ROUNDS:
+        mixed = pool[:, :1] ^ xors
+        mixed *= mults
+        mixed ^= mixed >> 16
+        mixed *= _MIX_R
+        others = pool[:, 1:] * _MIX_L
+        others -= mixed
+        others ^= others >> 16
+        pool = np.concatenate((others, pool[:, :1]), axis=1)
+    state = np.concatenate((pool, pool), axis=1)
+    state ^= _OUT_XOR
+    state *= _OUT_MULT
+    state ^= state >> 16
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that answers PCG64's one request,
+    ``generate_state(4, np.uint64)``, with words already computed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def first_normals(seeds: Sequence[int], sigmas) -> np.ndarray:
     """``np.random.default_rng(seed).normal(0.0, sigma)`` for every seed —
-    the one draw each named noise stream makes."""
+    the one draw each named noise stream makes — bit for bit.
+
+    ``sigmas`` is one sigma for every seed or one per seed; a sigma ≤ 0
+    draws nothing and gives 0.0, whose factor ``exp(0.0)`` is the 1.0
+    :meth:`RngStreams.lognormal_noise` returns.  Raises ``ValueError`` for
+    a seed outside ``[0, 2**64)``.
+    """
+    if np.ndim(sigmas) == 0:
+        sigmas = [sigmas] * len(seeds)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
     return np.array(
-        [np.random.default_rng(seed).normal(0.0, sigma) for seed in seeds]
+        [
+            generator(pcg64(_Words(words))).normal(0.0, sigma) if sigma > 0 else 0.0
+            for words, sigma in zip(seed_words(seeds), sigmas, strict=True)
+        ]
     )

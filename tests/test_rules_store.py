@@ -228,3 +228,25 @@ def test_malformed_entry_origin_is_corrupt(tmp_path, loader, origin):
     journal_json["entries"][0]["origin"] = origin
     with pytest.raises(JournalCorruptError, match="origin"):
         JOURNAL_LOADERS[loader](tmp_path, journal_json)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("version", "7"),
+        ("version", 1.9),
+        ("version", True),
+        ("rules", [["ab"]]),
+        ("rules", [[["k", "v"]]]),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("loader", sorted(JOURNAL_LOADERS))
+def test_malformed_entry_version_or_rules_is_corrupt(tmp_path, loader, field, value):
+    """A version must be an integer (not a bool) and every rule a JSON
+    object: ``int()`` and ``dict()`` used to load ``"7"``, ``1.9`` and
+    ``true`` as 7, 1 and 1, and ``[["ab"]]`` as ``{"a": "b"}``."""
+    journal_json = _populated_journal().to_json()
+    journal_json["entries"][0][field] = value
+    with pytest.raises(JournalCorruptError, match=field):
+        JOURNAL_LOADERS[loader](tmp_path, journal_json)

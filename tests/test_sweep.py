@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import get_backend, list_backends
@@ -33,6 +33,7 @@ from repro.sim.sweep import (
     repetition_items,
     run_items,
     run_sweep,
+    seed_words,
     sweep_items,
 )
 from repro.workloads import get_workload
@@ -649,6 +650,42 @@ class TestFastRng:
                 np.random.default_rng(seed).normal(0.0, sigma) for seed in seeds
             ]
             assert fast.tolist() == reference
+
+    EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**64 - 1), st.sampled_from((0.02, 0.025, 0.0))
+            ),
+            max_size=64,
+        )
+    )
+    @example([(seed, 0.02) for seed in EDGE_SEEDS])
+    @example([(seed, sigma) for seed in EDGE_SEEDS for sigma in (0.025, 0.0)])
+    def test_batch_matches_seed_sequence_and_default_rng(self, batch):
+        """Each seed's words are ``SeedSequence``'s, and each draw, with its
+        own sigma, has the bytes of a ``default_rng`` draw."""
+        seeds = [seed for seed, _sigma in batch]
+        words = seed_words(seeds)
+        assert words.dtype == np.uint64
+        assert words.shape == (len(seeds), 4)
+        for seed, row in zip(seeds, words):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert row.tobytes() == expected.tobytes(), seed
+        reference = np.array(
+            [np.random.default_rng(seed).normal(0.0, sigma) for seed, sigma in batch],
+            dtype=float,
+        )
+        drawn = first_normals(seeds, [sigma for _seed, sigma in batch])
+        assert drawn.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_is_refused(self, seed):
+        """A uint64 replica cannot seed -1 or 2**64 as numpy does."""
+        with pytest.raises(ValueError, match=f"seed {seed} "):
+            first_normals([0, seed], 0.02)
 
     def test_generator_pcg64_equals_default_rng(self):
         """``default_rng(seed)`` is ``Generator(PCG64(seed))``, the stream

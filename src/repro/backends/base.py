@@ -190,9 +190,13 @@ class PfsBackend:
         except KeyError:
             return False
 
-    def defaults(self) -> dict:
-        """Default value for every writable parameter."""
+    @cached_property
+    def _defaults(self) -> dict:
         return {s.name: s.default for s in self.specs if s.writable}
+
+    def defaults(self) -> dict:
+        """Default value for every writable parameter (a fresh copy)."""
+        return self._defaults.copy()
 
     def writable_specs(self) -> list:
         return [s for s in self.specs if s.writable]
@@ -225,6 +229,46 @@ class PfsBackend:
             if not isinstance(spec.min_expr, str)
             and not isinstance(spec.max_expr, str)
         }
+
+    @cached_property
+    def bounds_table(self) -> dict:
+        """``{name: (constant, low, high)}`` for every parameter, in registry
+        order: the one place :class:`~repro.pfs.config.PfsConfig` resolves
+        bounds from.
+
+        A constant range has ``constant == (min, max)`` (its
+        :attr:`constant_bounds` pair) and no evaluators.  A range that names
+        another parameter or a fact has ``constant is None`` and one
+        evaluator per side, each taking the config's env: a compiled
+        expression, or a closure returning the other side's constant.  An
+        expression that does not compile gets an evaluator that compiles it
+        again on every call, so its :class:`ExpressionError` is raised per
+        call, as the uncompiled resolver raised it.
+        """
+        from repro.pfs.expressions import ExpressionError, compile_expression
+
+        def evaluator(expr, default: float) -> Callable:
+            if not isinstance(expr, str):
+                bound = default if expr is None else float(expr)
+                return lambda env: bound
+            try:
+                return compile_expression(expr)
+            except ExpressionError:
+                return lambda env: compile_expression(expr)(env)
+
+        constant_bounds = self.constant_bounds
+        table = {}
+        for spec in self.specs:
+            constant = constant_bounds.get(spec.name)
+            if constant is not None:
+                table[spec.name] = (constant, None, None)
+            else:
+                table[spec.name] = (
+                    None,
+                    evaluator(spec.min_expr, float("-inf")),
+                    evaluator(spec.max_expr, float("inf")),
+                )
+        return table
 
     def validate(self) -> None:
         """Sanity-check internal consistency (used by the parity suite)."""

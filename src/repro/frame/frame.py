@@ -5,11 +5,25 @@ all of equal length.  String columns are stored as object arrays.  The API is
 deliberately a small, predictable subset of pandas: the Analysis Agent's
 generated code runs against it inside a sandbox, so every operation must be
 side-effect free and raise clear errors.
+
+Trusted derived frames
+----------------------
+External input is validated: the constructor, :meth:`Frame.from_records`,
+:meth:`Frame.from_csv`, :meth:`Frame.groupby` and ``__setitem__`` coerce
+every column through :func:`_as_column`, which checks that it is 1-D and of
+the frame's length.  A frame *derived* from a valid frame already meets
+both, so it is built from its columns without the checks (:func:`_derived`):
+a 1-D boolean mask of the frame's length, a 1-D integer index (``head`` and
+``sort_values`` use one), a column list, ``copy``, ``rename`` and ``drop``.
+Any other indexer (a 2-D or wrong-length mask, a scalar, a slice, a float
+array) takes the validating path and raises as the constructor would.
+The Analysis Agent's sandbox filters and its frame preview take these
+paths in every session.  :meth:`Frame.to_csv` reads whole columns through
+``tolist()`` rather than materializing one dict per row.
 """
 
 from __future__ import annotations
 
-import io
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,8 +63,19 @@ def _as_column(values: Any, length: int | None = None) -> np.ndarray:
     return arr
 
 
+def _derived(columns: dict[str, np.ndarray]) -> "Frame":
+    """A frame over ``columns`` taken from a valid frame, without the
+    constructor's checks: each is a 1-D array and all share one length."""
+    frame = object.__new__(Frame)
+    frame._columns = columns
+    return frame
+
+
 class Frame:
     """An immutable-length, mutable-content columnar table.
+
+    The constructor validates its input; frames derived from a valid frame
+    skip the checks (see the module docstring).
 
     Parameters
     ----------
@@ -98,12 +123,13 @@ class Frame:
                     f"no column {key!r}; available: {sorted(self._columns)}"
                 ) from None
         if isinstance(key, (list, tuple)) and all(isinstance(k, str) for k in key):
-            return Frame({k: self._columns[k] for k in key})
+            return _derived({k: self._columns[k] for k in key})
         mask = np.asarray(key)
-        if mask.dtype == bool:
-            if mask.shape[0] != len(self):
-                raise ValueError("boolean mask length mismatch")
-            return Frame({n: c[mask] for n, c in self._columns.items()})
+        if mask.dtype == bool and mask.shape[0] != len(self):
+            raise ValueError("boolean mask length mismatch")
+        if mask.ndim == 1 and mask.dtype.kind in "biu":
+            # A 1-D mask or integer index leaves every column 1-D and equal.
+            return _derived({n: c[mask] for n, c in self._columns.items()})
         return Frame({n: c[mask] for n, c in self._columns.items()})
 
     def __setitem__(self, name: str, values: Any) -> None:
@@ -150,7 +176,7 @@ class Frame:
         return out
 
     def copy(self) -> "Frame":
-        return Frame({n: c.copy() for n, c in self._columns.items()})
+        return _derived({n: c.copy() for n, c in self._columns.items()})
 
     # -- transformation --------------------------------------------------
     def filter(self, predicate: Callable[[dict[str, Any]], bool]) -> "Frame":
@@ -172,11 +198,11 @@ class Frame:
         return self[np.arange(min(n, len(self)))]
 
     def rename(self, mapping: Mapping[str, str]) -> "Frame":
-        return Frame({mapping.get(n, n): c for n, c in self._columns.items()})
+        return _derived({mapping.get(n, n): c for n, c in self._columns.items()})
 
     def drop(self, names: Sequence[str]) -> "Frame":
         gone = set(names)
-        return Frame({n: c for n, c in self._columns.items() if n not in gone})
+        return _derived({n: c for n, c in self._columns.items() if n not in gone})
 
     # -- aggregation -----------------------------------------------------
     def agg(self, spec: Mapping[str, str]) -> dict[str, Any]:
@@ -252,12 +278,16 @@ class Frame:
 
     # -- serialization ----------------------------------------------------
     def to_csv(self) -> str:
-        """Serialize to a simple CSV string (no quoting of commas needed)."""
-        buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.to_records():
-            buf.write(",".join(str(row[c]) for c in self.columns) + "\n")
-        return buf.getvalue()
+        """Serialize to a simple CSV string (no quoting of commas needed).
+
+        Each cell is ``str`` of the value :meth:`to_records` holds for it,
+        read column-wise: ``tolist()`` gives a typed column's Python
+        scalars, and an object column's numpy scalars become Python ones.
+        """
+        columns = [_python_values(c) for c in self._columns.values()]
+        lines = [",".join(self.columns)]
+        lines.extend(",".join(map(str, row)) for row in zip(*columns))
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "Frame":
@@ -280,6 +310,14 @@ class Frame:
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"Frame(rows={len(self)}, columns={self.columns})"
+
+
+def _python_values(column: np.ndarray) -> list:
+    """``column``'s values as :meth:`Frame.to_records` materializes them."""
+    values = column.tolist()
+    if column.dtype == object:
+        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+    return values
 
 
 def _coerce_strings(parts: list[str]) -> Any:

@@ -11,14 +11,23 @@ Caching invariants
 ------------------
 Bounds resolution is the simulator's hot path (every ``run`` validates every
 parameter).  A parameter's bounds are a pure function of its spec and the
-values its range expression references, so nothing caches them:
+values its range expression references, so nothing caches them.  Each
+backend builds one bounds table, once
+(:attr:`~repro.backends.base.PfsBackend.bounds_table`): every parameter in
+registry order with its constant range, or with the compiled min/max
+evaluators of a range that names another parameter or a fact.
+``bounds()``, ``violations()`` and ``clipped()`` all resolve through it:
 
 - constant ranges are resolved once per backend
   (:attr:`~repro.backends.base.PfsBackend.constant_bounds`);
 - expression ranges are evaluated on every call against the evaluation
   *env* (``{name: float(value)} ∪ facts``).  Each expression references a
   single name, so evaluating it costs about what a memo key would.  An
-  expression error therefore raises on every call.
+  expression error therefore raises on every call;
+- ``clipped()`` walks the table inline (at most four passes, each value
+  clipped as ``int(min(max(v, low), high))``) instead of calling
+  ``bounds()`` per parameter, while ``violations()`` still calls
+  ``bounds()`` once per parameter.
 
 The config memoizes only the env, updated in place on ``__setitem__``, and
 the ``cache_key()`` tuple.  All mutation funnels through ``__setitem__`` /
@@ -40,7 +49,7 @@ from typing import Iterator, Mapping
 
 from repro.backends import get_backend, resolve_backend
 from repro.backends.base import PfsBackend
-from repro.pfs.expressions import ExpressionError, compile_expression
+from repro.pfs.expressions import ExpressionError
 
 
 @dataclass(frozen=True)
@@ -270,14 +279,11 @@ class PfsConfig:
     def bounds(self, name: str) -> tuple[float, float]:
         """Resolved (min, max) for a parameter under current values/facts."""
         spec = self.backend.param(name)
-        constant = self.backend.constant_bounds.get(spec.name)
+        constant, low, high = self.backend.bounds_table[spec.name]
         if constant is not None:
             return constant
         env = self._env()
-        return (
-            _resolve(spec.min_expr, env, default=float("-inf")),
-            _resolve(spec.max_expr, env, default=float("inf")),
-        )
+        return low(env), high(env)
 
     def violations(self) -> list[Violation]:
         """All out-of-range settings in dependency-stable order."""
@@ -305,13 +311,23 @@ class PfsConfig:
             raise ValueError(f"invalid configuration: {lines}")
 
     def clipped(self) -> "PfsConfig":
-        """Nearest valid configuration (iterate because bounds are dependent)."""
+        """Nearest valid configuration (iterate because bounds are dependent).
+
+        Walks the backend's bounds table inline: the resolution
+        :meth:`bounds` makes, without one ``bounds`` call per parameter.
+        """
         new = self.copy()
+        values = new._values
+        table = self.backend.bounds_table
         for _ in range(4):  # dependent bounds converge in <= chain depth passes
             changed = False
-            for name in list(new._values):
-                low, high = new.bounds(name)
-                value = new._values[name]
+            for name, value in values.items():
+                constant, low_of, high_of = table[name]
+                if constant is None:
+                    env = new._env()
+                    low, high = low_of(env), high_of(env)
+                else:
+                    low, high = constant
                 clipped_value = int(min(max(value, low), high))
                 if clipped_value != value:
                     new._set_raw(name, clipped_value)
@@ -341,11 +357,3 @@ class PfsConfig:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PfsConfig({self.summarize(only_nondefault=True)!r})"
-
-
-def _resolve(expr: float | str | None, env: Mapping[str, float], default: float) -> float:
-    if expr is None:
-        return default
-    if isinstance(expr, (int, float)):
-        return float(expr)
-    return compile_expression(expr)(env)

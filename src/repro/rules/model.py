@@ -14,6 +14,68 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 
+def _is_number_or_null(value: Any) -> bool:
+    return value is None or (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+    )
+
+
+#: field -> (the keys :meth:`Rule.from_dict` reads it from, first present
+#: wins; what a valid value is; its check; the value when no key is present).
+#: The paper's TitleCase spellings are accepted beside snake_case.
+_FIELDS = {
+    "parameter": (
+        ("parameter", "Parameter"),
+        "a non-empty string",
+        lambda v: isinstance(v, str) and v != "",
+        "",
+    ),
+    "rule_description": (
+        ("rule_description", "Rule Description"),
+        "a string",
+        lambda v: isinstance(v, str),
+        "",
+    ),
+    "tuning_context": (
+        ("tuning_context", "Tuning Context"),
+        "a string",
+        lambda v: isinstance(v, str),
+        "",
+    ),
+    "context_tags": (
+        ("context_tags",),
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+        [],
+    ),
+    "recommended_value": (
+        ("recommended_value",), "a number or null", _is_number_or_null, None
+    ),
+    "observed_speedup": (
+        ("observed_speedup",), "a number or null", _is_number_or_null, None
+    ),
+    "alternative": (
+        ("alternative",), "a boolean", lambda v: isinstance(v, bool), False
+    ),
+}
+
+
+def rule_field_error(raw: dict[str, Any]) -> str | None:
+    """What is wrong with the first bad field of rule object ``raw``, naming
+    the key it was read from, or ``None`` when every field is well typed.
+
+    Checks the value :meth:`Rule.from_dict` would read, under whichever key
+    spelling it accepts; a missing field is checked at its default, so a
+    rule without a ``parameter`` is rejected.
+    """
+    for name, (keys, expected, valid, default) in _FIELDS.items():
+        key = next((key for key in keys if key in raw), name)
+        value = raw.get(key, default)
+        if not valid(value):
+            return f"rule field {key!r} is not {expected}: {value!r}"
+    return None
+
+
 @dataclass
 class Rule:
     """One distilled piece of tuning knowledge."""
@@ -42,21 +104,21 @@ class Rule:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "Rule":
-        # Accept both the paper's TitleCase keys and snake_case.
-        def pick(*names, default=None):
-            for name in names:
-                if name in raw:
-                    return raw[name]
+        def pick(name):
+            keys, _, _, default = _FIELDS[name]
+            for key in keys:
+                if key in raw:
+                    return raw[key]
             return default
 
         return cls(
-            parameter=pick("parameter", "Parameter", default=""),
-            rule_description=pick("rule_description", "Rule Description", default=""),
-            tuning_context=pick("tuning_context", "Tuning Context", default=""),
-            context_tags=list(pick("context_tags", default=[]) or []),
+            parameter=pick("parameter"),
+            rule_description=pick("rule_description"),
+            tuning_context=pick("tuning_context"),
+            context_tags=list(pick("context_tags") or []),
             recommended_value=pick("recommended_value"),
             observed_speedup=pick("observed_speedup"),
-            alternative=bool(pick("alternative", default=False)),
+            alternative=bool(pick("alternative")),
         )
 
     def same_context(self, other: "Rule") -> bool:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.llm.promptparse import AttemptRecord
 from repro.llm.tokens import TokenUsage
 from repro.rules.merge import merge_rule_sets
-from repro.rules.model import RuleSet
+from repro.rules.model import RuleSet, rule_field_error
 
 if TYPE_CHECKING:  # pragma: no cover - the engine imports us at runtime
     from repro.core.session import TuningSession
@@ -103,6 +103,10 @@ class JournalEntry:
         rules = raw["rules"]
         if type(rules) is not list or not all(type(rule) is dict for rule in rules):
             raise ValueError(f"journal entry rules are not JSON objects: {rules!r}")
+        for index, rule in enumerate(rules):
+            problem = rule_field_error(rule)
+            if problem is not None:
+                raise ValueError(f"journal entry rule {index}: {problem}")
         return cls(
             version=version,
             origin=tuple(origin),

@@ -8,10 +8,10 @@ cross-validate the phase-analytic performance model: an event heap
 item builders, and the bounded process-wide run cache (:data:`RUN_CACHE`).
 """
 
+import importlib
+
 from repro.sim.cache import RUN_CACHE, RunCache
-from repro.sim.engine import Engine, Event
 from repro.sim.random import RngStreams
-from repro.sim.resources import BandwidthLink, FifoServer, TokenPool
 
 __all__ = [
     "Engine",
@@ -29,11 +29,26 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # The sweep module sits above the PFS model layers, which themselves
-    # use the RNG streams here — resolve lazily to keep imports acyclic.
-    if name in ("repetition_items", "sweep_items", "grid_items", "run_sweep"):
-        from repro.sim import sweep
+#: Names resolved on first use, by the module that defines them.  The sweep
+#: module sits above the PFS model layers, which themselves use the RNG
+#: streams here, so importing it eagerly would make imports cyclic.  The
+#: event kernel serves only the discrete-event cross-check
+#: (``pfs/eventmodel.py``) and tests, so no tuning process pays its import.
+_LAZY = {
+    "repetition_items": "repro.sim.sweep",
+    "sweep_items": "repro.sim.sweep",
+    "grid_items": "repro.sim.sweep",
+    "run_sweep": "repro.sim.sweep",
+    "Engine": "repro.sim.engine",
+    "Event": "repro.sim.engine",
+    "FifoServer": "repro.sim.resources",
+    "BandwidthLink": "repro.sim.resources",
+    "TokenPool": "repro.sim.resources",
+}
 
-        return getattr(sweep, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -12,6 +12,7 @@ Three contracts from the service-layer refactor:
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -155,7 +156,7 @@ class TestFleetScheduler:
         import repro.service.tenant as tenant
 
         for module in (service, admission, daemon, scheduler, tenant):
-            source = open(module.__file__).read()
+            source = Path(module.__file__).read_text()
             assert "pfs.params" not in source, module.__name__
 
 

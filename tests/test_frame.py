@@ -1,5 +1,7 @@
 """Unit and property tests for the columnar Frame substrate."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,3 +252,179 @@ def test_csv_roundtrip_property(pairs):
     parsed = Frame.from_csv(frame.to_csv())
     assert list(parsed["k"]) == [p[0] for p in pairs]
     assert np.allclose(parsed["v"], [p[1] for p in pairs])
+
+
+# ---------------------------------------------------------------------------
+# Derived frames skip the constructor's checks; they must still equal what
+# the validating path builds, and the column-wise CSV the per-row one.
+# ---------------------------------------------------------------------------
+#: Cell values per column kind; object columns mix strings, ``None`` and
+#: numpy scalars, whose CSV cell is ``str`` of the Python value.
+CELLS = {
+    "int": (np.int64, st.integers(-(2**40), 2**40)),
+    "float": (np.float64, st.floats(allow_nan=True, allow_infinity=True)),
+    "bool": (bool, st.booleans()),
+    "object": (
+        object,
+        st.one_of(
+            st.text(max_size=4),
+            st.none(),
+            st.integers(-99, 99),
+            st.floats(-1e6, 1e6).map(np.float32),
+            st.integers(-99, 99).map(np.int64),
+            st.booleans().map(np.bool_),
+        ),
+    ),
+}
+
+
+@st.composite
+def frames(draw):
+    """A valid frame: 0-8 rows of up to four int, float, bool or object
+    columns (no columns at all included)."""
+    rows = draw(st.integers(0, 8))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), max_size=4))
+    data = {}
+    for i, kind in enumerate(kinds):
+        dtype, cells = CELLS[kind]
+        values = draw(st.lists(cells, min_size=rows, max_size=rows))
+        column = np.empty(rows, dtype=dtype)
+        column[:] = values
+        data[f"{kind}{i}"] = column
+    return Frame(data)
+
+
+def validating_getitem(frame, key):
+    """``frame[key]`` for a non-string key with every result built by the
+    validating constructor, as the indexer did before derived frames."""
+    columns = {name: frame[name] for name in frame.columns}
+    if isinstance(key, (list, tuple)) and all(isinstance(k, str) for k in key):
+        return Frame({k: columns[k] for k in key})
+    mask = np.asarray(key)
+    if mask.dtype == bool:
+        if mask.shape[0] != len(frame):
+            raise ValueError("boolean mask length mismatch")
+        return Frame({n: c[mask] for n, c in columns.items()})
+    return Frame({n: c[mask] for n, c in columns.items()})
+
+
+def per_record_csv(frame):
+    """``Frame.to_csv`` as the per-row loop over ``to_records()`` it was."""
+    buf = io.StringIO()
+    buf.write(",".join(frame.columns) + "\n")
+    for row in frame.to_records():
+        buf.write(",".join(str(row[c]) for c in frame.columns) + "\n")
+    return buf.getvalue()
+
+
+def outcome(fn):
+    """``fn()``, or the type of the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def assert_same_frame(got, want):
+    """Same columns in the same order, same dtypes and shapes, same values
+    (compared by ``repr``, so NaN equals NaN and -0.0 differs from 0.0)."""
+    if not isinstance(want, Frame):
+        assert got is want
+        return
+    assert type(got) is Frame
+    assert got.columns == want.columns
+    assert len(got) == len(want) and got.shape == want.shape
+    for name in want.columns:
+        a, b = got[name], want[name]
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert [repr(v) for v in a.tolist()] == [repr(v) for v in b.tolist()], name
+    assert got.to_csv() == per_record_csv(want)
+
+
+@st.composite
+def indexers(draw, frame):
+    """A key for ``frame[key]``: a 1-D mask, a 1-D integer index (negatives
+    included, as an array or a list), a column list or tuple, or a key the
+    validating path must refuse or handle (a 2-D or wrong-length mask, a
+    2-D index, a scalar, a float array)."""
+    n = len(frame)
+    names = frame.columns
+    choices = [
+        st.lists(st.booleans(), min_size=n, max_size=n).map(
+            lambda m: np.array(m, dtype=bool)
+        ),
+        st.integers(0, 3).filter(lambda k: k != n).map(lambda k: np.ones(k, bool)),
+        st.integers(1, 3).map(lambda k: np.ones((n, k), dtype=bool)),
+        st.integers(1, 3).map(lambda k: np.zeros((k, 2), dtype=np.int64)),
+        st.integers(-3, 3),
+        st.just(np.zeros(2)),
+        st.just(np.array([], dtype=np.int64)),
+    ]
+    if n or not names:
+        # In range for every column (any integer when there is none).
+        ints = st.integers(-n, n - 1) if n else st.integers(-3, 3)
+        choices.append(
+            st.lists(ints, max_size=10).map(lambda i: np.array(i, dtype=np.int64))
+        )
+        choices.append(st.lists(ints, min_size=1, max_size=10))
+    if names:
+        choices.append(st.lists(st.sampled_from(names), max_size=5))
+        choices.append(st.lists(st.sampled_from(names), max_size=5).map(tuple))
+    return draw(st.one_of(choices))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_indexing_matches_validating_path(data):
+    frame = data.draw(frames())
+    key = data.draw(indexers(frame))
+    got = outcome(lambda: frame[key])
+    want = outcome(lambda: validating_getitem(frame, key))
+    assert_same_frame(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_derived_operations_match_constructor(data):
+    """``head``, ``sort_values``, ``rename``, ``drop`` and ``copy`` equal
+    what ``Frame({...})`` builds from the same columns."""
+    frame = data.draw(frames())
+    names = frame.columns
+    columns = {name: frame[name] for name in names}
+    n = data.draw(st.integers(-3, len(frame) + 3))
+    assert_same_frame(
+        frame.head(n), validating_getitem(frame, np.arange(min(n, len(frame))))
+    )
+    sortable = [name for name in names if columns[name].dtype != object]
+    if sortable:
+        by = data.draw(st.sampled_from(sortable))
+        ascending = data.draw(st.booleans())
+        order = np.argsort(columns[by], kind="stable")
+        if not ascending:
+            order = order[::-1]
+        assert_same_frame(
+            frame.sort_values(by, ascending=ascending),
+            Frame({name: column[order] for name, column in columns.items()}),
+        )
+    targets = st.sampled_from(names + ["x", "y"]) if names else st.just("x")
+    mapping = data.draw(
+        st.dictionaries(st.sampled_from(names + ["absent"]), targets, max_size=4)
+    )
+    assert_same_frame(
+        frame.rename(mapping),
+        Frame({mapping.get(name, name): c for name, c in columns.items()}),
+    )
+    gone = data.draw(st.lists(st.sampled_from(names + ["absent"]), max_size=4))
+    assert_same_frame(
+        frame.drop(gone),
+        Frame({name: c for name, c in columns.items() if name not in gone}),
+    )
+    copied = frame.copy()
+    assert_same_frame(copied, Frame({name: c.copy() for name, c in columns.items()}))
+    assert all(copied[name] is not columns[name] for name in names)
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame=frames())
+def test_to_csv_matches_per_record_loop(frame):
+    assert frame.to_csv() == per_record_csv(frame)

@@ -250,3 +250,62 @@ def test_malformed_entry_version_or_rules_is_corrupt(tmp_path, loader, field, va
     journal_json["entries"][0][field] = value
     with pytest.raises(JournalCorruptError, match=field):
         JOURNAL_LOADERS[loader](tmp_path, journal_json)
+
+
+@pytest.mark.parametrize(
+    "rule, key",
+    [
+        ({}, "parameter"),
+        ({"parameter": 5}, "parameter"),
+        (
+            {"parameter": "osc.max_pages_per_rpc", "observed_speedup": "fast"},
+            "observed_speedup",
+        ),
+        ({"Parameter": ""}, "Parameter"),
+        ({"parameter": "p", "Rule Description": 3}, "Rule Description"),
+        ({"parameter": "p", "tuning_context": None}, "tuning_context"),
+        ({"parameter": "p", "context_tags": "shared"}, "context_tags"),
+        ({"parameter": "p", "context_tags": ["shared", 1]}, "context_tags"),
+        ({"parameter": "p", "recommended_value": True}, "recommended_value"),
+        ({"parameter": "p", "recommended_value": "64"}, "recommended_value"),
+        ({"parameter": "p", "alternative": 1}, "alternative"),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("loader", sorted(JOURNAL_LOADERS))
+def test_malformed_rule_field_is_corrupt(tmp_path, loader, rule, key):
+    """Each rule field must have the type ``Rule.from_dict`` gives it, read
+    under whichever key spelling it accepts: ``[{}]``, ``[{"parameter": 5}]``
+    and ``"observed_speedup": "fast"`` used to load and replay into
+    ``Rule(parameter='')``, ``Rule(parameter=5)`` and a string speedup."""
+    journal_json = _populated_journal().to_json()
+    journal_json["entries"][0]["rules"] = [rule]
+    with pytest.raises(JournalCorruptError, match=re.escape(f"rule field {key!r}")):
+        JOURNAL_LOADERS[loader](tmp_path, journal_json)
+
+
+@pytest.mark.parametrize("loader", sorted(JOURNAL_LOADERS))
+def test_well_typed_rules_load_under_either_spelling(tmp_path, loader):
+    rules = [
+        {
+            "Parameter": "osc.max_pages_per_rpc",
+            "Rule Description": "use maximum RPC size",
+            "Tuning Context": "large sequential writes",
+        },
+        {
+            "parameter": "lov.stripe_count",
+            "context_tags": [],
+            "recommended_value": None,
+            "observed_speedup": 0.8,
+            "alternative": True,
+        },
+    ]
+    journal_json = _populated_journal().to_json()
+    journal_json["entries"][0]["rules"] = rules
+    loaded = JOURNAL_LOADERS[loader](tmp_path, journal_json)
+    journal = loaded if loader == "journal" else loaded[0].journal
+    assert [dict(rule) for rule in journal.entries[0].rules] == rules
+    assert [rule.parameter for rule in journal.replay()] == [
+        "osc.max_pages_per_rpc",
+        "lov.stripe_count",
+    ]

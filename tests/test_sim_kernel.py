@@ -1,11 +1,37 @@
 """Tests for the discrete-event kernel: engine, resources, RNG streams."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import BandwidthLink, Engine, FifoServer, RngStreams, TokenPool
+
+
+def test_tuning_imports_leave_the_event_kernel_unloaded():
+    """The engine and the service load no event-kernel module: ``repro.sim``
+    resolves ``Engine``, ``FifoServer`` and the rest on first use."""
+    code = (
+        "import sys\n"
+        "import repro.core.engine, repro.service\n"
+        "print(sorted(m for m in ('repro.sim.engine', 'repro.sim.resources')"
+        " if m in sys.modules))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"
 
 
 class TestEngine:

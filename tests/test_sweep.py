@@ -805,24 +805,34 @@ def bounds_programs(draw):
 
 
 class TestDependencyAwareInvalidation:
-    def _counting_resolve(self, monkeypatch):
-        from repro.pfs import config as config_module
-
+    def _counting_evaluators(self, monkeypatch):
+        """Count every call of each backend's bounds-table evaluators."""
         calls = []
-        original = config_module._resolve
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(evaluate):
+            def counted(env):
+                calls.append(env)
+                return evaluate(env)
 
-        monkeypatch.setattr(config_module, "_resolve", counting)
+            return counted
+
+        for name in list_backends():
+            backend = get_backend(name)
+            table = {
+                param: (constant, low, high)
+                if constant is not None
+                else (constant, counting(low), counting(high))
+                for param, (constant, low, high) in backend.bounds_table.items()
+            }
+            monkeypatch.setitem(backend.__dict__, "bounds_table", table)
         return calls
 
     def test_unrelated_write_keeps_cached_bounds(self, monkeypatch):
         """Constant ranges are resolved once per backend: no write, facts
         mutation, copy or basename lookup makes a constant-bounded parameter
-        call ``_resolve``; an expression-bounded one resolves every call."""
-        calls = self._counting_resolve(monkeypatch)
+        call a bounds-table evaluator; an expression-bounded one evaluates
+        both sides on every call."""
+        calls = self._counting_evaluators(monkeypatch)
         for backend in list_backends():
             config = PfsConfig(backend=backend)
             constant = config.backend.constant_bounds
@@ -914,6 +924,32 @@ class TestDependencyAwareInvalidation:
             if isinstance(clipped, PfsConfig):
                 clipped = clipped.as_dict()
             assert clipped == outcome(oracle.clipped), op
+
+    def test_uncompilable_expression_raises_on_every_call(self):
+        """A range expression that does not compile raises its
+        ``ExpressionError`` from every ``bounds`` and ``clipped`` call and
+        is reported by ``violations``; the other parameters resolve."""
+        lustre = get_backend("lustre")
+        broken = "llite.max_read_ahead_whole_mb"
+        backend = dataclasses.replace(
+            lustre,
+            specs=tuple(
+                dataclasses.replace(spec, max_expr="max_read_ahead_mb +")
+                if spec.name == broken
+                else spec
+                for spec in lustre.specs
+            ),
+        )
+        config = PfsConfig(backend=backend)
+        for _ in range(2):
+            with pytest.raises(ExpressionError, match="bad expression"):
+                config.bounds(broken)
+            with pytest.raises(ExpressionError, match="bad expression"):
+                config.clipped()
+        assert config.bounds("lov.stripe_count") == (-1.0, 5.0)
+        (violation,) = config.violations()
+        assert violation.name == broken
+        assert violation.reason.startswith("range expression error: bad expression")
 
     def test_clipped_still_converges_with_targeted_invalidation(self):
         config = PfsConfig()

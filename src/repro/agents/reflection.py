@@ -28,7 +28,7 @@ def merge_rules_via_llm(
     Usage is recorded on the client's ledger under ``agent`` — the engine
     passes ``rules_merge`` so the merge step shows up as its own line in
     session accounting instead of vanishing into a throwaway client.  A
-    reply that is not a JSON list of rule objects raises
+    reply that is not a JSON list of well-typed rule objects raises
     :class:`~repro.llm.tasks.ReflectionFormatError` naming ``agent``
     and ``session``.
     """

@@ -16,24 +16,3 @@ All are deterministic given (seed, reps) and return dataclasses with a
 ``render()`` for human-readable output; the benchmark harness asserts each
 one's paper-shape expectations.
 """
-
-from repro.experiments.harness import Measurement, measure_config, run_sessions
-from repro.experiments import fig2, fig5, fig6, fig7, fig8, fig9
-from repro.experiments import autotuner_cost, casestudy, cost, extraction_report, userspace
-
-__all__ = [
-    "Measurement",
-    "measure_config",
-    "run_sessions",
-    "fig2",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "cost",
-    "casestudy",
-    "extraction_report",
-    "userspace",
-    "autotuner_cost",
-]

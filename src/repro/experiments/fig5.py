@@ -19,7 +19,7 @@ from repro.experiments.harness import (
     run_sessions,
     shared_extraction,
 )
-from repro.experiments.parallel import map_workloads
+from repro.experiments.parallel import pmap
 from repro.rag.extraction import ExtractionResult
 from repro.workloads.registry import BENCHMARKS
 
@@ -103,5 +103,5 @@ def run(
         _one_workload, cluster=cluster, reps=reps, seed=seed, extraction=extraction
     )
     return Fig5Result(
-        comparisons=map_workloads(body, workloads or BENCHMARKS, max_workers)
+        comparisons=pmap(body, workloads or BENCHMARKS, max_workers=max_workers)
     )

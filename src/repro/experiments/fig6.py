@@ -18,7 +18,7 @@ from repro.experiments.harness import (
     run_sessions,
     shared_extraction,
 )
-from repro.experiments.parallel import map_workloads
+from repro.experiments.parallel import pmap
 from repro.rag.extraction import ExtractionResult
 from repro.rules.model import RuleSet
 from repro.workloads.registry import BENCHMARKS
@@ -112,5 +112,5 @@ def run(
     )
     return Fig6Result(
         rule_count=len(rule_engine.rule_set),
-        comparisons=map_workloads(body, names, max_workers),
+        comparisons=pmap(body, names, max_workers=max_workers),
     )

@@ -17,7 +17,7 @@ from repro.experiments.harness import (
     accumulate_rules,
     shared_extraction,
 )
-from repro.experiments.parallel import map_workloads
+from repro.experiments.parallel import pmap
 from repro.workloads.registry import BENCHMARKS, REAL_APPS
 
 
@@ -59,5 +59,5 @@ def run(
     )
     return Fig7Result(
         rule_count=len(rule_engine.rule_set),
-        comparisons=map_workloads(body, apps or REAL_APPS, max_workers),
+        comparisons=pmap(body, apps or REAL_APPS, max_workers=max_workers),
     )

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.hardware import ClusterSpec
-from repro.experiments.harness import DEFAULT_REPS, shared_extraction
-from repro.experiments.parallel import run_sessions
+from repro.experiments.harness import DEFAULT_REPS, run_sessions, shared_extraction
 from repro.experiments.stats import mean_ci90
 
 WORKLOAD = "IOR_16M"

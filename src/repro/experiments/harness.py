@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from repro.cluster.hardware import ClusterSpec, make_cluster
 from repro.core.engine import Stellar
 from repro.core.session import TuningSession
+from repro.experiments.parallel import pmap
 from repro.experiments.stats import mean_ci90
 from repro.pfs.config import PfsConfig
 from repro.pfs.simulator import Simulator
@@ -165,8 +166,6 @@ def run_sessions(
     ]
     if max_workers == 1:
         return [one_session(*job) for job in jobs]
-    from repro.experiments.parallel import pmap  # import cycle: parallel uses us
-
     return pmap(_session_job, jobs, max_workers=max_workers)
 
 

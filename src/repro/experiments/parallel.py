@@ -35,12 +35,7 @@ import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, Sequence, TypeVar
-
-from repro.cluster.hardware import ClusterSpec
-from repro.core.session import TuningSession
-from repro.experiments import harness
-from repro.experiments.harness import DEFAULT_REPS
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -169,51 +164,3 @@ def imap(
     except BrokenProcessPool:
         shutdown_pool()
         raise
-
-
-# ---------------------------------------------------------------------------
-# Parallel tuning sessions (the harness's ``run_sessions`` fanned over reps).
-# ---------------------------------------------------------------------------
-
-
-def run_sessions(
-    cluster: ClusterSpec,
-    workload_name: str,
-    reps: int = DEFAULT_REPS,
-    seed: int = 0,
-    max_workers: int | None = None,
-    **kwargs: Any,
-) -> list[TuningSession]:
-    """``reps`` independent tuning runs, auto-fanned over a process pool.
-
-    A thin alias of :func:`repro.experiments.harness.run_sessions` whose
-    ``max_workers`` defaults to auto-sizing instead of inline — there is one
-    wrapper implementation, so the two entry points cannot drift.
-    """
-    return harness.run_sessions(
-        cluster,
-        workload_name,
-        reps=reps,
-        seed=seed,
-        max_workers=effective_workers(max_workers, reps),
-        **kwargs,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Per-workload figure fan-out.
-# ---------------------------------------------------------------------------
-
-
-def map_workloads(
-    fn: Callable[[str], R],
-    names: Sequence[str],
-    max_workers: int | None = None,
-) -> list[R]:
-    """Fan a per-workload figure body over ``names`` (order preserved).
-
-    Thin alias of :func:`pmap` that documents the common figure shape:
-    ``fn`` computes one workload's row (measurements + sessions) and must be
-    a module-level function closing over nothing unpicklable.
-    """
-    return pmap(fn, names, max_workers=max_workers)

@@ -123,7 +123,9 @@ class Frame:
                     f"no column {key!r}; available: {sorted(self._columns)}"
                 ) from None
         if isinstance(key, (list, tuple)) and all(isinstance(k, str) for k in key):
-            return _derived({k: self._columns[k] for k in key})
+            if key or len(self):
+                return _derived({k: self._columns[k] for k in key})
+            key = np.zeros(0, dtype=bool)  # a zero-row frame's empty row mask
         mask = np.asarray(key)
         if mask.dtype == bool and mask.shape[0] != len(self):
             raise ValueError("boolean mask length mismatch")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any
 
 from repro.llm.tokens import TokenUsage
 
@@ -54,13 +54,3 @@ class Completion:
     def called(self) -> ToolCall | None:
         return self.tool_calls[0] if self.tool_calls else None
 
-
-class LLMBackend(Protocol):
-    """What a model implementation provides."""
-
-    def complete(
-        self,
-        messages: list[ChatMessage],
-        tools: list[ToolSpec] | None = None,
-        session: str = "default",
-    ) -> Completion: ...

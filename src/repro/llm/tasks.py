@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.rules.model import rule_field_error
+
 SUMMARIZE_RULES = "## TASK: SUMMARIZE RULES"
 MERGE_RULES = "## TASK: MERGE RULES"
 JUDGE_DOCUMENTATION = "## TASK: JUDGE DOCUMENTATION"
@@ -74,7 +76,9 @@ class Task:
 # Output parsers
 # ---------------------------------------------------------------------------
 def parse_rule_list(text: str) -> list[dict]:
-    """``text`` as a JSON list of rule objects, else :class:`ModelOutputError`."""
+    """``text`` as a JSON list of well-typed rule objects (the fields
+    :func:`~repro.rules.model.rule_field_error` checks, as the rule journal
+    does on load), else :class:`ModelOutputError`."""
     try:
         rules = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -86,6 +90,10 @@ def parse_rule_list(text: str) -> list[dict]:
         raise ModelOutputError(
             f"that is not a JSON list of objects: {text.strip()[:60]}"
         )
+    for index, rule in enumerate(rules):
+        problem = rule_field_error(rule)
+        if problem is not None:
+            raise ModelOutputError(f"whose rule {index} is invalid: {problem}")
     return rules
 
 

@@ -30,21 +30,20 @@ evaluators of a range that names another parameter or a fact.
   ``bounds()`` once per parameter.
 
 The config memoizes only the env, updated in place on ``__setitem__``, and
-the ``cache_key()`` tuple.  All mutation funnels through ``__setitem__`` /
-``_set_raw`` and the observing ``facts`` dict (:class:`_Facts`), which keep
-both coherent (a facts mutation drops them, since env keys may appear or
-vanish) — code must never write ``_values`` directly from outside this
-module.  ``_values`` holds every writable parameter in registry order, so
-``cache_key()`` carries the values as one tuple without their names.  The
-facts dict reaches its config through a weak reference: a config is in no
-reference cycle, and reference counting frees it the moment its last
-reference goes, without the cyclic garbage collector.
+the ``cache_key()`` tuple.  Values change only through ``__setitem__`` /
+``_set_raw``, which keep both coherent — code must never write ``_values``
+directly from outside this module.  ``_values`` holds every writable
+parameter in registry order, so ``cache_key()`` carries the values as one
+tuple without their names.  Facts are fixed when a config is built:
+``facts`` is a read-only :class:`~types.MappingProxyType` view of a private
+copy of the mapping passed in, which ``copy()``, ``with_updates()`` and
+``clipped()`` share.  A config that needs other facts is built with them.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from repro.backends import get_backend, resolve_backend
@@ -61,67 +60,6 @@ class Violation:
     reason: str
 
 
-class _Facts(dict):
-    """A facts dict that invalidates its owning config's caches on mutation.
-
-    It holds its owner through a :func:`weakref.ref`, not a strong
-    reference, so a config and its facts form no reference cycle.  A facts
-    dict that outlives its config drops nothing on mutation.
-    """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: "PfsConfig", *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._owner = weakref.ref(owner)
-
-    def _touch(self) -> None:
-        owner = self._owner()
-        if owner is not None:
-            owner._invalidate()
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self._touch()
-
-    def __delitem__(self, key):
-        super().__delitem__(key)
-        self._touch()
-
-    def setdefault(self, key, default=None):
-        if key in self:
-            return self[key]
-        super().__setitem__(key, default)
-        self._touch()
-        return default
-
-    def update(self, *args, **kwargs):
-        super().update(*args, **kwargs)
-        self._touch()
-
-    def pop(self, key, *default):
-        # A miss with a default is a no-op read; it keeps the owner's memos.
-        present = key in self
-        out = super().pop(key, *default)
-        if present:
-            self._touch()
-        return out
-
-    def popitem(self):
-        out = super().popitem()
-        self._touch()
-        return out
-
-    def __ior__(self, other):
-        super().update(other)
-        self._touch()
-        return self
-
-    def clear(self):
-        super().clear()
-        self._touch()
-
-
 class PfsConfig:
     """A complete assignment of writable parameters."""
 
@@ -133,14 +71,19 @@ class PfsConfig:
     ):
         self.backend: PfsBackend = resolve_backend(backend)
         self._values: dict[str, int] = self.backend.defaults()
-        self.facts: dict[str, float] = _Facts(
-            self, facts or {"system_memory_mb": 196 * 1024, "n_ost": 5}
+        self._facts: dict[str, float] = dict(
+            facts or {"system_memory_mb": 196 * 1024, "n_ost": 5}
         )
         self._env_cache: dict[str, float] | None = None
         self._cache_key: tuple | None = None
         if values:
             for name, value in values.items():
                 self[name] = value
+
+    @property
+    def facts(self) -> Mapping[str, float]:
+        """The hardware facts range expressions read, fixed at construction."""
+        return MappingProxyType(self._facts)
 
     # -- mapping protocol -------------------------------------------------
     def __getitem__(self, name: str) -> int:
@@ -180,7 +123,7 @@ class PfsConfig:
             self._env_cache[name] = float(value)
 
     def _invalidate(self) -> None:
-        """Drop caches after a facts mutation (env keys may appear/vanish)."""
+        """Drop the env and ``cache_key()`` memos."""
         self._env_cache = None
         self._cache_key = None
 
@@ -198,12 +141,11 @@ class PfsConfig:
     __hash__ = None
 
     def __getstate__(self) -> dict:
-        # Caches are rebuilt lazily; ``facts`` crosses as a plain dict, since
-        # a weak reference does not pickle.  The backend is a process-wide
-        # singleton and crosses by name.
+        # Caches are rebuilt lazily.  The backend is a process-wide singleton
+        # and crosses by name.
         return {
             "values": dict(self._values),
-            "facts": dict(self.facts),
+            "facts": dict(self._facts),
             "backend": self.backend.name,
         }
 
@@ -215,7 +157,7 @@ class PfsConfig:
         self._values = {
             name: values[name] for name in self.backend.registry if name in values
         }
-        self.facts = _Facts(self, state["facts"])
+        self._facts = dict(state["facts"])
         self._env_cache = None
         self._cache_key = None
 
@@ -226,9 +168,17 @@ class PfsConfig:
         new = PfsConfig.__new__(PfsConfig)
         new.backend = self.backend
         new._values = dict(self._values)
-        new.facts = _Facts(new, self.facts)
+        new._facts = self._facts
         new._env_cache = None
         new._cache_key = self._cache_key
+        return new
+
+    def _with_facts(self, facts: Mapping[str, float]) -> "PfsConfig":
+        """A copy of this config built with ``facts`` instead, its values
+        copied as they are rather than written one by one."""
+        new = self.copy()
+        new._facts = dict(facts)
+        new._cache_key = None
         return new
 
     def with_updates(self, updates: Mapping[str, int]) -> "PfsConfig":
@@ -254,15 +204,15 @@ class PfsConfig:
         to the identity, and a flat tuple of ints is cheaper to hash and to
         hold as a run-cache key than one ``(name, value)`` pair per
         parameter.  Memoized: the sweep engine and the run cache key every
-        item, so the key is built once per distinct mutation state (the
-        memo drops on ``__setitem__`` and facts mutation like the env).
+        item, so the key is built once per distinct set of values (the
+        memo drops on ``__setitem__``).
         """
         key = self._cache_key
         if key is None:
             key = (
                 self.backend.name,
                 tuple(self._values.values()),
-                tuple(sorted(self.facts.items())),
+                tuple(sorted(self._facts.items())),
             )
             self._cache_key = key
         return key
@@ -272,7 +222,7 @@ class PfsConfig:
         env = self._env_cache
         if env is None:
             env = {name: float(v) for name, v in self._values.items()}
-            env.update(self.facts)
+            env.update(self._facts)
             self._env_cache = env
         return env
 

@@ -136,11 +136,13 @@ def evaluate_phases(
 ) -> Evaluation:
     """Validate a per-run copy of ``config`` and cost every phase, noise-free.
 
-    The scalar model evaluation: a fresh config copy bound to ``cluster``'s
-    facts, validation, and one :class:`AnalyticModel` pass over the compiled
-    phases from a fresh :class:`RunState`.  The copy comes back without its
-    validation memos (env dict, ``cache_key()`` tuple): evaluations may sit
-    in the ``RUN_CACHE``, and the memos would ride along with each one.
+    The scalar model evaluation: a copy of ``config``'s values built with
+    ``cluster``'s facts (``config``'s own ``n_ost`` wins when it has one;
+    ``system_memory_mb`` is always the cluster's), validation, and one
+    :class:`AnalyticModel` pass over the compiled phases from a fresh
+    :class:`RunState`.  The copy comes back without its validation memos
+    (env dict, ``cache_key()`` tuple): evaluations may sit in the
+    ``RUN_CACHE``, and the memos would ride along with each one.
     :meth:`Simulator.run`'s cache-off path applies noise to the returned
     phase results in place; cached evaluations and the sweep engine's
     per-group ones are shared, and :func:`noisy_run` applies noise to copies.
@@ -150,9 +152,10 @@ def evaluate_phases(
             f"config targets backend {config.backend.name!r} but the "
             f"cluster runs {cluster.backend_name!r}"
         )
-    config = config.copy()
-    config.facts.setdefault("n_ost", cluster.n_ost)
-    config.facts["system_memory_mb"] = cluster.system_memory_mb
+    facts = dict(config.facts)
+    facts.setdefault("n_ost", cluster.n_ost)
+    facts["system_memory_mb"] = cluster.system_memory_mb
+    config = config._with_facts(facts)
     config.validate()
     job = MpiJob.launch(workload.name, workload.n_ranks, cluster)
     model = AnalyticModel(cluster, config)

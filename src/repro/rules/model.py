@@ -69,8 +69,12 @@ def rule_field_error(raw: dict[str, Any]) -> str | None:
     rule without a ``parameter`` is rejected.
     """
     for name, (keys, expected, valid, default) in _FIELDS.items():
-        key = next((key for key in keys if key in raw), name)
-        value = raw.get(key, default)
+        for key in keys:
+            if key in raw:
+                value = raw[key]
+                break
+        else:
+            key, value = name, default
         if not valid(value):
             return f"rule field {key!r} is not {expected}: {value!r}"
     return None

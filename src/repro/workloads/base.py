@@ -64,10 +64,3 @@ class Workload:
 
     def build_phases(self, cluster: ClusterSpec) -> list[Phase]:
         raise NotImplementedError
-
-    def describe_execution(self) -> str:
-        """The run recipe a domain scientist would hand to STELLAR (§4.3.2)."""
-        return (
-            f"mpiexec -n {self.n_ranks} {self.name} "
-            f"# via the cluster batch scheduler; Darshan instrumentation on"
-        )

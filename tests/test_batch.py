@@ -2,6 +2,7 @@
 invalidation, and seed-stream unification."""
 
 import gc
+import operator
 import pickle
 import random
 import weakref
@@ -115,43 +116,30 @@ class TestBoundsCache:
         # The source config's cache must be untouched.
         assert config.bounds("mdc.max_mod_rpcs_in_flight")[1] == 7.0
 
-    def test_bounds_follow_facts_mutation(self):
-        config = PfsConfig()
-        assert config.bounds("lov.stripe_count")[1] == 5.0
-        config.facts["n_ost"] = 12
-        assert config.bounds("lov.stripe_count")[1] == 12.0
-        config.facts.update({"system_memory_mb": 1024})
-        assert config.bounds("llite.max_read_ahead_mb")[1] == 512.0
-        config.facts |= {"n_ost": 7}
-        assert config.bounds("lov.stripe_count")[1] == 7.0
-        config.facts.pop("n_ost")
-        config.facts.setdefault("n_ost", 3)
-        assert config.bounds("lov.stripe_count")[1] == 3.0
-
-    def test_facts_pop_miss_keeps_bounds_cache(self):
-        """A no-op ``pop(key, default)`` miss keeps the env and
-        ``cache_key()`` memos; a real removal drops both."""
-        config = PfsConfig()
-        env, key = config._env(), config.cache_key()
-        # Miss with a default: a pure read, both memos stay hot.
-        assert config.facts.pop("no_such_fact", None) is None
-        assert config._env() is env
-        assert config.cache_key() is key
-        assert config.bounds("lov.stripe_count") == (-1.0, 5.0)
-        # A real removal drops them, and the next reads see it.
-        config.facts["extra"] = 1.0
-        env, key = config._env(), config.cache_key()
-        assert env["extra"] == 1.0 and ("extra", 1.0) in key[2]
-        config.facts.pop("extra")
-        assert config._env() is not env and "extra" not in config._env()
-        assert config.cache_key() is not key
-        assert ("extra", 1.0) not in config.cache_key()[2]
-        assert config.bounds("lov.stripe_count") == (-1.0, 5.0)
-
-    def test_facts_pop_missing_without_default_raises(self):
-        config = PfsConfig()
-        with pytest.raises(KeyError):
-            config.facts.pop("no_such_fact")
+    def test_bounds_follow_facts(self):
+        """Bounds, violations, clipping and the cache key follow the facts a
+        config is built with."""
+        values = {"lov.stripe_count": 7, "llite.max_read_ahead_mb": 1024}
+        wide = PfsConfig(values, facts={"system_memory_mb": 196 * 1024, "n_ost": 12})
+        small = PfsConfig(values, facts={"system_memory_mb": 1024, "n_ost": 3})
+        assert wide.bounds("lov.stripe_count")[1] == 12.0
+        assert small.bounds("lov.stripe_count")[1] == 3.0
+        assert small.bounds("llite.max_read_ahead_mb")[1] == 512.0
+        assert wide.violations() == []
+        assert [v.name for v in small.violations()] == [
+            "lov.stripe_count",
+            "llite.max_read_ahead_mb",
+            "llite.max_cached_mb",
+        ]
+        assert wide.clipped() == wide
+        clipped = small.clipped()
+        assert small.diff(clipped) == {
+            "lov.stripe_count": (7, 3),
+            "llite.max_read_ahead_mb": (1024, 512),
+            "llite.max_cached_mb": (147456, 1024),
+        }
+        assert clipped.facts == small.facts and not clipped.violations()
+        assert wide == small and wide.cache_key() != small.cache_key()
 
     def test_clipped_recomputes_dependent_bounds(self):
         config = PfsConfig()
@@ -168,12 +156,62 @@ class TestBoundsCache:
         config.bounds("osc.max_dirty_mb")  # warm the caches
         for clone in (config.copy(), pickle.loads(pickle.dumps(config))):
             assert clone == config
-            assert clone.facts == dict(config.facts)
+            assert clone.facts == config.facts
             clone["osc.max_dirty_mb"] = 128
             assert config["osc.max_dirty_mb"] == 256
-            clone.facts["n_ost"] = 3
-            assert clone.bounds("lov.stripe_count")[1] == 3.0
-            assert config.bounds("lov.stripe_count")[1] == 5.0
+
+
+def _merge_facts(config):
+    config.facts |= {"n_ost": 12}
+
+
+#: Every way to edit a config's facts, and what it raises: the read-only
+#: view refuses item writes, deletes and ``|=``, has no mutating methods,
+#: and ``facts`` has no setter.
+FACTS_EDITS = {
+    "setitem": (lambda c: operator.setitem(c.facts, "n_ost", 12), TypeError),
+    "delitem": (lambda c: operator.delitem(c.facts, "n_ost"), TypeError),
+    "update": (lambda c: c.facts.update({"n_ost": 12}), AttributeError),
+    "setdefault": (lambda c: c.facts.setdefault("x", 1.0), AttributeError),
+    "pop": (lambda c: c.facts.pop("n_ost", None), AttributeError),
+    "popitem": (lambda c: c.facts.popitem(), AttributeError),
+    "clear": (lambda c: c.facts.clear(), AttributeError),
+    "rebind": (lambda c: setattr(c, "facts", {"n_ost": 12}), AttributeError),
+    "merge_in_place": (_merge_facts, TypeError),
+}
+
+
+class TestFixedFacts:
+    @pytest.mark.parametrize("edit", list(FACTS_EDITS))
+    def test_facts_edits_raise(self, cluster, edit):
+        """No edit reaches a config's facts, however it was built, and a
+        refused edit keeps its env and ``cache_key()`` memos; nor does an
+        edit of the dict the config was built from."""
+        apply, error = FACTS_EDITS[edit]
+        facts = cluster.config_facts()
+        base = PfsConfig(facts=facts)
+        facts["n_ost"] = 12
+        facts["extra"] = 1.0
+        name, values = next(iter(cluster.backend.search_candidates.items()))
+        built = {
+            "init": base,
+            "copy": base.copy(),
+            "with_updates": base.with_updates({name: values[-1]}),
+            "clipped": base.clipped(),
+            "evaluate_phases": evaluate_phases(
+                cluster, get_workload("IOR_16M"), base
+            )[0],
+            "pickle": pickle.loads(pickle.dumps(base)),
+        }
+        for how, config in built.items():
+            env, key = config._env(), config.cache_key()
+            with pytest.raises(error):
+                apply(config)
+            assert config.facts == cluster.config_facts(), how
+            assert config._env() is env and config.cache_key() is key, how
+        assert base.bounds("lov.stripe_count")[1] == cluster.n_ost
+        for how in ("copy", "with_updates", "clipped"):
+            assert built[how]._facts is base._facts, how  # one shared mapping
 
 
 @pytest.fixture
@@ -186,7 +224,7 @@ def gc_off():
 
 
 class TestConfigLifetime:
-    """A config and its observing facts dict form no reference cycle."""
+    """A config is in no reference cycle: reference counting frees it."""
 
     @pytest.mark.parametrize("backend", ["lustre", "beegfs"])
     def test_configs_freed_by_reference_counting(self, backend, gc_off):
@@ -205,22 +243,6 @@ class TestConfigLifetime:
         refs = {how: weakref.ref(config) for how, config in built.items()}
         built.clear()
         assert {how: ref() for how, ref in refs.items()} == dict.fromkeys(refs)
-
-    def test_facts_mutation_still_drops_memos(self, gc_off):
-        config = PfsConfig().copy()
-        env, key = config._env(), config.cache_key()
-        config.facts["n_ost"] = 12
-        assert config._env_cache is None and config._cache_key is None
-        assert config._env() is not env and config.cache_key() != key
-        assert config.bounds("lov.stripe_count")[1] == 12.0
-
-    def test_facts_outliving_config_mutate_quietly(self):
-        config = PfsConfig()
-        facts = config.facts
-        del config
-        gc.collect()
-        facts["n_ost"] = 3  # the owner is gone: nothing to invalidate
-        assert facts["n_ost"] == 3
 
 
 class TestConfigCacheKey:
@@ -355,7 +377,7 @@ class TestParallelHarness:
         sequential = harness.run_sessions(
             cluster, "IOR_64K", reps=2, seed=4, extraction=extraction
         )
-        pooled = parallel.run_sessions(
+        pooled = harness.run_sessions(
             cluster,
             "IOR_64K",
             reps=2,
@@ -382,7 +404,7 @@ class TestParallelHarness:
             reps=2, seed=4, extraction=extraction, rule_engine=rule_engine
         )
         sequential = harness.run_sessions(cluster, "IOR_16M", **kwargs)
-        pooled = parallel.run_sessions(
+        pooled = harness.run_sessions(
             cluster, "IOR_16M", max_workers=2, **kwargs
         )
         assert [s.best_seconds for s in pooled] == [

@@ -299,7 +299,9 @@ def validating_getitem(frame, key):
     validating constructor, as the indexer did before derived frames."""
     columns = {name: frame[name] for name in frame.columns}
     if isinstance(key, (list, tuple)) and all(isinstance(k, str) for k in key):
-        return Frame({k: columns[k] for k in key})
+        if key or len(frame):
+            return Frame({k: columns[k] for k in key})
+        key = np.zeros(0, dtype=bool)  # a zero-row frame's empty row mask
     mask = np.asarray(key)
     if mask.dtype == bool:
         if mask.shape[0] != len(frame):
@@ -381,6 +383,11 @@ def test_indexing_matches_validating_path(data):
     got = outcome(lambda: frame[key])
     want = outcome(lambda: validating_getitem(frame, key))
     assert_same_frame(got, want)
+    # A Python list or tuple of booleans filters rows like the numpy mask.
+    mask = data.draw(st.lists(st.booleans(), min_size=len(frame), max_size=len(frame)))
+    want = validating_getitem(frame, np.array(mask, dtype=bool))
+    assert_same_frame(frame[mask], want)
+    assert_same_frame(frame[tuple(mask)], want)
 
 
 @settings(max_examples=100, deadline=None)

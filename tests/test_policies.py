@@ -455,24 +455,63 @@ class TestUnknownToolDegradation:
         assert result.degradations[0].startswith("llm.critic:")
 
 
-class TestReflectionFormatError:
-    def test_malformed_payload_names_agent_and_session(self):
-        agent = scripted_agent(
-            [
-                ToolCall(
-                    "run_configuration",
-                    {"changes": {"osc.max_dirty_mb": 256}, "rationale": "x"},
-                ),
-                ToolCall("end_tuning", {"reason": "done"}),
-            ],
-            reflection="here are some rules!",
-            session="tuning:IOR_16M:7",
-        )
+class FixedReply:
+    """A merge client whose every reply is ``reply``."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def ask(self, prompt, agent, session):
+        return self.reply
+
+
+RULE = {"parameter": "osc.max_dirty_mb", "rule_description": "d", "tuning_context": "c"}
+
+
+def reflecting_agent(reply):
+    """An agent that probes once, ends, and reads ``reply`` as its Reflect &
+    Summarize answer."""
+    return scripted_agent(
+        [
+            ToolCall(
+                "run_configuration",
+                {"changes": {"osc.max_dirty_mb": 256}, "rationale": "x"},
+            ),
+            ToolCall("end_tuning", {"reason": "done"}),
+        ],
+        reflection=reply,
+        session="tuning:IOR_16M:7",
+    )
+
+
+def rule_reply_error(task, reply):
+    """The message of the ``ReflectionFormatError`` that ``reply`` raises as
+    a Reflect & Summarize (``task="summarize"``) or rules-merge reply, once
+    it is checked to name the agent and the session."""
+    if task == "summarize":
+        agent = reflecting_agent(reply)
         with pytest.raises(ReflectionFormatError) as exc:
             agent.run_loop()
-        message = str(exc.value)
-        assert "agent 'tuning'" in message
-        assert "tuning:IOR_16M:7" in message
+        assert not agent.transcript.of_kind("reflection")
+        named = ("agent 'tuning'", "tuning:IOR_16M:7")
+    else:
+        with pytest.raises(ReflectionFormatError) as exc:
+            merge_rules_via_llm(
+                FixedReply(reply),
+                [RULE],
+                [RULE],
+                session="rules-merge:3:1",
+                agent="rules_merge",
+            )
+        named = ("agent 'rules_merge'", "rules-merge:3:1")
+    message = str(exc.value)
+    assert all(part in message for part in named), message
+    return message
+
+
+class TestReflectionFormatError:
+    def test_malformed_payload_names_agent_and_session(self):
+        message = rule_reply_error("summarize", "here are some rules!")
         assert "line 1" in message and "column" in message
 
     @pytest.mark.parametrize(
@@ -483,44 +522,73 @@ class TestReflectionFormatError:
     def test_non_rule_list_payload_names_agent_and_session(self, payload):
         """Valid JSON that is not a list of rule objects is rejected at the
         boundary, not by a stray ``TypeError`` or later in the journal."""
-        agent = scripted_agent(
-            [
-                ToolCall(
-                    "run_configuration",
-                    {"changes": {"osc.max_dirty_mb": 256}, "rationale": "x"},
-                ),
-                ToolCall("end_tuning", {"reason": "done"}),
-            ],
-            reflection=payload,
-            session="tuning:IOR_16M:7",
-        )
-        with pytest.raises(ReflectionFormatError) as exc:
-            agent.run_loop()
-        message = str(exc.value)
-        assert "agent 'tuning'" in message
-        assert "tuning:IOR_16M:7" in message
+        message = rule_reply_error("summarize", payload)
         assert "not a JSON list of objects" in message
 
     def test_merge_reply_must_be_a_rule_list(self):
-        class FixedReply:
-            def __init__(self, reply):
-                self.reply = reply
-
-            def ask(self, prompt, agent, session):
-                return self.reply
-
-        rules = [{"parameter": "p", "rule_description": "d", "tuning_context": "c"}]
         for reply in ("the merged rules are attached", '{"parameter": "x"}'):
-            with pytest.raises(ReflectionFormatError) as exc:
-                merge_rules_via_llm(
-                    FixedReply(reply),
-                    rules,
-                    rules,
-                    session="rules-merge:3:1",
-                    agent="rules_merge",
-                )
-            assert "agent 'rules_merge'" in str(exc.value)
-            assert "rules-merge:3:1" in str(exc.value)
+            rule_reply_error("merge", reply)
+
+    @pytest.mark.parametrize("task", ["summarize", "merge"])
+    def test_string_recommended_value_is_refused(self, task):
+        """A rule the journal could not load back is refused at the reply."""
+        reply = '[{"parameter": "osc.max_rpcs_in_flight", "recommended_value": "64"}]'
+        message = rule_reply_error(task, reply)
+        assert (
+            "rule 0 is invalid: rule field 'recommended_value' is not a number "
+            "or null: '64'"
+        ) in message
+
+    @pytest.mark.parametrize("task", ["summarize", "merge"])
+    @pytest.mark.parametrize(
+        "field, key, value",
+        [
+            ("parameter", "Parameter", ""),
+            ("rule_description", "rule_description", 5),
+            ("tuning_context", "Tuning Context", None),
+            ("context_tags", "context_tags", ["io", 3]),
+            ("recommended_value", "recommended_value", [64]),
+            ("observed_speedup", "observed_speedup", True),
+            ("alternative", "alternative", "yes"),
+        ],
+        ids=[
+            "parameter",
+            "rule_description",
+            "tuning_context",
+            "context_tags",
+            "recommended_value",
+            "observed_speedup",
+            "alternative",
+        ],
+    )
+    def test_ill_typed_field_names_rule_index_and_key(self, task, field, key, value):
+        bad = {k: v for k, v in RULE.items() if k != field}
+        bad[key] = value
+        message = rule_reply_error(task, json.dumps([RULE, bad]))
+        assert f"rule 1 is invalid: rule field {key!r} is not" in message
+
+    def test_well_typed_rules_parse_under_either_spelling(self):
+        rules = [
+            {
+                **RULE,
+                "context_tags": ["io"],
+                "recommended_value": 256,
+                "observed_speedup": 1.5,
+                "alternative": True,
+            },
+            {
+                "Parameter": "lov.stripe_count",
+                "Rule Description": "d",
+                "Tuning Context": "c",
+            },
+            {"parameter": "llite.max_read_ahead_mb", "recommended_value": None},
+        ]
+        reply = json.dumps(rules)
+        assert reflecting_agent(reply).run_loop().rules_json == rules
+        merged = merge_rules_via_llm(
+            FixedReply(reply), [RULE], [RULE], session="s", agent="rules_merge"
+        )
+        assert merged == rules
 
 
 class ExhaustedRunner:

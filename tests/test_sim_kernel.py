@@ -13,14 +13,34 @@ from hypothesis import strategies as st
 from repro.sim import BandwidthLink, Engine, FifoServer, RngStreams, TokenPool
 
 
+#: Modules the engine and the service must not load: the event kernel,
+#: which ``repro.sim`` resolves on first use, and every figure reproduction
+#: and baseline, which only the experiments and the CLI import.
+UNLOADED_BY_TUNING = (
+    "repro.sim.engine",
+    "repro.sim.resources",
+    *(
+        f"repro.experiments.{name}"
+        for name in (
+            "fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "autotuner_cost",
+            "casestudy", "cost", "extraction_report", "userspace",
+        )
+    ),
+    "repro.baselines",
+    "repro.baselines.default",
+    "repro.baselines.expert",
+    "repro.baselines.search",
+)
+
+
 def test_tuning_imports_leave_the_event_kernel_unloaded():
-    """The engine and the service load no event-kernel module: ``repro.sim``
-    resolves ``Engine``, ``FifoServer`` and the rest on first use."""
+    """The engine and the service load no event-kernel, figure or baseline
+    module: ``repro.sim`` resolves ``Engine``, ``FifoServer`` and the rest
+    on first use, and ``repro.experiments`` imports no submodule."""
     code = (
         "import sys\n"
         "import repro.core.engine, repro.service\n"
-        "print(sorted(m for m in ('repro.sim.engine', 'repro.sim.resources')"
-        " if m in sys.modules))\n"
+        f"print(sorted(m for m in {UNLOADED_BY_TUNING!r} if m in sys.modules))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(

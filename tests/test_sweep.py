@@ -209,9 +209,10 @@ class TestSweepParity:
         cluster = make_cluster(seed=0)
         sim = Simulator(cluster)
         base = PfsConfig(facts=cluster.config_facts())
-        other = base.copy()
-        other.facts["extra_fact"] = 1.0
-        other["osc.max_dirty_mb"] = 128
+        other = PfsConfig(
+            values={"osc.max_dirty_mb": 128},
+            facts={**cluster.config_facts(), "extra_fact": 1.0},
+        )
         workload = get_workload("IOR_64K")
         configs = [base, other]
         seeds = [1, 2]
@@ -455,7 +456,11 @@ class TestRunCache:
             if widened:
                 # Valid either way (n_ost caps stripe counts); only the facts
                 # and thus the cache key differ.
-                config.facts["n_ost"] = 8
+                config = PfsConfig(
+                    values=config.as_dict(),
+                    facts={**config.facts, "n_ost": 8},
+                    backend=config.backend,
+                )
             cluster = cache_cluster(backend, hardware)
             return cluster, (get_workload(workload), config, seed)
 
@@ -771,10 +776,10 @@ FACT_KEYS = ("n_ost", "system_memory_mb", "extra")
 
 @st.composite
 def bounds_programs(draw):
-    """A backend and a sequence of config mutations: parameter writes (in
-    and out of range, the parameters range expressions reference and their
-    dependents weighted up), facts set, popped, updated or added, and copy,
-    ``with_updates`` and pickle round trips."""
+    """A backend and a sequence of config changes: parameter writes (in and
+    out of range, the parameters range expressions reference and their
+    dependents weighted up), rebuilds with other facts (any of them missing
+    or added), and copy, ``with_updates`` and pickle round trips."""
     backend = get_backend(draw(st.sampled_from(list_backends())))
     writable = [spec.name for spec in backend.writable_specs()]
     expressions = [
@@ -795,10 +800,10 @@ def bounds_programs(draw):
     op = st.one_of(
         st.tuples(st.just("write"), name, value, st.booleans()),
         st.tuples(st.just("with_updates"), name, value),
-        st.tuples(st.just("fact_set"), st.sampled_from(FACT_KEYS), fact),
-        st.tuples(st.just("fact_update"), st.sampled_from(FACT_KEYS), fact),
-        st.tuples(st.just("fact_setdefault"), st.sampled_from(FACT_KEYS), fact),
-        st.tuples(st.just("fact_pop"), st.sampled_from(FACT_KEYS + ("absent",))),
+        st.tuples(
+            st.just("facts"),
+            st.dictionaries(st.sampled_from(FACT_KEYS), fact, min_size=1),
+        ),
         st.tuples(st.sampled_from(["copy", "pickle"])),
     )
     return backend.name, draw(st.lists(op, min_size=1, max_size=12))
@@ -828,10 +833,10 @@ class TestDependencyAwareInvalidation:
         return calls
 
     def test_unrelated_write_keeps_cached_bounds(self, monkeypatch):
-        """Constant ranges are resolved once per backend: no write, facts
-        mutation, copy or basename lookup makes a constant-bounded parameter
-        call a bounds-table evaluator; an expression-bounded one evaluates
-        both sides on every call."""
+        """Constant ranges are resolved once per backend: no write, rebuild
+        with other facts, copy or basename lookup makes a constant-bounded
+        parameter call a bounds-table evaluator; an expression-bounded one
+        evaluates both sides on every call."""
         calls = self._counting_evaluators(monkeypatch)
         for backend in list_backends():
             config = PfsConfig(backend=backend)
@@ -839,8 +844,11 @@ class TestDependencyAwareInvalidation:
             assert constant
             for name in list(config):
                 config[name] = config[name] + 1
-                config.facts["n_ost"] = config.facts["n_ost"] + 1
-                config = config.copy()
+                config = PfsConfig(
+                    values=config.as_dict(),
+                    facts={**config.facts, "n_ost": config.facts["n_ost"] + 1},
+                    backend=backend,
+                ).copy()
                 for other in constant:
                     spec = config.backend.registry[other]
                     assert config.bounds(other) == constant[other]
@@ -863,20 +871,11 @@ class TestDependencyAwareInvalidation:
         # ...while the unrelated mdc bounds are unchanged.
         assert config.bounds("mdc.max_mod_rpcs_in_flight") == (1.0, 7.0)
 
-    def test_facts_mutation_still_invalidates_wholesale(self):
-        config = PfsConfig()
-        config.bounds("lov.stripe_count")
-        config.bounds("llite.max_read_ahead_mb")
-        config.facts["n_ost"] = 12
-        config.facts["system_memory_mb"] = 1024
-        assert config.bounds("lov.stripe_count")[1] == 12.0
-        assert config.bounds("llite.max_read_ahead_mb")[1] == 512.0
-
     @settings(max_examples=60, deadline=None)
     @given(program=bounds_programs())
     def test_bounds_match_memoized_oracle(self, program):
         """``bounds`` values, ``violations`` messages, ``clipped`` results
-        and expression errors equal the oracle's after every mutation."""
+        and expression errors equal the oracle's after every change."""
         backend_name, ops = program
         backend = get_backend(backend_name)
         config = PfsConfig(backend=backend)
@@ -897,18 +896,9 @@ class TestDependencyAwareInvalidation:
                 _, name, value = op
                 config = config.with_updates({name: value})
                 oracle.values[name] = value
-            elif kind == "fact_set":
-                config.facts[op[1]] = op[2]
-                oracle.facts[op[1]] = op[2]
-            elif kind == "fact_update":
-                config.facts.update({op[1]: op[2]})
-                oracle.facts.update({op[1]: op[2]})
-            elif kind == "fact_setdefault":
-                config.facts.setdefault(op[1], op[2])
-                oracle.facts.setdefault(op[1], op[2])
-            elif kind == "fact_pop":
-                config.facts.pop(op[1], None)
-                oracle.facts.pop(op[1], None)
+            elif kind == "facts":
+                config = PfsConfig(config.as_dict(), facts=op[1], backend=backend)
+                oracle.facts = dict(op[1])
             elif kind == "copy":
                 config = config.copy()
             else:

@@ -49,11 +49,14 @@ class OracleSearch:
     i)``, the shared repeated-measurement derivation — and the evaluation
     counter prices each simulated run exactly as the sequential search
     did.  Like every simulated run, the search's runs are served from the
-    process-wide :data:`~repro.sim.cache.RUN_CACHE`, which keeps each
+    process-wide :data:`~repro.sim.cache.RUN_CACHE`.  It keeps each
     configuration's noise-free model evaluation: re-measuring a
     configuration (a candidate revisited under a later seed, a repeated
     search, a cell another strategy already measured) skips the model and
-    pays only its seed's noise and result assembly.
+    pays only its seed's noise and result assembly.  Below that it keeps
+    phase results per values of the roles each phase kind reads, so a new
+    configuration costs only the phases its move reaches: a metadata-path
+    move re-costs no data phase, and the reverse.
     """
 
     def __init__(self, cluster: ClusterSpec, seed: int = 0, max_rounds: int = 2):

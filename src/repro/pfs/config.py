@@ -71,8 +71,11 @@ class PfsConfig:
     ):
         self.backend: PfsBackend = resolve_backend(backend)
         self._values: dict[str, int] = self.backend.defaults()
-        self._facts: dict[str, float] = dict(
-            facts or {"system_memory_mb": 196 * 1024, "n_ost": 5}
+        # The paper testbed's facts when none are given; ``{}`` means none.
+        self._facts: dict[str, float] = (
+            {"system_memory_mb": 196 * 1024, "n_ost": 5}
+            if facts is None
+            else dict(facts)
         )
         self._env_cache: dict[str, float] | None = None
         self._cache_key: tuple | None = None

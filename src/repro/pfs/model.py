@@ -11,6 +11,11 @@ The model is closed-form and vectorized, so full paper-scale workloads
 (hundreds of thousands of files, tens of GiB) cost microseconds to evaluate —
 which is what lets the experiment harness run hundreds of tuning runs.  The
 event kernel in :mod:`repro.pfs.eventmodel` cross-validates it on micro-cases.
+
+A phase's cost depends on the configuration only through the roles its kind
+reads (:data:`DATA_ROLES`, :data:`META_ROLES`), and the client-cache write it
+leaves in the :class:`RunState` (:meth:`RunState.record_phase`) not at all,
+which is what lets the run cache store phase results per role values.
 """
 
 from __future__ import annotations
@@ -37,6 +42,45 @@ from repro.pfs.phases import (
 )
 from repro.pfs.striping import resolve_stripe_count
 
+#: The roles costing a :class:`DataPhase` reads, and those costing a
+#: :class:`MetaPhase` reads.  A role read while building the model
+#: (:class:`CostModel` reads ``checksums``) is in both.  A phase result is a
+#: function of the cluster, the workload, the phase's position and the values
+#: of its kind's roles, so a role the model starts to read must join its
+#: kind's set, or the run cache's phase store serves stale results.
+DATA_ROLES = (
+    "checksums",
+    "stripe_count",
+    "stripe_size_bytes",
+    "rpc_cap_bytes",
+    "dirty_bytes",
+    "short_io_bytes",
+    "data_rpcs_in_flight",
+    "cached_bytes",
+    "read_ahead_file_bytes",
+    "read_ahead_whole_bytes",
+    "read_ahead_total_bytes",
+)
+META_ROLES = (
+    "checksums",
+    "stripe_count",
+    "stripe_size_bytes",
+    "meta_rpcs_in_flight",
+    "meta_mod_rpcs_in_flight",
+    "statahead_count",
+)
+
+
+def role_values(config: PfsConfig, roles: tuple[str, ...]) -> tuple[int, ...]:
+    """The values of ``roles`` under ``config``; a role its backend leaves
+    unmapped reads as 0."""
+    return tuple([config.role(role, 0) for role in roles])
+
+
+def ranks_per_client(job: MpiJob, cluster: ClusterSpec) -> int:
+    """Ranks placed on each client node (at least one)."""
+    return max(1, -(-job.n_ranks // cluster.n_clients))
+
 
 @dataclass
 class RunState:
@@ -51,6 +95,21 @@ class RunState:
 
     def cached_bytes(self, fileset_name: str) -> int:
         return self.written_bytes_per_client.get(fileset_name, 0)
+
+    def record_phase(self, phase: Phase, ranks_pc: int) -> None:
+        """Record the bytes ``phase`` leaves in each client's page cache.
+
+        A function of the phase and the ranks per client alone, never of the
+        configuration, so a run applies it after every phase, costed or
+        served from the run cache's phase store.
+        """
+        if isinstance(phase, DataPhase):
+            if phase.io == "write":
+                self.record_write(phase.fileset.name, phase.bytes_per_rank * ranks_pc)
+        elif "write_small" in phase.cycle:
+            self.record_write(
+                phase.fileset.name, phase.files_per_rank * phase.data_bytes * ranks_pc
+            )
 
     def remount(self) -> None:
         """Drop all client caches (run hygiene)."""
@@ -67,6 +126,14 @@ class AnalyticModel:
 
     # ------------------------------------------------------------------
     def evaluate(self, phase: Phase, job: MpiJob, state: RunState) -> PhaseResult:
+        """Cost ``phase``, then record its write in ``state``."""
+        result = self.cost(phase, job, state)
+        state.record_phase(phase, ranks_per_client(job, self.cluster))
+        return result
+
+    def cost(self, phase: Phase, job: MpiJob, state: RunState) -> PhaseResult:
+        """``phase``'s result after the earlier phases' writes in ``state``,
+        which it leaves unchanged."""
         if isinstance(phase, DataPhase):
             return self._eval_data(phase, job, state)
         if isinstance(phase, MetaPhase):
@@ -85,7 +152,7 @@ class AnalyticModel:
         cluster, costs, config = self.cluster, self.costs, self.config
         n_ranks = job.n_ranks
         n_clients = cluster.n_clients
-        ranks_pc = max(1, -(-n_ranks // n_clients))
+        ranks_pc = ranks_per_client(job, cluster)
         k, stripe_size = self._layout()
         fs = phase.fileset
 
@@ -167,9 +234,6 @@ class AnalyticModel:
         seconds = max(bounds.values()) + rtt
         bottleneck = max(bounds, key=lambda name: bounds[name])
 
-        if phase.io == "write":
-            state.record_write(fs.name, phase.bytes_per_rank * ranks_pc)
-
         return PhaseResult(
             phase=phase,
             seconds=seconds,
@@ -212,7 +276,7 @@ class AnalyticModel:
         cluster, costs, config = self.cluster, self.costs, self.config
         n_ranks = job.n_ranks
         n_clients = cluster.n_clients
-        ranks_pc = max(1, -(-n_ranks // n_clients))
+        ranks_pc = ranks_per_client(job, cluster)
         k, _ = self._layout()
         fs = phase.fileset
 
@@ -281,8 +345,6 @@ class AnalyticModel:
 
         wrote = "write_small" in phase.cycle
         read = "read_small" in phase.cycle
-        if wrote:
-            state.record_write(fs.name, phase.files_per_rank * phase.data_bytes * ranks_pc)
         return PhaseResult(
             phase=phase,
             seconds=seconds,

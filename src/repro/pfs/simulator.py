@@ -21,8 +21,15 @@ from typing import Protocol
 from repro.cluster.hardware import ClusterSpec
 from repro.cluster.mpi import MpiJob
 from repro.pfs.config import PfsConfig
-from repro.pfs.model import AnalyticModel, RunState
-from repro.pfs.phases import Phase, PhaseResult
+from repro.pfs.model import (
+    DATA_ROLES,
+    META_ROLES,
+    AnalyticModel,
+    RunState,
+    ranks_per_client,
+    role_values,
+)
+from repro.pfs.phases import DataPhase, Phase, PhaseResult
 from repro.sim.cache import RUN_CACHE
 from repro.sim.random import RngStreams
 
@@ -132,20 +139,32 @@ Evaluation = tuple[PfsConfig, list[PhaseResult]]
 
 
 def evaluate_phases(
-    cluster: ClusterSpec, workload: WorkloadLike, config: PfsConfig
+    cluster: ClusterSpec,
+    workload: WorkloadLike,
+    config: PfsConfig,
+    group_key: tuple | None = None,
 ) -> Evaluation:
     """Validate a per-run copy of ``config`` and cost every phase, noise-free.
 
     The scalar model evaluation: a copy of ``config``'s values built with
     ``cluster``'s facts (``config``'s own ``n_ost`` wins when it has one;
     ``system_memory_mb`` is always the cluster's), validation, and one
-    :class:`AnalyticModel` pass over the compiled phases from a fresh
-    :class:`RunState`.  The copy comes back without its validation memos
-    (env dict, ``cache_key()`` tuple): evaluations may sit in the
-    ``RUN_CACHE``, and the memos would ride along with each one.
-    :meth:`Simulator.run`'s cache-off path applies noise to the returned
-    phase results in place; cached evaluations and the sweep engine's
-    per-group ones are shared, and :func:`noisy_run` applies noise to copies.
+    pass over the compiled phases from a fresh :class:`RunState`.  The copy
+    comes back without its validation memos (env dict, ``cache_key()``
+    tuple): evaluations may sit in the ``RUN_CACHE``, and the memos would
+    ride along with each one.
+
+    Callers the run cache serves pass ``group_key``, the
+    :meth:`~repro.sim.cache.RunCache.group_key` of ``cluster`` and
+    ``workload``.  Each phase is then looked up in the cache's phase store
+    under ``(group_key, position, values of its kind's roles)``
+    (:data:`~repro.pfs.model.DATA_ROLES`, :data:`~repro.pfs.model.META_ROLES`)
+    and only the misses are costed; every phase's :class:`RunState` write is
+    applied, hit or miss, since it never depends on the config.  Those phase
+    results are shared with the store and other evaluations, and
+    :func:`noisy_run` applies noise to copies.  Without ``group_key`` the
+    model costs every phase afresh: :meth:`Simulator.run`'s cache-off path
+    applies noise to those results in place.
     """
     if config.backend.name != cluster.backend_name:
         raise ValueError(
@@ -158,11 +177,32 @@ def evaluate_phases(
     config = config._with_facts(facts)
     config.validate()
     job = MpiJob.launch(workload.name, workload.n_ranks, cluster)
-    model = AnalyticModel(cluster, config)
     state = RunState()
-    phases = [
-        model.evaluate(phase, job, state) for phase in workload.compile(cluster)
-    ]
+    if group_key is None:
+        model = AnalyticModel(cluster, config)
+        phases = [
+            model.evaluate(phase, job, state) for phase in workload.compile(cluster)
+        ]
+    else:
+        data_values = role_values(config, DATA_ROLES)
+        meta_values = role_values(config, META_ROLES)
+        ranks_pc = ranks_per_client(job, cluster)
+        model = None
+        phases = []
+        for index, phase in enumerate(workload.compile(cluster)):
+            key = (
+                group_key,
+                index,
+                data_values if isinstance(phase, DataPhase) else meta_values,
+            )
+            result = RUN_CACHE.phase(key)
+            if result is None:
+                if model is None:
+                    model = AnalyticModel(cluster, config)
+                result = model.cost(phase, job, state)
+                RUN_CACHE.put_phase(key, result)
+            state.record_phase(phase, ranks_pc)
+            phases.append(result)
     config._invalidate()
     return config, phases
 
@@ -212,15 +252,16 @@ class Simulator:
 
         The seedless evaluation is served from and stored into the
         :data:`~repro.sim.cache.RUN_CACHE`, and :func:`noisy_run` builds
-        the run, so a repeated configuration costs only its seed's noise.
-        Inside a ``RUN_CACHE.disabled()`` scope the model runs every time:
-        that cache-off path below is the reference every parity test
+        the run, so a repeated configuration costs only its seed's noise,
+        and a new one only the phases its role values are new to.  Inside a
+        ``RUN_CACHE.disabled()`` scope the model costs every phase every
+        time: that cache-off path below is the reference every parity test
         compares against.
         """
         if RUN_CACHE.active:
             key = RUN_CACHE.key(self.cluster, workload, config)
             evaluation = RUN_CACHE.fetch(
-                key, evaluate_phases, self.cluster, workload, config
+                key, evaluate_phases, self.cluster, workload, config, key[:-1]
             )
             noise = run_noise(seed, workload.name, len(evaluation[1]))
             return noisy_run(workload.name, evaluation, seed, noise)

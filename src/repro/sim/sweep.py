@@ -10,8 +10,11 @@ each distinct one with the scalar model
 pays one model evaluation per configuration, not one per item; each
 distinct configuration is looked up once per group under its seedless key
 in the :data:`~repro.sim.cache.RUN_CACHE`, so only configurations no
-earlier run costed reach the model.  Inside ``RUN_CACHE.disabled()`` every
-group costs its distinct configurations afresh.
+earlier run costed reach the model, and those cost only the phases whose
+kind's role values no earlier evaluation of the group costed (the run
+cache's phase store; the group's key head is passed along).  Inside
+``RUN_CACHE.disabled()`` every group costs every phase of its distinct
+configurations afresh.
 
 Noise happens here.  The per-item noise re-derives exactly the seeds and
 streams the scalar path uses (``RngStreams`` named streams).  A group draws
@@ -32,8 +35,9 @@ Results are **bit-identical** to one ``Simulator.run`` per item — asserted
 per registered backend by ``tests/test_sweep.py``.
 
 Sharing caveats: items with equal configurations share one validated
-``PfsConfig`` and phase results share ``phase`` / ``bounds`` objects, with
-the cache entry too; consumers treat both as immutable.
+``PfsConfig``, evaluations share the phase results the phase store served
+them, and run results share ``phase`` / ``bounds`` objects with those;
+consumers treat all of them as immutable.
 """
 
 from __future__ import annotations
@@ -197,7 +201,12 @@ def _sweep_group(
                 evaluation = evaluate_phases(sim.cluster, workload, config)
             else:
                 evaluation = RUN_CACHE.fetch(
-                    head + (config_key,), evaluate_phases, sim.cluster, workload, config
+                    head + (config_key,),
+                    evaluate_phases,
+                    sim.cluster,
+                    workload,
+                    config,
+                    head,
                 )
             by_config[config_key] = evaluation
         evaluations.append(evaluation)

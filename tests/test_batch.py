@@ -12,7 +12,7 @@ import pytest
 from repro.cluster import make_cluster
 from repro.experiments import harness, parallel
 from repro.pfs.config import PfsConfig
-from repro.pfs.expressions import compile_expression
+from repro.pfs.expressions import ExpressionError, compile_expression
 from repro.pfs.simulator import Simulator, evaluate_phases
 from repro.sim.cache import RUN_CACHE
 from repro.sim.random import REP_STRIDE, RngStreams
@@ -212,6 +212,21 @@ class TestFixedFacts:
         assert base.bounds("lov.stripe_count")[1] == cluster.n_ost
         for how in ("copy", "with_updates", "clipped"):
             assert built[how]._facts is base._facts, how  # one shared mapping
+
+    def test_empty_facts_mean_no_facts(self):
+        """``facts={}`` builds a config without facts, so a range naming one
+        raises, as for any mapping that lacks it."""
+        for facts in ({}, {"extra": 1.0}):
+            config = PfsConfig(facts=facts)
+            assert dict(config.facts) == facts
+            with pytest.raises(ExpressionError, match="unknown identifier 'n_ost'"):
+                config.bounds("lov.stripe_count")
+
+    def test_no_facts_mean_the_testbed(self):
+        """Without a facts mapping a config gets the paper testbed's."""
+        for config in (PfsConfig(), PfsConfig(facts=None), PfsConfig.default()):
+            assert dict(config.facts) == {"system_memory_mb": 196 * 1024, "n_ost": 5}
+            assert config.bounds("lov.stripe_count") == (-1.0, 5.0)
 
 
 @pytest.fixture

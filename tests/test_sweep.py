@@ -25,7 +25,7 @@ from repro.pfs.expressions import ExpressionError, compile_expression
 from repro.pfs.phases import PhaseResult
 from repro.pfs.simulator import Simulator
 from repro.sim import sweep as sweep_module
-from repro.sim.cache import RUN_CACHE, RunCache
+from repro.sim.cache import DEFAULT_MAXSIZE, RUN_CACHE, RunCache
 from repro.sim.random import RngStreams
 from repro.sim.sweep import (
     first_normals,
@@ -323,9 +323,10 @@ def cached_call_sequences(draw):
     return calls
 
 
-def fresh_run_cache(monkeypatch) -> RunCache:
-    """Point ``Simulator.run`` and the sweep at one new, empty run cache."""
-    cache = RunCache()
+def fresh_run_cache(monkeypatch, maxsize: int = DEFAULT_MAXSIZE) -> RunCache:
+    """Point ``Simulator.run`` and the sweep at one new, empty run cache,
+    whose counters start at zero."""
+    cache = RunCache(maxsize=maxsize)
     monkeypatch.setattr(simulator_module, "RUN_CACHE", cache)
     monkeypatch.setattr(sweep_module, "RUN_CACHE", cache)
     return cache
@@ -779,7 +780,8 @@ def bounds_programs(draw):
     """A backend and a sequence of config changes: parameter writes (in and
     out of range, the parameters range expressions reference and their
     dependents weighted up), rebuilds with other facts (any of them missing
-    or added), and copy, ``with_updates`` and pickle round trips."""
+    or added, or none at all), and copy, ``with_updates`` and pickle round
+    trips."""
     backend = get_backend(draw(st.sampled_from(list_backends())))
     writable = [spec.name for spec in backend.writable_specs()]
     expressions = [
@@ -802,7 +804,7 @@ def bounds_programs(draw):
         st.tuples(st.just("with_updates"), name, value),
         st.tuples(
             st.just("facts"),
-            st.dictionaries(st.sampled_from(FACT_KEYS), fact, min_size=1),
+            st.dictionaries(st.sampled_from(FACT_KEYS), fact),
         ),
         st.tuples(st.sampled_from(["copy", "pickle"])),
     )

@@ -57,6 +57,18 @@ class OracleSearch:
     phase results per values of the roles each phase kind reads, so a new
     configuration costs only the phases its move reaches: a metadata-path
     move re-costs no data phase, and the reverse.
+
+    Noise is seeded one batch per round
+    (:meth:`~repro.pfs.simulator.Simulator.seed_noise`), before the round's
+    first run: the default run (rep 0) and round 1 together, then each later
+    round's seeds when it starts.  The search lists a round's sweeps, each
+    coordinate's candidates other than the best's value of it, when the
+    round starts.  A sweep moves only its own coordinate, so that list is
+    exact and the batch holds exactly the seeds the round will use: its
+    runs find their noise memoized and draw none of their own.  A sweep's
+    trial configs are built from one unclipped config of the current best,
+    each with the swept value written, then clipped: the values
+    :meth:`_config` gives for the same updates.
     """
 
     def __init__(self, cluster: ClusterSpec, seed: int = 0, max_rounds: int = 2):
@@ -67,13 +79,14 @@ class OracleSearch:
         #: the cluster backend's candidate grids (coordinate sweep order)
         self.candidates = cluster.backend.search_candidates
 
-    def _config(self, updates: dict[str, int]) -> PfsConfig:
+    def _unclipped(self, updates: dict[str, int]) -> PfsConfig:
         facts = self.cluster.config_facts()
-        return (
-            PfsConfig(facts=facts, backend=self.cluster.backend)
-            .with_updates(updates)
-            .clipped()
+        return PfsConfig(facts=facts, backend=self.cluster.backend).with_updates(
+            updates
         )
+
+    def _config(self, updates: dict[str, int]) -> PfsConfig:
+        return self._unclipped(updates).clipped()
 
     def _measure(self, workload: Workload, updates: dict[str, int], rep: int) -> float:
         config = self._config(updates)
@@ -81,40 +94,53 @@ class OracleSearch:
             workload, config, seed=RngStreams.rep_seed(self.seed, rep)
         ).seconds
 
+    def _rep_seeds(self, first: int, count: int) -> list[int]:
+        return [RngStreams.rep_seed(self.seed, first + i) for i in range(count)]
+
+    def _sweeps(self, best: dict[str, int]) -> list[tuple[str, list[int]]]:
+        """Each coordinate's trial values, in sweep order, for a round that
+        starts from ``best``.  A sweep moves only its own coordinate, so
+        each list is already fixed when the round starts."""
+        return [
+            (name, [value for value in candidates if best.get(name) != value])
+            for name, candidates in self.candidates.items()
+        ]
+
     def run(self, workload: Workload) -> SearchResult:
-        evaluations = 0
         best: dict[str, int] = {}
-        default_seconds = self._measure(workload, {}, rep=evaluations)
-        evaluations += 1
+        sweeps = self._sweeps(best) if self.max_rounds else []
+        count = 1 + sum(len(values) for _name, values in sweeps)
+        self.sim.seed_noise(workload, self._rep_seeds(0, count))
+        default_seconds = self._measure(workload, {}, rep=0)
+        evaluations = 1
         best_seconds = default_seconds
         trace: list[tuple[str, int, float]] = []
-        for _ in range(self.max_rounds):
+        for round_index in range(self.max_rounds):
+            if round_index:
+                sweeps = self._sweeps(best)
+                count = sum(len(values) for _name, values in sweeps)
+                self.sim.seed_noise(workload, self._rep_seeds(evaluations, count))
             improved = False
-            for name, candidates in self.candidates.items():
-                trials = [
-                    dict(best, **{name: value})
-                    for value in candidates
-                    if best.get(name) != value
-                ]
-                if not trials:
+            for name, values in sweeps:
+                if not values:
                     continue
-                seeds = [
-                    RngStreams.rep_seed(self.seed, evaluations + i)
-                    for i in range(len(trials))
-                ]
+                base = self._unclipped(best)
                 runs = self.sim.run_sweep(
-                    workload, [self._config(t) for t in trials], seeds
+                    workload,
+                    [base.with_updates({name: value}).clipped() for value in values],
+                    self._rep_seeds(evaluations, len(values)),
                 )
                 evaluations += len(runs)
-                sweep_best: tuple[float, dict[str, int]] | None = None
-                for trial, run in zip(trials, runs):
-                    trace.append((name, trial[name], run.seconds))
+                sweep_best: tuple[float, int] | None = None
+                for value, run in zip(values, runs):
+                    trace.append((name, value, run.seconds))
                     if run.seconds < best_seconds * 0.995 and (
                         sweep_best is None or run.seconds < sweep_best[0]
                     ):
-                        sweep_best = (run.seconds, trial)
+                        sweep_best = (run.seconds, value)
                 if sweep_best is not None:
-                    best_seconds, best = sweep_best
+                    best_seconds, value = sweep_best
+                    best = dict(best, **{name: value})
                     improved = True
             if not improved:
                 break

@@ -24,10 +24,12 @@ evaluators of a range that names another parameter or a fact.
   *env* (``{name: float(value)} ∪ facts``).  Each expression references a
   single name, so evaluating it costs about what a memo key would.  An
   expression error therefore raises on every call;
-- ``clipped()`` walks the table inline (at most four passes, each value
-  clipped as ``int(min(max(v, low), high))``) instead of calling
-  ``bounds()`` per parameter, while ``violations()`` still calls
-  ``bounds()`` once per parameter.
+- ``clipped()`` walks the table inline (at most four passes) instead of
+  calling ``bounds()`` per parameter, while ``violations()`` still calls
+  ``bounds()`` once per parameter.  A value with ``low <= v <= high`` is
+  kept as it is, which is what the clip expression would give it; every
+  other value (out of range, or under crossed or NaN bounds, which no
+  value satisfies) is clipped as ``int(min(max(v, low), high))``.
 
 The config memoizes only the env, updated in place on ``__setitem__``, and
 the ``cache_key()`` tuple.  Values change only through ``__setitem__`` /
@@ -281,6 +283,8 @@ class PfsConfig:
                     low, high = low_of(env), high_of(env)
                 else:
                     low, high = constant
+                if low <= value <= high:
+                    continue
                 clipped_value = int(min(max(value, low), high))
                 if clipped_value != value:
                     new._set_raw(name, clipped_value)

@@ -301,6 +301,15 @@ class Simulator:
 
         return self.run_items(sweep_items(workload, configs, seeds))
 
+    def seed_noise(self, workload: WorkloadLike, seeds) -> None:
+        """Draw the noise of runs of ``workload`` under ``seeds`` ahead of
+        them: every seed the noise memo lacks, in one batch, so those runs
+        find their factors memoized.  See :func:`repro.sim.sweep.seed_noise`.
+        """
+        from repro.sim.sweep import seed_noise
+
+        seed_noise(workload.name, len(workload.compile(self.cluster)), seeds)
+
     def run_schedule(
         self, schedule, configs, seed: int = 0
     ) -> list[RunResult]:

@@ -17,22 +17,36 @@ cache's phase store; the group's key head is passed along).  Inside
 configurations afresh.
 
 Noise happens here.  The per-item noise re-derives exactly the seeds and
-streams the scalar path uses (``RngStreams`` named streams).  A group draws
-the streams of every seed it has no factors for in one
-:func:`first_normals` batch, which hashes the batch's ``SeedSequence``
-state words as uint32 arrays (:func:`seed_words`), builds each stream's
-``Generator(PCG64(...))`` from its words and takes its single draw,
-bit-identical to ``np.random.default_rng(seed)``; the scalar path
+streams the scalar path uses (``RngStreams`` named streams).
+:func:`seed_noise` is the one batched seeding path: it draws the streams
+of every seed the noise memo lacks in one :func:`first_normals` batch,
+which hashes the batch's ``SeedSequence`` state words as uint32 arrays
+(:func:`seed_words`), builds each stream's ``Generator(PCG64(...))`` from
+its words and takes its single draw, bit-identical to
+``np.random.default_rng(seed)``; the scalar path
 (:func:`~repro.pfs.simulator.run_noise`) still seeds through
-``default_rng`` and is the reference.  Factors are shared with the scalar
-path through the ``run_noise`` memo, which both paths fill through
-:func:`~repro.pfs.simulator.remember_noise`.  The memo keeps its newest
-4,096 entries, so a run repeated within that many noise inserts finds its
-factors however long the process has been running; an entry it dropped is
-re-drawn to the same factors.  :func:`~repro.pfs.simulator.noisy_run`
-builds each item's ``RunResult``, as for cached ``Simulator.run`` calls.
-Results are **bit-identical** to one ``Simulator.run`` per item — asserted
-per registered backend by ``tests/test_sweep.py``.
+``default_rng`` and is the reference.  Two callers draw batches:
+
+- each workload group, for the seeds of its items the memo lacks;
+- the oracle search (:class:`~repro.baselines.search.OracleSearch`,
+  through :meth:`~repro.pfs.simulator.Simulator.seed_noise`), once per
+  round before the round runs: the default run and round 1 together, then
+  each later round's seeds.  The count is exact, because a sweep moves
+  only its own coordinate: each sweep's trials, the candidates other than
+  the current best's value of that coordinate, are known when the round
+  starts.  The round's groups and the default run then find every factor
+  memoized and draw nothing, and no stream is drawn for a run that never
+  happens.
+
+Factors are shared with the scalar path through the ``run_noise`` memo,
+which both paths fill through :func:`~repro.pfs.simulator.remember_noise`.
+The memo keeps its newest 4,096 entries, so a run repeated within that
+many noise inserts finds its factors however long the process has been
+running; an entry it dropped is re-drawn to the same factors.
+:func:`~repro.pfs.simulator.noisy_run` builds each item's ``RunResult``,
+as for cached ``Simulator.run`` calls.  Results are **bit-identical** to
+one ``Simulator.run`` per item — asserted per registered backend by
+``tests/test_sweep.py``.
 
 Sharing caveats: items with equal configurations share one validated
 ``PfsConfig``, evaluations share the phase results the phase store served
@@ -181,14 +195,7 @@ def _sweep_group(
 ) -> list["RunResult"]:
     """All items of one workload: dedup configs, evaluate each distinct one
     (through the run cache unless it is disabled), apply noise."""
-    from repro.pfs.simulator import (
-        _NOISE_CACHE,
-        PHASE_NOISE_SIGMA,
-        RUN_NOISE_SIGMA,
-        evaluate_phases,
-        noisy_run,
-        remember_noise,
-    )
+    from repro.pfs.simulator import evaluate_phases, noisy_run
 
     head = RUN_CACHE.group_key(sim.cluster, workload_key) if RUN_CACHE.active else None
     by_config: dict[tuple, "Evaluation"] = {}
@@ -211,37 +218,59 @@ def _sweep_group(
             by_config[config_key] = evaluation
         evaluations.append(evaluation)
 
-    # -- per-item noise: dedup by seed, seed only the cache misses --------
+    # -- per-item noise: dedup by seed, seed only the memo misses ---------
     # Noise depends on (seed, workload, n_phases) alone — never the config —
     # so a config×seed grid computes each seed's factors once, and the
     # shared memo in the simulator module carries them across groups and
-    # ``Simulator.run`` calls (both fill and read the same dict).  The
-    # missing seeds' streams, each seed's ``phase:i`` then ``run``, are
-    # drawn in one batch.
+    # ``Simulator.run`` calls (both fill and read the same dict).
     name = workload.name
-    n_phases = len(evaluations[0][1])
+    noise_by_seed = seed_noise(
+        name, len(evaluations[0][1]), [seed for _w, _c, seed in group_items]
+    )
+    return [
+        noisy_run(name, evaluation, seed, noise_by_seed[seed])
+        for (_workload, _config, seed), evaluation in zip(group_items, evaluations)
+    ]
+
+
+def seed_noise(
+    workload_name: str, n_phases: int, seeds: Iterable[int]
+) -> dict[int, tuple[tuple[float, ...], float]]:
+    """Each seed's :func:`~repro.pfs.simulator.run_noise` factors for runs
+    of one workload, keyed by seed.
+
+    Factors the memo holds are read as they are.  The ``phase:i`` then
+    ``run`` streams of every other seed are drawn in one
+    :func:`first_normals` batch and remembered.  The only batched seeding
+    path: :func:`_sweep_group` calls it per workload group, and
+    :meth:`~repro.pfs.simulator.Simulator.seed_noise` ahead of the runs an
+    oracle-search round will make.
+    """
+    from repro.pfs.simulator import (
+        _NOISE_CACHE,
+        PHASE_NOISE_SIGMA,
+        RUN_NOISE_SIGMA,
+        remember_noise,
+    )
+
     noise_by_seed: dict[int, tuple[tuple[float, ...], float]] = {}
-    for _workload, _config, seed in group_items:
+    for seed in seeds:
         if seed not in noise_by_seed:
-            noise_by_seed[seed] = _NOISE_CACHE.get((seed, name, n_phases))
+            noise_by_seed[seed] = _NOISE_CACHE.get((seed, workload_name, n_phases))
     missing = [seed for seed, noise in noise_by_seed.items() if noise is None]
     if missing:
         streams = [f"phase:{i}" for i in range(n_phases)] + ["run"]
         stream_seeds = []
         for seed in missing:
-            root = _derive_seed(seed, f"spawn:run:{name}")
+            root = _derive_seed(seed, f"spawn:run:{workload_name}")
             stream_seeds.extend(_derive_seed(root, stream) for stream in streams)
         sigmas = [PHASE_NOISE_SIGMA] * n_phases + [RUN_NOISE_SIGMA]
         factors = np.exp(first_normals(stream_seeds, sigmas * len(missing)))
         for seed, row in zip(missing, factors.reshape(len(missing), -1).tolist()):
             noise = (tuple(row[:n_phases]), row[n_phases])
             noise_by_seed[seed] = noise
-            remember_noise((seed, name, n_phases), noise)
-
-    return [
-        noisy_run(name, evaluation, seed, noise_by_seed[seed])
-        for (_workload, _config, seed), evaluation in zip(group_items, evaluations)
-    ]
+            remember_noise((seed, workload_name, n_phases), noise)
+    return noise_by_seed
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ only under the values of every role its kind reads.
   and every served phase was costed under the values of each role its
   costing reads now.
 - The store's counters, its bound and its evictions.
-- Model work as untimed counts: the oracle search's evaluations and the
-  phases the model costs for them.
+- Model and noise work as untimed counts: the oracle search's
+  evaluations, the phases the model costs for them, and the noise batches
+  and streams they draw.
 """
 
 from contextlib import contextmanager
@@ -37,7 +38,8 @@ from repro.sim.cache import PHASES_PER_ENTRY, RUN_CACHE
 from repro.sim.sweep import run_items
 from repro.workloads import get_workload, list_workloads
 from repro.workloads.base import Workload
-from test_sweep import count_evaluations, fresh_run_cache
+from test_search_noise import noise_draws
+from test_sweep import count_evaluations, empty_noise_memo, fresh_run_cache
 
 SEARCH_WORKLOADS = ("IOR_64K", "MDWorkbench_8K", "IO500")
 
@@ -328,3 +330,37 @@ class TestModelWorkCounts:
         assert per_cell == [38, 50, 52, 26, 52, 43]
         assert stats["phase_hits"] + stats["phase_misses"] == 2_499
         assert len(costed) == stats["phase_misses"] == 1_330
+
+
+class TestNoiseWorkCounts:
+    def test_oracle_search_noise_work(self, monkeypatch):
+        """From an empty noise memo, each of the six search cells draws one
+        ``first_normals`` batch per round it runs, holding exactly the
+        streams its runs use (``phase:i`` and ``run`` per evaluation), and
+        no scalar noise; an immediate repeat of the search draws nothing."""
+        batches, scalar = noise_draws(monkeypatch)
+        per_cell = []
+        for backend in ("lustre", "beegfs"):
+            cluster = make_cluster(seed=0, backend=backend)
+            first_round = sum(map(len, cluster.backend.search_candidates.values()))
+            for name in SEARCH_WORKLOADS:
+                workload = get_workload(name)
+                empty_noise_memo(monkeypatch)
+                del batches[:], scalar[:]
+                search = OracleSearch(cluster, seed=0)
+                result = search.run(workload)
+                # Of the default two rounds, the second runs, and adds
+                # evaluations, exactly when the first moved a coordinate.
+                assert search.max_rounds == 2
+                rounds = 1 if result.evaluations == 1 + first_round else 2
+                assert len(batches) == rounds
+                n_phases = len(workload.compile(cluster))
+                assert sum(batches) == result.evaluations * (n_phases + 1)
+                assert scalar == []
+                per_cell.append(list(batches))
+                del batches[:]
+                assert OracleSearch(cluster, seed=0).run(workload) == result
+                assert batches == [] and scalar == []
+        assert per_cell == [
+            [126, 114], [588, 532], [504, 444], [117, 108], [546, 462], [468, 420]
+        ]

@@ -1,5 +1,6 @@
 """Tests for the discrete-event kernel: engine, resources, RNG streams."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -33,14 +34,19 @@ UNLOADED_BY_TUNING = (
 )
 
 
-def test_tuning_imports_leave_the_event_kernel_unloaded():
-    """The engine and the service load no event-kernel, figure or baseline
-    module: ``repro.sim`` resolves ``Engine``, ``FifoServer`` and the rest
-    on first use, and ``repro.experiments`` imports no submodule."""
+#: Modules a fresh ``import repro.baselines.search`` must not load: the
+#: search reaches the sweep, and with it ``numpy.random``, only through
+#: ``Simulator`` methods that import it on first use.
+UNLOADED_BY_SEARCH = ("repro.sim.sweep", "numpy.random")
+
+
+def loaded_after(statement: str, modules) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after running
+    ``statement``."""
     code = (
         "import sys\n"
-        "import repro.core.engine, repro.service\n"
-        f"print(sorted(m for m in {UNLOADED_BY_TUNING!r} if m in sys.modules))\n"
+        f"{statement}\n"
+        f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
@@ -51,7 +57,21 @@ def test_tuning_imports_leave_the_event_kernel_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr[-2000:]
-    assert result.stdout.strip() == "[]"
+    return ast.literal_eval(result.stdout)
+
+
+def test_tuning_imports_leave_the_event_kernel_unloaded():
+    """The engine and the service load no event-kernel, figure or baseline
+    module: ``repro.sim`` resolves ``Engine``, ``FifoServer`` and the rest
+    on first use, and ``repro.experiments`` imports no submodule."""
+    statement = "import repro.core.engine, repro.service"
+    assert loaded_after(statement, UNLOADED_BY_TUNING) == []
+
+
+def test_search_import_leaves_the_sweep_unloaded():
+    """Importing the oracle search loads neither the sweep module nor
+    ``numpy.random``."""
+    assert loaded_after("import repro.baselines.search", UNLOADED_BY_SEARCH) == []
 
 
 class TestEngine:

@@ -864,6 +864,21 @@ class TestDependencyAwareInvalidation:
         config.bounds("lov.stripe_count")
         assert len(calls) == 4  # min and max, on both calls
 
+    def test_clipped_keeps_in_range_values_and_clips_the_rest(self, monkeypatch):
+        """``clipped()`` keeps a value inside its bounds and gives every
+        other value ``int(min(max(v, low), high))``: below, above, and under
+        crossed or NaN bounds alike."""
+        backend = get_backend("lustre")
+        name = "osc.max_rpcs_in_flight"
+        nan = float("nan")
+        for low, high in [(1.0, 8.0), (5.0, 3.0), (nan, nan), (nan, 4.0), (2.0, nan)]:
+            table = {**backend.bounds_table, name: ((low, high), None, None)}
+            monkeypatch.setitem(backend.__dict__, "bounds_table", table)
+            for value in (-3, 0, 1, 3, 4, 5, 8, 9, 1 << 20):
+                config = PfsConfig(backend=backend)
+                config[name] = value
+                assert config.clipped()[name] == int(min(max(value, low), high))
+
     def test_dependency_write_invalidates_dependents(self):
         config = PfsConfig()
         config.bounds("llite.max_read_ahead_per_file_mb")

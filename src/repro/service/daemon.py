@@ -116,7 +116,6 @@ class TuningService:
         self,
         seed: int = 0,
         max_workers: int | None = None,
-        use_cache: bool = True,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         checkpoint: str | Path | CheckpointStore | None = None,
@@ -128,7 +127,6 @@ class TuningService:
             raise ValueError(f"pump_interval={pump_interval} must be >= 1")
         self.seed = seed
         self.max_workers = max_workers
-        self.use_cache = use_cache
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker
@@ -157,8 +155,8 @@ class TuningService:
         self._stream_last: tuple[int, str] | None = None
         self._arrived_sessions = 0
         #: Completed sessions that had arrived when the first canonical
-        #: result streamed out — the wall-clock-free time-to-first-result
-        #: proxy the throughput bench records.
+        #: result streamed out — a wall-clock-free time-to-first-result
+        #: proxy.
         self.first_result_sessions: int | None = None
         if checkpoint is not None and not isinstance(checkpoint, CheckpointStore):
             checkpoint = CheckpointStore(
@@ -291,7 +289,6 @@ class TuningService:
                 (
                     sub.spec,
                     self._catalog.payload_for(sub.spec),
-                    self.use_cache,
                     self.faults,
                     sub.retry.with_fail_fast(mode),
                 )
@@ -343,9 +340,8 @@ class TuningService:
             spec,
             self._catalog.cluster_for(spec),
             self._catalog.extraction_for(spec),
-            self.use_cache,
-            self.faults,
-            self._retries[spec.tenant_id].with_fail_fast(mode),
+            faults=self.faults,
+            retry=self._retries[spec.tenant_id].with_fail_fast(mode),
         )
 
     def _fold(
@@ -563,7 +559,6 @@ class FleetScheduler:
         tenants: Sequence[TenantSpec],
         seed: int = 0,
         max_workers: int | None = None,
-        use_cache: bool = True,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
         checkpoint: str | Path | None = None,
@@ -575,7 +570,6 @@ class FleetScheduler:
         self.tenants = list(tenants)
         self.seed = seed
         self.max_workers = max_workers
-        self.use_cache = use_cache
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
         self.checkpoint = Path(checkpoint) if checkpoint is not None else None
@@ -599,7 +593,6 @@ class FleetScheduler:
         self._service = TuningService(
             seed=self.seed,
             max_workers=self.max_workers,
-            use_cache=self.use_cache,
             faults=self.faults,
             retry=self.retry,
             checkpoint=store,

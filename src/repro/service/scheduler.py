@@ -28,12 +28,10 @@ What tenants share, and how:
   serving time.
 - **The run cache.**  Every simulated run is served from the process-wide
   ``RUN_CACHE``, so tenants co-located on a worker share noise-free model
-  evaluations; a fleet built with ``use_cache=False`` runs each tenant
-  job inside ``RUN_CACHE.disabled()`` instead.  The cache only ever skips
-  re-costing an identical (backend, cluster, workload, config), and every
-  run still applies its own seed's noise, so sharing never changes
-  results — worker-count independence is asserted by
-  ``tests/test_fleet.py``.
+  evaluations.  The cache only ever skips re-costing an identical
+  (backend, cluster, workload, config), and every run still applies its
+  own seed's noise, so sharing never changes results — worker-count and
+  cache independence are asserted by ``tests/test_fleet.py``.
 - **Rule knowledge, after the fact.**  Each tenant accumulates into its own
   :class:`~repro.rules.store.RuleJournal`; a drained fleet replay-merges
   them (:meth:`RuleJournal.merged`) so concurrent tenants' contributions
@@ -142,11 +140,9 @@ def run_tenant(
     """One tenant's whole session queue — THE per-tenant body.
 
     Module-level and dependent only on its arguments, so the inline and
-    pooled paths cannot drift; the throughput bench also calls it directly
-    to build its sequential comparison arm.  ``use_cache=False`` enters
-    ``RUN_CACHE.disabled()`` here, inside the job body, so the scope holds
-    in whichever process runs the job and ends with it: a warm worker
-    never carries one job's scope into the next.
+    pooled paths cannot drift.  ``use_cache=False`` runs the queue inside
+    ``RUN_CACHE.disabled()``, a scope that ends with the call; the fleet
+    and the service always run with the cache.
 
     This function is the tenant's fault boundary: anything the resilience
     machinery could not absorb surfaces here and becomes a
@@ -198,9 +194,11 @@ def run_tenant(
 
 def _tenant_job(args: tuple) -> TenantResult | TenantFailure:
     """Picklable adapter: one jobs-tuple -> :func:`run_tenant`."""
-    spec, key, use_cache, faults, retry = args
+    spec, key, faults, retry = args
     bundle = artifacts.publish(key)
-    return run_tenant(spec, bundle.cluster, bundle.extraction, use_cache, faults, retry)
+    return run_tenant(
+        spec, bundle.cluster, bundle.extraction, faults=faults, retry=retry
+    )
 
 
 def _broken_pool_failure(spec: TenantSpec) -> TenantFailure:
@@ -222,7 +220,7 @@ def execute_jobs(
     """THE tenant-execution core: run job tuples over the warm pool.
 
     ``jobs`` are :func:`run_tenant` payload tuples
-    ``(spec, key, use_cache, faults, retry)``, where ``key`` names the
+    ``(spec, key, faults, retry)``, where ``key`` names the
     tenant's offline bundle (:meth:`ArtifactCatalog.payload_for`).  Each
     entry carries its *own* retry policy, which is how the service daemon
     applies per-tenant deadlines and degraded modes without forking the

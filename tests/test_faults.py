@@ -21,6 +21,7 @@ The contracts, from the inside out:
 import json
 import pickle
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
@@ -447,22 +448,79 @@ class TestSessionRoundTrip:
 BAD_TENANT = TenantSpec("saboteur", workloads=("IOR_16M",), seed=99, max_attempts=5)
 
 
+MIXED_FLEET = [
+    TenantSpec(
+        f"bench-{i:02d}",
+        backend=("lustre", "beegfs")[i % 2],
+        workloads=("IOR_64K", "IOR_16M", "MDWorkbench_8K", "IO500"),
+        seed=900 + i,
+    )
+    for i in range(16)
+]
+
+
+class HostileFleet(NamedTuple):
+    """A fleet under a plan harsh enough to quarantine, and what it pins."""
+
+    tenants: list[TenantSpec]
+    plan: FaultPlan
+    #: Quarantined tenant id -> the fault site that exhausted it.
+    quarantined: dict[str, str]
+    #: Faults the completed tenants' sessions absorbed.
+    absorbed: int
+
+
+HOSTILE_FLEETS = {
+    # 0.5 per site is lethal to every tenant.
+    "small-0.5": HostileFleet(
+        SMALL_FLEET,
+        FaultPlan.uniform(0.5, seed=0),
+        {
+            "acme-data": "llm.timeout",
+            "acme-meta": "llm.transient",
+            "globex": "llm.timeout",
+            "drifty": "llm.transient",
+        },
+        0,
+    ),
+    # Sixteen four-session tenants alternating backends at 0.1: most absorb
+    # their faults, two exhaust an LLM retry budget.
+    "mixed16-0.1": HostileFleet(
+        MIXED_FLEET,
+        FaultPlan.uniform(0.1, seed=0),
+        {"bench-07": "llm.transient", "bench-15": "llm.transient"},
+        294,
+    ),
+}
+
+
 class TestFleetQuarantine:
+    @pytest.fixture(scope="class", params=list(HOSTILE_FLEETS))
+    def hostile(self, request):
+        return HOSTILE_FLEETS[request.param]
+
     @pytest.fixture(scope="class")
-    def hostile_result(self):
-        """The small fleet under a plan harsh enough to quarantine."""
+    def hostile_result(self, hostile):
         return FleetScheduler(
-            SMALL_FLEET, seed=0, max_workers=1, faults=FaultPlan.uniform(0.5, seed=0)
+            hostile.tenants, seed=0, max_workers=1, faults=hostile.plan
         ).run()
 
-    def test_no_fleet_wide_abort(self, hostile_result):
-        assert len(hostile_result.outcomes) == len(SMALL_FLEET)
+    def test_no_fleet_wide_abort(self, hostile, hostile_result):
+        assert len(hostile_result.outcomes) == len(hostile.tenants)
         assert [o.tenant_id for o in hostile_result.outcomes] == [
-            s.tenant_id for s in SMALL_FLEET
+            s.tenant_id for s in hostile.tenants
         ]
 
-    def test_quarantine_reports_are_structured(self, hostile_result):
-        assert hostile_result.failures  # 0.5 per site is lethal
+    def test_quarantine_reports_are_structured(self, hostile, hostile_result):
+        quarantined = {f.tenant_id: f.site for f in hostile_result.failures}
+        assert quarantined == hostile.quarantined
+        absorbed = sum(
+            count
+            for tenant in hostile_result.tenants
+            for session in tenant.sessions
+            for count in session.fault_recovery.values()
+        )
+        assert absorbed == hostile.absorbed
         for failure in hostile_result.failures:
             assert failure.site in set(FAULT_SITES) | {"exception"}
             assert failure.error

@@ -21,6 +21,7 @@ from repro.rules.model import Rule, RuleSet
 from repro.rules.store import RuleJournal, session_to_dict
 from repro.service import FleetScheduler, TenantSpec
 from repro.service.tenant import TenantResult
+from repro.sim.cache import RUN_CACHE
 
 
 def _rule(parameter="osc.max_pages_per_rpc", value=1024, tag="shared_seq_large"):
@@ -86,9 +87,8 @@ class TestFleetScheduler:
 
     def test_cache_invariance(self, inline_result):
         """The shared run cache short-circuits work, never changes it."""
-        uncached = FleetScheduler(
-            SMALL_FLEET, seed=0, max_workers=1, use_cache=False
-        ).run()
+        with RUN_CACHE.disabled():
+            uncached = FleetScheduler(SMALL_FLEET, seed=0, max_workers=1).run()
         assert fleet_fingerprint(uncached) == fleet_fingerprint(inline_result)
 
     def test_matches_single_operator_path(self, inline_result):

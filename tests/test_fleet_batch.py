@@ -163,7 +163,7 @@ class TestWarmPool:
         fleet = _mixed_fleet(4)
         first = FleetScheduler(fleet, seed=0, max_workers=2).run()
         pool = parallel._pool
-        second = FleetScheduler(fleet, seed=0, max_workers=2, use_cache=False).run()
+        second = FleetScheduler(fleet, seed=0, max_workers=2).run()
         if pool is not None:
             assert parallel._pool is pool
         assert fleet_fingerprint(first) == fleet_fingerprint(second)

@@ -18,14 +18,16 @@ configurations afresh.
 
 Noise happens here.  The per-item noise re-derives exactly the seeds and
 streams the scalar path uses (``RngStreams`` named streams).
-:func:`seed_noise` is the one batched seeding path: it draws the streams
-of every seed the noise memo lacks in one :func:`first_normals` batch,
-which hashes the batch's ``SeedSequence`` state words as uint32 arrays
-(:func:`seed_words`), builds each stream's ``Generator(PCG64(...))`` from
-its words and takes its single draw, bit-identical to
-``np.random.default_rng(seed)``; the scalar path
-(:func:`~repro.pfs.simulator.run_noise`) still seeds through
-``default_rng`` and is the reference.  Two callers draw batches:
+:func:`seed_noise` is the one batched seeding path.  It derives the
+stream seeds of every seed the noise memo lacks into one digest buffer,
+read as one uint64 array, and draws them in one :func:`first_normals`
+batch.  That hashes the batch's ``SeedSequence`` state words as uint32
+arrays (:func:`seed_words`), seeds each stream's ``PCG64`` from its words
+through one seed object per call, and scales one standard normal by
+sigma, bit-identical to ``np.random.default_rng(seed).normal(0.0,
+sigma)``.  The scalar path (:func:`~repro.pfs.simulator.run_noise`) still
+seeds through ``default_rng`` and is the reference.  Two callers draw
+batches:
 
 - each workload group, for the seeds of its items the memo lacks;
 - the oracle search (:class:`~repro.baselines.search.OracleSearch`,
@@ -56,6 +58,7 @@ consumers treat all of them as immutable.
 
 from __future__ import annotations
 
+from hashlib import sha256
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -240,8 +243,9 @@ def seed_noise(
     of one workload, keyed by seed.
 
     Factors the memo holds are read as they are.  The ``phase:i`` then
-    ``run`` streams of every other seed are drawn in one
-    :func:`first_normals` batch and remembered.  The only batched seeding
+    ``run`` streams of every other seed take their seeds from one digest
+    buffer and are drawn in one :func:`first_normals` batch, and the
+    factors are remembered.  The only batched seeding
     path: :func:`_sweep_group` calls it per workload group, and
     :meth:`~repro.pfs.simulator.Simulator.seed_noise` ahead of the runs an
     oracle-search round will make.
@@ -259,11 +263,18 @@ def seed_noise(
             noise_by_seed[seed] = _NOISE_CACHE.get((seed, workload_name, n_phases))
     missing = [seed for seed, noise in noise_by_seed.items() if noise is None]
     if missing:
-        streams = [f"phase:{i}" for i in range(n_phases)] + ["run"]
-        stream_seeds = []
+        # Each stream seed is ``_derive_seed(root, stream)``: the first 8
+        # SHA-256 bytes of ``f"{root}:{stream}"``, read little-endian and
+        # masked to 63 bits.  Every stream's bytes go into one buffer, read
+        # as one uint64 array.
+        suffixes = [f":phase:{i}".encode() for i in range(n_phases)] + [b":run"]
+        spawn = f"spawn:run:{workload_name}"
+        digests = bytearray()
         for seed in missing:
-            root = _derive_seed(seed, f"spawn:run:{workload_name}")
-            stream_seeds.extend(_derive_seed(root, stream) for stream in streams)
+            root = str(_derive_seed(seed, spawn)).encode()
+            for suffix in suffixes:
+                digests += sha256(root + suffix).digest()[:8]
+        stream_seeds = np.frombuffer(digests, "<u8") & np.uint64(2**63 - 1)
         sigmas = [PHASE_NOISE_SIGMA] * n_phases + [RUN_NOISE_SIGMA]
         factors = np.exp(first_normals(stream_seeds, sigmas * len(missing)))
         for seed, row in zip(missing, factors.reshape(len(missing), -1).tolist()):
@@ -315,12 +326,18 @@ def _round_constants(src: int):
 _ROUNDS = [_round_constants(src) for src in range(4)]
 
 
-def seed_words(seeds: Sequence[int]) -> np.ndarray:
+def seed_words(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed,
     one row each, computed for the whole batch at once."""
-    if len(seeds) and not (0 <= min(seeds) and max(seeds) < 2**64):
-        bad = min(seeds) if min(seeds) < 0 else max(seeds)
-        raise ValueError(f"seed {bad} is outside [0, 2**64)")
+    if len(seeds):
+        # An array's range by array reductions: the builtins would iterate
+        # it as numpy scalars, which costs more than the hash below.
+        if isinstance(seeds, np.ndarray):
+            low, high = seeds.min(), seeds.max()
+        else:
+            low, high = min(seeds), max(seeds)
+        if not (0 <= low and high < 2**64):
+            raise ValueError(f"seed {low if low < 0 else high} is outside [0, 2**64)")
     wide = np.zeros((len(seeds), 2), "<u8")
     wide[:, 0] = seeds
     pool = wide.view("<u4")
@@ -345,30 +362,37 @@ def seed_words(seeds: Sequence[int]) -> np.ndarray:
 
 class _Words(ISeedSequence):
     """A seed sequence that answers PCG64's one request,
-    ``generate_state(4, np.uint64)``, with words already computed."""
+    ``generate_state(4, np.uint64)``, with the words it points at."""
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    words: np.ndarray
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
 
 
-def first_normals(seeds: Sequence[int], sigmas) -> np.ndarray:
+def first_normals(seeds: Sequence[int] | np.ndarray, sigmas) -> np.ndarray:
     """``np.random.default_rng(seed).normal(0.0, sigma)`` for every seed —
     the one draw each named noise stream makes — bit for bit.
 
-    ``sigmas`` is one sigma for every seed or one per seed; a sigma ≤ 0
-    draws nothing and gives 0.0, whose factor ``exp(0.0)`` is the 1.0
+    ``seeds`` is a sequence of ints or a uint64 array.  One
+    :class:`_Words` object serves the call: it points at each seed's
+    :func:`seed_words` row in turn while that stream's ``PCG64`` seeds
+    itself from it, and the draw is ``0.0 + sigma * standard_normal()``,
+    the arithmetic numpy's ``normal`` performs for loc 0.0.  ``sigmas`` is
+    one sigma for every seed or one per seed; a sigma ≤ 0 draws nothing
+    and gives 0.0, whose factor ``exp(0.0)`` is the 1.0
     :meth:`RngStreams.lognormal_noise` returns.  Raises ``ValueError`` for
     a seed outside ``[0, 2**64)``.
     """
     if np.ndim(sigmas) == 0:
         sigmas = [sigmas] * len(seeds)
+    state = _Words()
     generator, pcg64 = np.random.Generator, np.random.PCG64
-    return np.array(
-        [
-            generator(pcg64(_Words(words))).normal(0.0, sigma) if sigma > 0 else 0.0
-            for words, sigma in zip(seed_words(seeds), sigmas, strict=True)
-        ]
-    )
+    draws = []
+    for words, sigma in zip(seed_words(seeds), sigmas, strict=True):
+        if sigma > 0:
+            state.words = words
+            draws.append(0.0 + sigma * generator(pcg64(state)).standard_normal())
+        else:
+            draws.append(0.0)
+    return np.array(draws)

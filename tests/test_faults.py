@@ -445,9 +445,6 @@ class TestSessionRoundTrip:
         assert restored.transcript.render() == session.transcript.render()
 
 
-BAD_TENANT = TenantSpec("saboteur", workloads=("IOR_16M",), seed=99, max_attempts=5)
-
-
 MIXED_FLEET = [
     TenantSpec(
         f"bench-{i:02d}",

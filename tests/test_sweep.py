@@ -658,40 +658,62 @@ class TestFastRng:
             assert fast.tolist() == reference
 
     EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)
+    # Positive sigmas from subnormal to large, and 0.0, which draws nothing.
+    SIGMAS = st.just(0.0) | st.floats(5e-324, 1e3)
 
     @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 2**64 - 1), st.sampled_from((0.02, 0.025, 0.0))
-            ),
-            max_size=64,
-        )
-    )
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), SIGMAS), max_size=64))
     @example([(seed, 0.02) for seed in EDGE_SEEDS])
     @example([(seed, sigma) for seed in EDGE_SEEDS for sigma in (0.025, 0.0)])
+    @example([(seed, sigma) for seed in range(16) for sigma in (5e-324, 1e-300)])
     def test_batch_matches_seed_sequence_and_default_rng(self, batch):
         """Each seed's words are ``SeedSequence``'s, and each draw, with its
-        own sigma, has the bytes of a ``default_rng`` draw."""
+        own sigma, has the bytes of a ``default_rng`` draw, whether the
+        seeds come as a list or as a uint64 array.  A subnormal sigma scales
+        some draws to -0.0, which ``normal`` returns as 0.0."""
         seeds = [seed for seed, _sigma in batch]
-        words = seed_words(seeds)
-        assert words.dtype == np.uint64
-        assert words.shape == (len(seeds), 4)
-        for seed, row in zip(seeds, words):
-            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-            assert row.tobytes() == expected.tobytes(), seed
+        sigmas = [sigma for _seed, sigma in batch]
         reference = np.array(
             [np.random.default_rng(seed).normal(0.0, sigma) for seed, sigma in batch],
             dtype=float,
         )
-        drawn = first_normals(seeds, [sigma for _seed, sigma in batch])
-        assert drawn.tobytes() == reference.tobytes()
+        for given_seeds in (seeds, np.array(seeds, dtype=np.uint64)):
+            words = seed_words(given_seeds)
+            assert words.dtype == np.uint64
+            assert words.shape == (len(seeds), 4)
+            for seed, row in zip(seeds, words):
+                expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+                assert row.tobytes() == expected.tobytes(), seed
+            drawn = first_normals(given_seeds, sigmas)
+            assert drawn.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("as_array", [False, True])
     @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_outside_uint64_is_refused(self, seed):
+    def test_seed_outside_uint64_is_refused(self, seed, as_array):
         """A uint64 replica cannot seed -1 or 2**64 as numpy does."""
+        seeds = np.array([0, seed]) if as_array else [0, seed]
         with pytest.raises(ValueError, match=f"seed {seed} "):
-            first_normals([0, seed], 0.02)
+            first_normals(seeds, 0.02)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**63 - 1), max_size=8),
+        name=st.text(st.sampled_from(":_5Ié€") | st.characters(codec="utf-8")),
+        n_phases=st.integers(0, 16),
+    )
+    @example(seeds=[0, 1, 2**63 - 1, 1], name="run:IO500:é€", n_phases=16)
+    @example(seeds=[7], name="", n_phases=0)
+    def test_seed_noise_matches_scalar_run_noise(self, seeds, name, n_phases):
+        """On an empty memo, the batched path gives every seed exactly the
+        factors the scalar ``run_noise`` draws from ``default_rng``
+        streams."""
+        memo = simulator_module._NOISE_CACHE
+        memo.clear()
+        reference = {
+            seed: simulator_module.run_noise(seed, name, n_phases) for seed in seeds
+        }
+        memo.clear()
+        assert sweep_module.seed_noise(name, n_phases, seeds) == reference
 
     def test_generator_pcg64_equals_default_rng(self):
         """``default_rng(seed)`` is ``Generator(PCG64(seed))``, the stream
